@@ -14,8 +14,11 @@ build:
 vet:
 	$(GO) vet ./...
 
+# bench/ is a separate module (bitmapindex/bench) outside the root ./...
+# pattern; it compiles against the internal APIs, so it is tested here too.
 test:
 	$(GO) test ./...
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # Full suite (all fourteen analyzers, including the interprocedural
 # hotalloc walk, the atomicfield/poolhygiene concurrency checks and the
@@ -39,7 +42,7 @@ race:
 
 bixdebug:
 	$(GO) test -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/core
-	$(GO) test -race -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/reorder ./internal/core ./internal/engine ./internal/buffer ./internal/telemetry ./internal/mutable ./internal/storage ./internal/catalog ./internal/flight ./internal/workload
+	$(GO) test -race -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/reorder ./internal/core ./internal/cost ./internal/engine ./internal/buffer ./internal/telemetry ./internal/mutable ./internal/storage ./internal/catalog ./internal/flight ./internal/workload
 
 # Whole-tree statement coverage; open with `go tool cover -html=coverage.out`.
 cover:

@@ -245,7 +245,7 @@ type BatchQuery = core.Query
 
 // SegConfig tunes segmented (intra-query parallel) evaluation; the zero
 // value selects the default segment width and GOMAXPROCS workers. Pass it
-// to Index.SegmentedEval / SegmentedCount / SegmentedAny.
+// to Index.SegmentedEval.
 type SegConfig = core.SegConfig
 
 // DefaultSegBits is log2 of the default segment width in bits used by

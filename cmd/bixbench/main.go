@@ -9,9 +9,9 @@
 //	bixbench -all -json bench.json [-metrics :8318]
 //	bixbench -scaling [-rows 16777216] [-segbits 18] [-workers 1,2,4] [-json scaling.json]
 //
-// -scaling benchmarks the segmented (intra-query parallel) evaluator
-// against the serial one over a knee-design range-encoded index,
-// cross-checking every parallel result bitmap against the serial bitmap.
+// -scaling benchmarks segmented (intra-query parallel) evaluation against
+// Eval on one goroutine over a knee-design range-encoded index,
+// cross-checking every parallel result bitmap against Eval's.
 //
 // -json writes a machine-readable BENCH_*.json style summary next to the
 // text report: per-experiment wall times plus a query microbenchmark
@@ -118,7 +118,7 @@ func newReport(o options) benchReport {
 
 // scalingReport summarizes the -scaling benchmark: one heavy range query
 // evaluated serially and then segment-parallel at each worker count.
-// Speedups are relative to the serial evaluator on this machine; check
+// Speedups are relative to Eval (one goroutine) on this machine; check
 // Cores before reading anything into them — on a single-core runner the
 // parallel path can only measure its own overhead.
 type scalingReport struct {
@@ -320,8 +320,9 @@ func parseWorkers(s string) ([]int, error) {
 
 // runScaling builds a knee-design range-encoded index over uniform data
 // and times one heavy range query (A <= card/2, the worst case for scans)
-// serially and segment-parallel at each requested worker count, verifying
-// every parallel result against the serial bitmap.
+// with Eval (the "serial" baseline: the program runner on the calling
+// goroutine at the default segment width) and with SegmentedEval at each
+// requested worker count, verifying every parallel result against Eval's.
 func runScaling(o options, w io.Writer) (*scalingReport, error) {
 	workerCounts, err := parseWorkers(o.Workers)
 	if err != nil {

@@ -119,7 +119,7 @@ const costModelMeanTimeError = 1.5
 // costModelAgg accumulates the cost-model accuracy check that runs
 // alongside the eval suites: every query of the sweep is replayed through
 // engine.AnalyzeIndexQuery, so predicted scans are compared to measured
-// scans per query (they must match exactly for the serial evaluators — the
+// scans per query (they must match exactly — the
 // paper's digit-level model counts the very fetches the evaluator
 // performs) and the time model's EWMA calibration is exercised. The
 // analyzed queries also feed the bix_cost_model_error_* histograms, which

@@ -328,7 +328,7 @@ type phaseJSON struct {
 // EXPLAIN ANALYZE PlanReport (cost-model predictions vs this execution's
 // actuals) instead of the plain query response. Analyzed queries bypass
 // the bitmap cache: the cost model predicts the stored-bitmap scans of
-// the uncached serial evaluator, and a pool hit would otherwise be
+// the uncached evaluator, and a pool hit would otherwise be
 // misreported as model error.
 func (s *queryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.testDelay != nil {

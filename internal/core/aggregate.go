@@ -38,7 +38,6 @@ func (ix *Index) SumSelected(sel *bitvec.Vector) (sum uint64, n int, err error) 
 	if n == 0 {
 		return 0, 0, nil
 	}
-	qc := newQctx(ix, nil)
 	weight := uint64(1)
 	for i, bi := range ix.base {
 		var digitSum uint64
@@ -58,7 +57,9 @@ func (ix *Index) SumSelected(sel *bitvec.Vector) (sum uint64, n int, err error) 
 			}
 		case IntervalEncoded:
 			for d := uint64(1); d < bi; d++ {
-				digitSum += d * uint64(bitvec.AndCount(qc.ivEQDigit(i, d), selNN))
+				b := newProgBuilder(ix)
+				eq, _ := ix.runSerial(b.seal(b.compileIvEQDigit(i, d)), nil)
+				digitSum += d * uint64(bitvec.AndCount(eq, selNN))
 			}
 		default:
 			return 0, 0, fmt.Errorf("core: unknown encoding %v", ix.enc)

@@ -1,149 +1,153 @@
 package core
 
-import (
-	"bitmapindex/internal/bitvec"
-	"bitmapindex/internal/invariant"
-)
+import "bitmapindex/internal/invariant"
 
-// EvalEquality evaluates (A op v) on an equality-encoded index. The paper
-// uses (but does not print) an equality-encoding evaluator; this one follows
-// the paper's stated cost behaviour: an equality predicate reads one bitmap
-// per component, while a range predicate reads between two and half the
-// bitmaps of each component, choosing per component whichever of the two
-// directions (OR of low digit bitmaps vs complement of the OR of high digit
-// bitmaps) needs fewer bitmap scans.
-func (ix *Index) EvalEquality(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	ix.mustBe(EqualityEncoded)
-	qc := newQctx(ix, opt)
-	if r, ok := qc.trivialResult(op, v); ok {
-		return r
-	}
+// compileEquality compiles (A op v) on an equality-encoded index. The
+// paper uses (but does not print) an equality-encoding evaluator; this one
+// follows the paper's stated cost behaviour: an equality predicate reads
+// one bitmap per component, while a range predicate reads between two and
+// half the bitmaps of each component, choosing per component whichever of
+// the two directions (OR of low digit bitmaps vs complement of the OR of
+// high digit bitmaps) needs fewer bitmap scans.
+func (b *progBuilder) compileEquality(op Op, v uint64) segreg {
+	ix := b.ix
 	switch op {
 	case Eq:
-		return qc.eqEQ(v)
+		return b.compileEqEQ(v)
 	case Ne:
-		B := qc.eqEQ(v)
-		qc.not(B)
-		return qc.maskNN(B)
+		B := b.compileEqEQ(v)
+		b.not(B)
+		b.maskNN(B)
+		return B
 	case Lt:
 		if v == 0 {
-			return qc.zeros()
+			return b.zeros()
 		}
-		return qc.eqLT(v)
+		return b.compileEqLT(v)
 	case Ge:
 		if v == 0 {
-			return qc.nonNull()
+			return b.nonNull()
 		}
-		B := qc.eqLT(v)
-		qc.not(B)
-		return qc.maskNN(B)
+		B := b.compileEqLT(v)
+		b.not(B)
+		b.maskNN(B)
+		return B
 	case Le:
 		if v >= ix.card-1 {
-			return qc.nonNull()
+			return b.nonNull()
 		}
-		return qc.eqLT(v + 1)
+		return b.compileEqLT(v + 1)
 	default: // Gt
 		if v >= ix.card-1 {
-			return qc.zeros()
+			return b.zeros()
 		}
-		B := qc.eqLT(v + 1)
-		qc.not(B)
-		return qc.maskNN(B)
+		B := b.compileEqLT(v + 1)
+		b.not(B)
+		b.maskNN(B)
+		return B
 	}
 }
 
-// eqBitmap returns the digit-equality bitmap E_i^j. For base-2 components
-// only E_i^1 is stored; E_i^0 is derived as B_nn AND NOT E_i^1 (one scan).
-// The returned vector may be shared storage; callers must not mutate it
-// unless derived is true.
-func (qc *qctx) eqBitmap(i int, j uint64) (v *bitvec.Vector, derived bool) {
-	if qc.ix.base[i] == 2 {
-		stored := qc.fetch(i, 0) // E_i^1
+// compileEqBitmap returns the digit-equality bitmap E_i^j. For base-2
+// components only E_i^1 is stored; E_i^0 is derived as B_nn AND NOT E_i^1
+// (one scan). When derived, the operand is a fresh register t the caller
+// must release (or adopt as its accumulator).
+func (b *progBuilder) compileEqBitmap(i int, j uint64) (op segOperand, t segreg, derived bool) {
+	if b.ix.base[i] == 2 {
+		stored := b.fetch(i, 0) // E_i^1
 		if j == 1 {
-			return stored, false
+			return stored, 0, false
 		}
-		t := qc.nonNull()
-		qc.andNot(t, stored)
-		return t, true
+		t = b.nonNull()
+		b.andNot(t, stored)
+		return regOp(t), t, true
 	}
-	return qc.fetch(i, int(j)), false
+	return b.fetch(i, int(j)), 0, false
 }
 
-// eqEQ computes the equality bitmap (A = v): the AND over components of
-// E_i^{v_i}, one scan per component.
-func (qc *qctx) eqEQ(v uint64) *bitvec.Vector {
-	digits := qc.ix.base.Decompose(v, nil)
-	invariant.DigitsInBase(digits, qc.ix.base)
-	var B *bitvec.Vector
-	for i := range qc.ix.base {
-		e, derived := qc.eqBitmap(i, digits[i])
-		if B == nil {
+// compileEqEQ compiles the equality bitmap (A = v): the AND over
+// components of E_i^{v_i}, one scan per component.
+func (b *progBuilder) compileEqEQ(v uint64) segreg {
+	digits := b.ix.base.Decompose(v, nil)
+	invariant.DigitsInBase(digits, b.ix.base)
+	B := segreg(-1)
+	for i := range b.ix.base {
+		e, t, derived := b.compileEqBitmap(i, digits[i])
+		if B < 0 {
 			if derived {
-				B = e
+				B = t
 			} else {
-				B = e.Clone()
+				B = b.cloneInto(e)
 			}
 			continue
 		}
-		qc.and(B, e)
+		b.and(B, e)
+		if derived {
+			b.release(t)
+		}
 	}
 	return B
 }
 
-// eqLT computes (A < v) for 1 <= v <= C using the standard most-significant
-// first expansion: A < v iff for some component i, the digits above i equal
-// v's and digit_i < v_i. The prefix-equality bitmap P starts from B_nn so
-// null records never qualify even when a per-digit comparison is computed
-// by complement.
-func (qc *qctx) eqLT(v uint64) *bitvec.Vector {
-	ix := qc.ix
+// compileEqLT compiles (A < v) for 1 <= v <= C using the standard
+// most-significant first expansion: A < v iff for some component i, the
+// digits above i equal v's and digit_i < v_i. The prefix-equality bitmap P
+// starts from B_nn so null records never qualify even when a per-digit
+// comparison is computed by complement.
+func (b *progBuilder) compileEqLT(v uint64) segreg {
+	ix := b.ix
 	digits := ix.base.Decompose(v, nil)
 	invariant.DigitsInBase(digits, ix.base)
-	R := qc.zeros()
-	P := qc.nonNull()
+	R := b.zeros()
+	P := b.nonNull()
 	for i := len(ix.base) - 1; i >= 0; i-- {
 		di := digits[i]
 		if di > 0 {
-			lt := qc.eqLTDigit(i, di)
-			qc.and(lt, P)
-			qc.or(R, lt)
+			lt := b.compileEqLTDigit(i, di)
+			b.and(lt, regOp(P))
+			b.or(R, regOp(lt))
+			b.release(lt)
 		}
 		if i > 0 {
-			e, _ := qc.eqBitmap(i, di)
-			qc.and(P, e)
+			e, t, derived := b.compileEqBitmap(i, di)
+			b.and(P, e)
+			if derived {
+				b.release(t)
+			}
 		}
 	}
+	b.release(P)
 	return R
 }
 
-// eqLTDigit returns a fresh bitmap of records whose i-th digit is < d,
-// 1 <= d <= b_i - 1. It reads min(d, b_i - d) stored bitmaps: either the OR
-// of E_i^0..E_i^{d-1}, or the complement of the OR of E_i^d..E_i^{b_i-1}.
-// The complement direction may include null rows; callers AND the result
-// with a null-free prefix bitmap.
-func (qc *qctx) eqLTDigit(i int, d uint64) *bitvec.Vector {
-	bi := qc.ix.base[i]
+// compileEqLTDigit returns a fresh register of records whose i-th digit
+// is < d, 1 <= d <= b_i - 1. It reads min(d, b_i - d) stored bitmaps:
+// either the OR of E_i^0..E_i^{d-1}, or the complement of the OR of
+// E_i^d..E_i^{b_i-1}. The complement direction may include null rows;
+// callers AND the result with a null-free prefix bitmap.
+func (b *progBuilder) compileEqLTDigit(i int, d uint64) segreg {
+	bi := b.ix.base[i]
 	if bi == 2 {
 		// Only d = 1 is possible: digit < 1 means digit = 0.
-		e, derived := qc.eqBitmap(i, 0)
+		e, t, derived := b.compileEqBitmap(i, 0)
 		if derived {
-			return e
+			return t
 		}
-		return e.Clone()
+		return b.cloneInto(e)
 	}
 	if d <= bi-d {
 		// Forward: OR of the d low digit bitmaps.
-		acc := qc.fetch(i, 0).Clone()
+		acc := b.cloneInto(b.fetch(i, 0))
 		for j := uint64(1); j < d; j++ {
-			qc.or(acc, qc.fetch(i, int(j)))
+			b.or(acc, b.fetch(i, int(j)))
 		}
 		return acc
 	}
 	// Backward: complement of the OR of the b_i - d high digit bitmaps.
-	acc := qc.fetch(i, int(d)).Clone()
+	acc := b.cloneInto(b.fetch(i, int(d)))
 	for j := d + 1; j < bi; j++ {
-		qc.or(acc, qc.fetch(i, int(j)))
+		b.or(acc, b.fetch(i, int(j)))
 	}
-	qc.not(acc)
+	b.not(acc)
 	return acc
 }

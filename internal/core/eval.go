@@ -127,212 +127,109 @@ type EvalOptions struct {
 	// Fetch, when non-nil, overrides in-memory bitmap access: the
 	// evaluator obtains stored bitmap slot j of component i by calling
 	// Fetch(i, j). Required for shell indexes (NewShell); the returned
-	// vector must have Rows() bits and must not be retained or mutated by
-	// Fetch after returning.
+	// vector must have Rows() bits and must not be mutated after Fetch
+	// returns. Fetch is called at most once per distinct stored bitmap per
+	// query, sequentially on the caller's goroutine, before any combining
+	// starts — so it need not be safe for concurrent use, even under
+	// SegmentedEval. When Buffered is consulted for a bitmap, the probe
+	// directly precedes that bitmap's Fetch.
 	Fetch func(comp, slot int) *bitvec.Vector
 	// Trace, when non-nil, accumulates per-phase wall-clock durations
 	// (bitmap fetch, boolean ops, ...) for this evaluation.
 	Trace *telemetry.Trace
 }
 
-// qctx is the per-query evaluation context: instrumentation plus the
-// per-query fetch cache that makes "scans" mean distinct bitmaps read.
-type qctx struct {
-	ix      *Index
-	st      *Stats
-	buf     func(comp, slot int) bool
-	fetchFn func(comp, slot int) *bitvec.Vector
-	tr      *telemetry.Trace
-	seen    map[uint64]bool
-}
-
-func newQctx(ix *Index, opt *EvalOptions) *qctx {
-	qc := &qctx{ix: ix}
-	if opt != nil {
-		qc.st = opt.Stats
-		qc.buf = opt.Buffered
-		qc.fetchFn = opt.Fetch
-		qc.tr = opt.Trace
-	}
-	if qc.st != nil {
-		// Allocated here, once per query, so the per-bitmap fetch path
-		// stays allocation-free.
-		qc.seen = make(map[uint64]bool, 8)
-	}
-	return qc
-}
-
-// fetch returns stored bitmap slot j of component i, counting a scan the
-// first time each bitmap is read within this query (unless buffered).
-//
-//bix:hotpath
-func (qc *qctx) fetch(i, j int) *bitvec.Vector {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseFetch).End()
-	}
-	if qc.st != nil {
-		key := uint64(i)<<32 | uint64(uint32(j))
-		if !qc.seen[key] {
-			qc.seen[key] = true
-			if qc.buf == nil || !qc.buf(i, j) {
-				qc.st.Scans++
-			}
-		}
-	}
-	if qc.fetchFn != nil {
-		return qc.fetchFn(i, j)
-	}
-	return qc.ix.comps[i][j]
-}
-
-//bix:hotpath
-func (qc *qctx) and(dst, src *bitvec.Vector) {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseBoolOps).End()
-	}
-	dst.And(src)
-	if qc.st != nil {
-		qc.st.Ands++
-	}
-}
-
-//bix:hotpath
-func (qc *qctx) or(dst, src *bitvec.Vector) {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseBoolOps).End()
-	}
-	dst.Or(src)
-	if qc.st != nil {
-		qc.st.Ors++
-	}
-}
-
-//bix:hotpath
-func (qc *qctx) xor(dst, src *bitvec.Vector) {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseBoolOps).End()
-	}
-	dst.Xor(src)
-	if qc.st != nil {
-		qc.st.Xors++
-	}
-}
-
-//bix:hotpath
-func (qc *qctx) not(dst *bitvec.Vector) {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseBoolOps).End()
-	}
-	dst.Not()
-	if qc.st != nil {
-		qc.st.Nots++
-	}
-}
-
-// andNot counts as one AND plus one NOT, matching the paper's operation
-// inventory (AND, OR, XOR, NOT).
-//
-//bix:hotpath
-func (qc *qctx) andNot(dst, src *bitvec.Vector) {
-	if qc.tr != nil {
-		defer qc.tr.Start(telemetry.PhaseBoolOps).End()
-	}
-	dst.AndNot(src)
-	if qc.st != nil {
-		qc.st.Ands++
-		qc.st.Nots++
-	}
-}
-
-func (qc *qctx) zeros() *bitvec.Vector { return bitvec.New(qc.ix.rows) }
-func (qc *qctx) ones() *bitvec.Vector  { return bitvec.NewOnes(qc.ix.rows) }
-
-// nonNull returns a fresh copy of B_nn (reading B_nn is not counted as a
-// scan: the paper's scan counts are over the value bitmaps).
-func (qc *qctx) nonNull() *bitvec.Vector { return qc.ix.nn.Clone() }
-
-// finishPositive AND-masks a result that was built only from stored value
-// bitmaps ORed together; such results can only contain non-null rows
-// already, except when they started from the implicit all-ones bitmap.
-func (qc *qctx) maskNN(b *bitvec.Vector) *bitvec.Vector {
-	if qc.ix.hasNulls {
-		qc.and(b, qc.ix.nn)
-	}
-	return b
-}
-
 // Eval evaluates the selection predicate (A op v) and returns the bitmap of
 // qualifying records. For range-encoded indexes it uses RangeEval-Opt; for
-// equality-encoded indexes it uses the equality evaluator. v may be any
+// equality- and interval-encoded indexes their own evaluators. v may be any
 // uint64; values >= Cardinality are handled by their natural semantics.
 //
-// Every Eval also publishes its scan and operation counts plus wall-clock
-// latency to the process-wide telemetry registry (telemetry.Default), so
-// the paper's two cost measures are observable without threading a Stats
-// through every caller. Calling the encoding-specific evaluators directly
-// bypasses the registry.
+// Eval is EvalDirect plus instrumentation: every call also publishes its
+// scan and operation counts plus wall-clock latency to the process-wide
+// telemetry registry (telemetry.Default) and the flight recorder, so the
+// paper's two cost measures are observable without threading a Stats
+// through every caller.
 func (ix *Index) Eval(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
+	return ix.instrumented(op, v, opt, evalPlan(ix.enc), func(o *EvalOptions) *bitvec.Vector {
+		p := ix.compile(op, v)
+		res, srcs := ix.runSerial(p, o)
+		if invariant.Enabled && ix.enc == RangeEncoded {
+			ix.naiveCrossCheck(op, v, p, srcs, o.Fetch, res)
+		}
+		return res
+	})
+}
+
+// EvalDirect evaluates (A op v) exactly like Eval — same algorithm, result,
+// Stats and trace phases — but publishes nothing to the process-wide
+// telemetry registry or flight recorder. Cost probes and experiments that
+// sweep thousands of predicates use it so their evaluations stay out of
+// the served query metrics.
+func (ix *Index) EvalDirect(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
+	res, _ := ix.runSerial(ix.compile(op, v), opt)
+	return res
+}
+
+// instrumented runs eval under the query's pprof labels and publishes its
+// cost — the Stats delta, wall-clock time and buffer-pool hits/misses — to
+// the telemetry registry and the flight recorder, tagged plan.
+func (ix *Index) instrumented(op Op, v uint64, opt *EvalOptions, plan string, eval func(o *EvalOptions) *bitvec.Vector) *bitvec.Vector {
 	var o EvalOptions
 	if opt != nil {
 		o = *opt
 	}
-	var local Stats
-	if o.Stats == nil {
-		o.Stats = &local
-	}
-	before := *o.Stats
+	var d Stats // this evaluation's cost alone
+	o.Stats = &d
 	hits0, misses0 := telemetry.CacheHitsTotal.Value(), telemetry.CacheMissesTotal.Value()
 	t0 := time.Now()
 	var res *bitvec.Vector
-	var plan string
-	profile.Do(o.Trace.ID(), "eval", func() {
-		switch ix.enc {
-		case RangeEncoded:
-			plan = planEvalRange
-			res = ix.EvalRangeOpt(op, v, &o)
-		case EqualityEncoded:
-			plan = planEvalEquality
-			res = ix.EvalEquality(op, v, &o)
-		case IntervalEncoded:
-			plan = planEvalInterval
-			res = ix.EvalInterval(op, v, &o)
-		default:
-			panic("core: unknown encoding")
-		}
-	})
-	d := *o.Stats
+	profile.Do(o.Trace.ID(), "eval", func() { res = eval(&o) })
 	if invariant.Enabled {
 		invariant.TailZero(res.Words(), res.Len())
-		if ix.enc == RangeEncoded {
-			// Cross-check the paper's Section 3 claim under -tags bixdebug:
-			// RangeEval-Opt agrees with RangeEval on every predicate and,
-			// for range operators, never performs more bitmap operations.
-			// (Equality operators are excluded from the op comparison: on a
-			// nullable index the single-bitmap rewrite pays one extra AND
-			// with B_nn that the B_EQ chain does not.)
-			var ns Stats
-			nres := ix.EvalRangeNaive(op, v, &EvalOptions{Stats: &ns, Fetch: o.Fetch})
-			invariant.Assert(nres.Equal(res), "core: RangeEval disagrees with RangeEval-Opt")
-			if op.IsRange() {
-				invariant.OptNoWorse(d.Ops()-before.Ops(), ns.Ops(),
-					"core: RangeEval-Opt vs RangeEval, op "+op.String())
-			}
-		}
 	}
 	elapsed := time.Since(t0)
-	telemetry.RecordEval(d.Scans-before.Scans, d.Ands-before.Ands,
-		d.Ors-before.Ors, d.Xors-before.Xors, d.Nots-before.Nots, elapsed, o.Trace)
+	if opt != nil && opt.Stats != nil {
+		opt.Stats.Add(d)
+	}
+	telemetry.RecordEval(d.Scans, d.Ands, d.Ors, d.Xors, d.Nots, elapsed, o.Trace)
 	frec := flight.Record{
 		TraceID: o.Trace.ID(), Plan: plan, Op: op.String(), Value: v,
 		Total: elapsed, Rows: -1,
-		Scans: d.Scans - before.Scans, Ands: d.Ands - before.Ands,
-		Ors: d.Ors - before.Ors, Xors: d.Xors - before.Xors,
-		Nots:        d.Nots - before.Nots,
+		Scans: d.Scans, Ands: d.Ands, Ors: d.Ors, Xors: d.Xors, Nots: d.Nots,
 		CacheHits:   telemetry.CacheHitsTotal.Value() - hits0,
 		CacheMisses: telemetry.CacheMissesTotal.Value() - misses0,
 	}
 	flight.Default().Add(&frec, o.Trace)
 	return res
+}
+
+// naiveCrossCheck (bixdebug only) checks the paper's Section 3 claim on a
+// range-encoded index: RangeEval agrees with RangeEval-Opt on every
+// predicate and, for range operators, never performs fewer bitmap
+// operations. (Equality operators are excluded from the op comparison: on
+// a nullable index the single-bitmap rewrite pays one extra AND with B_nn
+// that the B_EQ chain does not.) RangeEval reads the bitmaps RangeEval-Opt
+// already resolved from srcs, so fetch still runs at most once per
+// distinct bitmap of the query.
+func (ix *Index) naiveCrossCheck(op Op, v uint64, p *segProgram, srcs []*bitvec.Vector, fetch func(comp, slot int) *bitvec.Vector, res *bitvec.Vector) {
+	have := make(map[segRef]*bitvec.Vector, len(p.refs))
+	for i, rf := range p.refs {
+		have[rf] = srcs[i]
+	}
+	var ns Stats
+	nres := ix.EvalRangeNaive(op, v, &EvalOptions{Stats: &ns, Fetch: func(comp, slot int) *bitvec.Vector {
+		if bv, ok := have[segRef{comp: comp, slot: slot}]; ok {
+			return bv
+		}
+		if fetch != nil {
+			return fetch(comp, slot)
+		}
+		return ix.comps[comp][slot]
+	}})
+	invariant.Assert(nres.Equal(res), "core: RangeEval disagrees with RangeEval-Opt")
+	if op.IsRange() {
+		invariant.OptNoWorse(p.ops.Ops(), ns.Ops(), "core: RangeEval-Opt vs RangeEval, op "+op.String())
+	}
 }
 
 // Flight-recorder plan tags of the core evaluators. The engine's plan
@@ -346,19 +243,15 @@ const (
 	planEvalSegmented = "eval-segmented"
 )
 
-// trivialResult handles predicate constants outside [0, C): for those, the
-// answer does not depend on any bitmap. ok is false when the predicate
-// needs real evaluation.
-func (qc *qctx) trivialResult(op Op, v uint64) (*bitvec.Vector, bool) {
-	c := qc.ix.card
-	if v < c {
-		return nil, false
-	}
-	switch op {
-	case Lt, Le, Ne:
-		return qc.nonNull(), true
-	default: // Gt, Ge, Eq
-		return qc.zeros(), true
+// evalPlan returns Eval's flight-recorder plan tag for an encoding.
+func evalPlan(enc Encoding) string {
+	switch enc {
+	case RangeEncoded:
+		return planEvalRange
+	case EqualityEncoded:
+		return planEvalEquality
+	default:
+		return planEvalInterval
 	}
 }
 

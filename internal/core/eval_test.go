@@ -28,13 +28,13 @@ type evalFn func(ix *Index, op Op, v uint64, opt *EvalOptions) *bitvec.Vector
 func allEvaluators(enc Encoding) map[string]evalFn {
 	if enc == RangeEncoded {
 		return map[string]evalFn{
-			"RangeEvalOpt":   (*Index).EvalRangeOpt,
+			"RangeEvalOpt":   (*Index).EvalDirect,
 			"RangeEvalNaive": (*Index).EvalRangeNaive,
 			"Eval":           (*Index).Eval,
 		}
 	}
 	return map[string]evalFn{
-		"EqualityEval": (*Index).EvalEquality,
+		"EqualityEval": (*Index).EvalDirect,
 		"Eval":         (*Index).Eval,
 	}
 }
@@ -115,7 +115,7 @@ func TestEvalAgreementProperty(t *testing.T) {
 			return false
 		}
 		want := referenceEval(vals, nil, op, v)
-		return ix.EvalRangeOpt(op, v, nil).Equal(want) &&
+		return ix.EvalDirect(op, v, nil).Equal(want) &&
 			ix.EvalRangeNaive(op, v, nil).Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -127,10 +127,10 @@ func TestEvalWrongEncodingPanics(t *testing.T) {
 	ix, _ := Build([]uint64{0, 1}, 2, Base{2}, EqualityEncoded, nil)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("EvalRangeOpt on equality-encoded index did not panic")
+			t.Fatal("EvalRangeNaive on equality-encoded index did not panic")
 		}
 	}()
-	ix.EvalRangeOpt(Le, 0, nil)
+	ix.EvalRangeNaive(Le, 0, nil)
 }
 
 // TestOptNeverMoreScansThanNaive verifies the paper's Section 3 claim: the
@@ -152,7 +152,7 @@ func TestOptNeverMoreScansThanNaive(t *testing.T) {
 		for _, op := range AllOps {
 			for v := uint64(0); v < card; v++ {
 				var so, sn Stats
-				ix.EvalRangeOpt(op, v, &EvalOptions{Stats: &so})
+				ix.EvalDirect(op, v, &EvalOptions{Stats: &so})
 				ix.EvalRangeNaive(op, v, &EvalOptions{Stats: &sn})
 				if so.Scans > sn.Scans {
 					t.Fatalf("base %v A %s %d: opt scans %d > naive %d", base, op, v, so.Scans, sn.Scans)
@@ -187,7 +187,7 @@ func TestScanBounds(t *testing.T) {
 		for _, op := range AllOps {
 			for v := uint64(0); v < card; v++ {
 				var so, sn Stats
-				ix.EvalRangeOpt(op, v, &EvalOptions{Stats: &so})
+				ix.EvalDirect(op, v, &EvalOptions{Stats: &so})
 				ix.EvalRangeNaive(op, v, &EvalOptions{Stats: &sn})
 				maxOpt := 2*n - 1
 				if !op.IsRange() {
@@ -218,7 +218,7 @@ func TestEqualityEvalScanBounds(t *testing.T) {
 		ix, _ := Build(vals, card, base, EqualityEncoded, nil)
 		for v := uint64(0); v < card; v++ {
 			var s Stats
-			ix.EvalEquality(Eq, v, &EvalOptions{Stats: &s})
+			ix.EvalDirect(Eq, v, &EvalOptions{Stats: &s})
 			if s.Scans != base.N() {
 				t.Fatalf("base %v A = %d: scans %d, want %d", base, v, s.Scans, base.N())
 			}
@@ -230,7 +230,7 @@ func TestEqualityEvalScanBounds(t *testing.T) {
 		for _, op := range []Op{Lt, Le, Gt, Ge} {
 			for v := uint64(0); v < card; v++ {
 				var s Stats
-				ix.EvalEquality(op, v, &EvalOptions{Stats: &s})
+				ix.EvalDirect(op, v, &EvalOptions{Stats: &s})
 				if s.Scans > budget {
 					t.Fatalf("base %v A %s %d: scans %d > budget %d", base, op, v, s.Scans, budget)
 				}
@@ -279,8 +279,8 @@ func TestBufferedScansNotCounted(t *testing.T) {
 	vals := []uint64{0, 5, 9, 3, 7, 2}
 	ix, _ := Build(vals, 10, Base{5, 2}, RangeEncoded, nil)
 	var unbuf, buf Stats
-	ix.EvalRangeOpt(Le, 7, &EvalOptions{Stats: &unbuf})
-	ix.EvalRangeOpt(Le, 7, &EvalOptions{
+	ix.EvalDirect(Le, 7, &EvalOptions{Stats: &unbuf})
+	ix.EvalDirect(Le, 7, &EvalOptions{
 		Stats:    &buf,
 		Buffered: func(comp, slot int) bool { return comp == 0 },
 	})
@@ -307,7 +307,7 @@ func TestFigure7Example(t *testing.T) {
 		t.Fatal(err)
 	}
 	var so, sn Stats
-	got := ix.EvalRangeOpt(Le, 62, &EvalOptions{Stats: &so})
+	got := ix.EvalDirect(Le, 62, &EvalOptions{Stats: &so})
 	naive := ix.EvalRangeNaive(Le, 62, &EvalOptions{Stats: &sn})
 	want := referenceEval(vals, nil, Le, 62)
 	if !got.Equal(want) || !naive.Equal(want) {
@@ -330,7 +330,7 @@ func BenchmarkEvalRangeOptLe(b *testing.B) {
 	ix, _ := Build(vals, 1000, Base{10, 10, 10}, RangeEncoded, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.EvalRangeOpt(Le, uint64(i%1000), nil)
+		ix.EvalDirect(Le, uint64(i%1000), nil)
 	}
 }
 

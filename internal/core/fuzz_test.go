@@ -6,7 +6,9 @@ import (
 )
 
 // FuzzEvalAgreement cross-checks all evaluators against the scalar
-// reference on fuzzer-chosen designs, data, and predicates. Run with
+// reference on fuzzer-chosen designs, data, and predicates; the segmented
+// run at the narrowest segment width makes every fuzzed index span
+// several segment windows. Run with
 // `go test -fuzz=FuzzEvalAgreement ./internal/core` to explore; the seed
 // corpus runs as an ordinary test.
 func FuzzEvalAgreement(f *testing.F) {
@@ -25,8 +27,9 @@ func FuzzEvalAgreement(f *testing.F) {
 		op := AllOps[rawOp%6]
 		enc := Encoding(encR % 3)
 		v %= card + 3
-		vals := make([]uint64, 64)
-		nulls := make([]bool, 64)
+		const rows = 200
+		vals := make([]uint64, rows)
+		nulls := make([]bool, rows)
 		for i := range vals {
 			vals[i] = uint64(r.Intn(int(card)))
 			nulls[i] = r.Intn(8) == 0
@@ -40,6 +43,12 @@ func FuzzEvalAgreement(f *testing.F) {
 		got := ix.Eval(op, v, &EvalOptions{Stats: &st})
 		if !got.Equal(want) {
 			t.Fatalf("base %v card %d enc %v: A %s %d\n got %s\nwant %s", base, card, enc, op, v, got, want)
+		}
+		var sst Stats
+		seg := ix.SegmentedEval(op, v, &EvalOptions{Stats: &sst}, SegConfig{SegBits: MinSegBits, Workers: 2})
+		if !seg.Equal(want) || sst != st {
+			t.Fatalf("base %v card %d enc %v: A %s %d: segmented result or stats %+v differ from Eval's %+v",
+				base, card, enc, op, v, sst, st)
 		}
 		// Scan bounds per encoding: range reads at most 2 bitmaps per
 		// component, interval at most 4, and equality up to half the

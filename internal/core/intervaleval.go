@@ -1,7 +1,5 @@
 package core
 
-import "bitmapindex/internal/bitvec"
-
 // Interval encoding is the third encoding scheme, included as an extension
 // beyond the paper's two (the same group's follow-up work): component i
 // stores m_i = ceil(b_i/2) bitmaps, where window bitmap I_i^j marks
@@ -19,44 +17,45 @@ import "bitmapindex/internal/bitvec"
 // so interval encoding roughly halves the space of range encoding at up to
 // twice the scans — a new family of points in the space-time tradeoff.
 
-// EvalInterval evaluates (A op v) on an interval-encoded index.
-func (ix *Index) EvalInterval(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	ix.mustBe(IntervalEncoded)
-	qc := newQctx(ix, opt)
-	if r, ok := qc.trivialResult(op, v); ok {
-		return r
-	}
+// compileInterval compiles (A op v) on an interval-encoded index.
+func (b *progBuilder) compileInterval(op Op, v uint64) segreg {
+	ix := b.ix
 	switch op {
 	case Eq:
-		return qc.maskNN(qc.ivEQChain(v))
+		B := b.compileIvEQChain(v)
+		b.maskNN(B)
+		return B
 	case Ne:
-		B := qc.ivEQChain(v)
-		qc.not(B)
-		return qc.maskNN(B)
+		B := b.compileIvEQChain(v)
+		b.not(B)
+		b.maskNN(B)
+		return B
 	case Lt:
 		if v == 0 {
-			return qc.zeros()
+			return b.zeros()
 		}
-		return qc.ivLT(v)
+		return b.compileIvLT(v)
 	case Ge:
 		if v == 0 {
-			return qc.nonNull()
+			return b.nonNull()
 		}
-		B := qc.ivLT(v)
-		qc.not(B)
-		return qc.maskNN(B)
+		B := b.compileIvLT(v)
+		b.not(B)
+		b.maskNN(B)
+		return B
 	case Le:
 		if v >= ix.card-1 {
-			return qc.nonNull()
+			return b.nonNull()
 		}
-		return qc.ivLT(v + 1)
+		return b.compileIvLT(v + 1)
 	default: // Gt
 		if v >= ix.card-1 {
-			return qc.zeros()
+			return b.zeros()
 		}
-		B := qc.ivLT(v + 1)
-		qc.not(B)
-		return qc.maskNN(B)
+		B := b.compileIvLT(v + 1)
+		b.not(B)
+		b.maskNN(B)
+		return B
 	}
 }
 
@@ -64,90 +63,95 @@ func (ix *Index) EvalInterval(op Op, v uint64, opt *EvalOptions) *bitvec.Vector 
 // i under interval encoding.
 func ivWindows(b uint64) int { return int((b + 1) / 2) }
 
-// ivEQDigit returns a fresh bitmap of records whose i-th digit equals d.
-// Complement cases may include null rows; callers AND the result with a
-// null-free prefix (or mask with B_nn at the end).
-func (qc *qctx) ivEQDigit(i int, d uint64) *bitvec.Vector {
-	bi := qc.ix.base[i]
+// compileIvEQDigit returns a fresh register of records whose i-th digit
+// equals d. Complement cases may include null rows; callers AND the result
+// with a null-free prefix (or mask with B_nn at the end).
+func (b *progBuilder) compileIvEQDigit(i int, d uint64) segreg {
+	bi := b.ix.base[i]
 	m := uint64(ivWindows(bi))
 	switch {
 	case d < m-1:
-		t := qc.fetch(i, int(d)).Clone()
-		qc.andNot(t, qc.fetch(i, int(d+1)))
+		t := b.cloneInto(b.fetch(i, int(d)))
+		b.andNot(t, b.fetch(i, int(d+1)))
 		return t
 	case d == m-1:
-		t := qc.fetch(i, int(m-1)).Clone()
+		t := b.cloneInto(b.fetch(i, int(m-1)))
 		if m > 1 {
-			qc.and(t, qc.fetch(i, 0))
+			b.and(t, b.fetch(i, 0))
 		}
 		return t
 	case d <= 2*m-2:
-		t := qc.fetch(i, int(d-m+1)).Clone()
-		qc.andNot(t, qc.fetch(i, int(d-m)))
+		t := b.cloneInto(b.fetch(i, int(d-m+1)))
+		b.andNot(t, b.fetch(i, int(d-m)))
 		return t
 	default: // d == 2m-1: the one digit outside every window (even b)
-		t := qc.fetch(i, 0).Clone()
+		t := b.cloneInto(b.fetch(i, 0))
 		if m > 1 {
-			qc.or(t, qc.fetch(i, int(m-1)))
+			b.or(t, b.fetch(i, int(m-1)))
 		}
-		qc.not(t)
+		b.not(t)
 		return t
 	}
 }
 
-// ivLEDigit returns a fresh bitmap of records whose i-th digit is <= w,
-// for 0 <= w <= b_i-2 (w = b_i-1 is the implicit all-ones).
-func (qc *qctx) ivLEDigit(i int, w uint64) *bitvec.Vector {
-	bi := qc.ix.base[i]
+// compileIvLEDigit returns a fresh register of records whose i-th digit
+// is <= w, for 0 <= w <= b_i-2 (w = b_i-1 is the implicit all-ones).
+func (b *progBuilder) compileIvLEDigit(i int, w uint64) segreg {
+	bi := b.ix.base[i]
 	m := uint64(ivWindows(bi))
 	switch {
 	case w < m-1:
-		t := qc.fetch(i, 0).Clone()
-		qc.andNot(t, qc.fetch(i, int(w+1)))
+		t := b.cloneInto(b.fetch(i, 0))
+		b.andNot(t, b.fetch(i, int(w+1)))
 		return t
 	case w == m-1:
-		return qc.fetch(i, 0).Clone()
+		return b.cloneInto(b.fetch(i, 0))
 	default: // m <= w <= 2m-2, always within range since w <= b-2
-		t := qc.fetch(i, 0).Clone()
-		qc.or(t, qc.fetch(i, int(w-m+1)))
+		t := b.cloneInto(b.fetch(i, 0))
+		b.or(t, b.fetch(i, int(w-m+1)))
 		return t
 	}
 }
 
-// ivEQChain computes (A = v) as the AND over components of digit equality.
-func (qc *qctx) ivEQChain(v uint64) *bitvec.Vector {
-	digits := qc.ix.base.Decompose(v, nil)
-	var B *bitvec.Vector
-	for i := range qc.ix.base {
-		e := qc.ivEQDigit(i, digits[i])
-		if B == nil {
+// compileIvEQChain compiles (A = v) as the AND over components of digit
+// equality.
+func (b *progBuilder) compileIvEQChain(v uint64) segreg {
+	digits := b.ix.base.Decompose(v, nil)
+	B := segreg(-1)
+	for i := range b.ix.base {
+		e := b.compileIvEQDigit(i, digits[i])
+		if B < 0 {
 			B = e
 			continue
 		}
-		qc.and(B, e)
+		b.and(B, regOp(e))
+		b.release(e)
 	}
 	return B
 }
 
-// ivLT computes (A < v) for 1 <= v <= C with the most-significant-first
-// expansion, exactly like the equality-encoded evaluator but with interval
-// digit primitives.
-func (qc *qctx) ivLT(v uint64) *bitvec.Vector {
-	ix := qc.ix
+// compileIvLT compiles (A < v) for 1 <= v <= C with the
+// most-significant-first expansion, exactly like the equality-encoded
+// evaluator but with interval digit primitives.
+func (b *progBuilder) compileIvLT(v uint64) segreg {
+	ix := b.ix
 	digits := ix.base.Decompose(v, nil)
-	R := qc.zeros()
-	P := qc.nonNull()
+	R := b.zeros()
+	P := b.nonNull()
 	for i := len(ix.base) - 1; i >= 0; i-- {
 		di := digits[i]
 		if di > 0 {
-			lt := qc.ivLEDigit(i, di-1)
-			qc.and(lt, P)
-			qc.or(R, lt)
+			lt := b.compileIvLEDigit(i, di-1)
+			b.and(lt, regOp(P))
+			b.or(R, regOp(lt))
+			b.release(lt)
 		}
 		if i > 0 {
-			e := qc.ivEQDigit(i, di)
-			qc.and(P, e)
+			e := b.compileIvEQDigit(i, di)
+			b.and(P, regOp(e))
+			b.release(e)
 		}
 	}
+	b.release(P)
 	return R
 }

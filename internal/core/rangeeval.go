@@ -5,7 +5,7 @@ import (
 	"bitmapindex/internal/invariant"
 )
 
-// EvalRangeOpt evaluates (A op v) on a range-encoded index using the
+// compileRangeOpt compiles (A op v) on a range-encoded index with the
 // paper's improved Algorithm RangeEval-Opt (Section 3, Figure 6 right).
 //
 // Range predicates are rewritten in terms of <= using the identities
@@ -15,20 +15,16 @@ import (
 // component i contributes at most one AND (with B_i^{v_i}, skipped when
 // v_i = b_i - 1, whose bitmap is the implicit all-ones) and one OR (with
 // B_i^{v_i - 1}, skipped when v_i = 0).
-func (ix *Index) EvalRangeOpt(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	ix.mustBe(RangeEncoded)
-	qc := newQctx(ix, opt)
-	if r, ok := qc.trivialResult(op, v); ok {
-		return r
-	}
+func (b *progBuilder) compileRangeOpt(op Op, v uint64) segreg {
+	ix := b.ix
 	if !op.IsRange() {
-		B := qc.rangeEqChain(v)
+		B := b.compileRangeEqChain(v)
 		if op == Ne {
-			qc.not(B)
+			b.not(B)
 		}
-		return qc.maskNN(B)
+		b.maskNN(B)
+		return B
 	}
-
 	// Reduce to (A <= w), negating for > and >=.
 	neg := op == Gt || op == Ge
 	w := v
@@ -40,54 +36,58 @@ func (ix *Index) EvalRangeOpt(op Op, v uint64, opt *EvalOptions) *bitvec.Vector 
 			w = v - 1
 		}
 	}
-	var B *bitvec.Vector
+	var B segreg
 	if underflow {
-		B = qc.zeros()
+		B = b.zeros()
 	} else {
 		digits := ix.base.Decompose(w, nil)
 		invariant.DigitsInBase(digits, ix.base)
 		if digits[0] < ix.base[0]-1 {
-			B = qc.fetch(0, int(digits[0])).Clone()
+			B = b.cloneInto(b.fetch(0, int(digits[0])))
 		} else {
-			B = qc.ones()
+			B = b.ones()
 		}
 		for i := 1; i < len(ix.base); i++ {
 			bi, di := ix.base[i], digits[i]
 			if di != bi-1 {
-				qc.and(B, qc.fetch(i, int(di)))
+				b.and(B, b.fetch(i, int(di)))
 			}
 			if di != 0 {
-				qc.or(B, qc.fetch(i, int(di-1)))
+				b.or(B, b.fetch(i, int(di-1)))
 			}
 		}
 	}
 	if neg {
-		qc.not(B)
+		b.not(B)
 	}
-	return qc.maskNN(B)
+	b.maskNN(B)
+	return B
 }
 
-// rangeEqChain computes the equality bitmap (A = v) on a range-encoded
-// index: per component, digit equality is B_i^{v_i} XOR B_i^{v_i-1}
-// (degenerating to a single bitmap or its complement at the digit extremes).
-func (qc *qctx) rangeEqChain(v uint64) *bitvec.Vector {
-	ix := qc.ix
+// compileRangeEqChain compiles the equality bitmap (A = v) on a
+// range-encoded index: per component, digit equality is B_i^{v_i} XOR
+// B_i^{v_i-1} (degenerating to a single bitmap or its complement at the
+// digit extremes).
+func (b *progBuilder) compileRangeEqChain(v uint64) segreg {
+	ix := b.ix
 	digits := ix.base.Decompose(v, nil)
 	invariant.DigitsInBase(digits, ix.base)
-	B := qc.ones()
+	B := b.ones()
 	for i, bi := range ix.base {
 		di := digits[i]
 		switch {
 		case di == 0:
-			qc.and(B, qc.fetch(i, 0))
+			b.and(B, b.fetch(i, 0))
 		case di == bi-1:
-			t := qc.fetch(i, int(bi-2)).Clone()
-			qc.not(t)
-			qc.and(B, t)
+			t := b.cloneInto(b.fetch(i, int(bi-2)))
+			b.not(t)
+			b.and(B, regOp(t))
+			b.release(t)
 		default:
-			t := qc.fetch(i, int(di)).Clone()
-			qc.xor(t, qc.fetch(i, int(di-1)))
-			qc.and(B, t)
+			t := b.cloneInto(b.fetch(i, int(di)))
+			b.xor(t, b.fetch(i, int(di-1)))
+			b.and(B, regOp(t))
+			b.release(t)
 		}
 	}
 	return B
@@ -95,77 +95,91 @@ func (qc *qctx) rangeEqChain(v uint64) *bitvec.Vector {
 
 // EvalRangeNaive evaluates (A op v) on a range-encoded index using
 // Algorithm RangeEval, the O'Neil-Quass evaluation strategy the paper
-// improves upon (Section 3, Figure 6 left). It incrementally maintains the
-// equality bitmap B_EQ together with B_LT or B_GT as required by the
-// operator. It is retained as the experimental baseline for Table 1 and
-// Figure 8.
+// improves upon (Section 3, Figure 6 left). It is retained as the
+// experimental baseline for Table 1 and Figure 8. Like EvalDirect it
+// publishes nothing to the process-wide telemetry registry.
 func (ix *Index) EvalRangeNaive(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
 	ix.mustBe(RangeEncoded)
-	qc := newQctx(ix, opt)
-	if r, ok := qc.trivialResult(op, v); ok {
-		return r
+	b := newProgBuilder(ix)
+	p, ok := b.trivial(op, v)
+	if !ok {
+		p = b.seal(b.compileRangeNaive(op, v))
 	}
+	res, _ := ix.runSerial(p, opt)
+	return res
+}
+
+// compileRangeNaive compiles Algorithm RangeEval: it incrementally
+// maintains the equality bitmap B_EQ together with B_LT or B_GT as
+// required by the operator, most significant component first.
+func (b *progBuilder) compileRangeNaive(op Op, v uint64) segreg {
+	ix := b.ix
 	needLT := op == Lt || op == Le
 	needGT := op == Gt || op == Ge
-
-	BEQ := qc.nonNull()
-	var BLT, BGT *bitvec.Vector
+	// The register holding the answer is allocated first (register 0).
+	BLT, BGT := segreg(-1), segreg(-1)
 	if needLT {
-		BLT = qc.zeros()
+		BLT = b.zeros()
 	}
 	if needGT {
-		BGT = qc.zeros()
+		BGT = b.zeros()
 	}
+	BEQ := b.nonNull()
 	digits := ix.base.Decompose(v, nil)
 	invariant.DigitsInBase(digits, ix.base)
+	// gtStep folds (digit_i > d, prefix equal) into B_GT: NOT B_i^d AND B_EQ.
+	gtStep := func(i int, d uint64) {
+		t := b.cloneInto(b.fetch(i, int(d)))
+		b.not(t)
+		b.and(t, regOp(BEQ))
+		b.or(BGT, regOp(t))
+		b.release(t)
+	}
 	for i := len(ix.base) - 1; i >= 0; i-- {
 		bi, di := ix.base[i], digits[i]
-		if di > 0 {
-			if needLT {
-				t := BEQ.Clone()
-				qc.and(t, qc.fetch(i, int(di-1)))
-				qc.or(BLT, t)
-			}
-			if di < bi-1 {
-				if needGT {
-					t := qc.fetch(i, int(di)).Clone()
-					qc.not(t)
-					qc.and(t, BEQ)
-					qc.or(BGT, t)
-				}
-				t := qc.fetch(i, int(di)).Clone()
-				qc.xor(t, qc.fetch(i, int(di-1)))
-				qc.and(BEQ, t)
-			} else {
-				t := qc.fetch(i, int(bi-2)).Clone()
-				qc.not(t)
-				qc.and(BEQ, t)
-			}
-		} else {
+		if di == 0 {
 			if needGT {
-				t := qc.fetch(i, 0).Clone()
-				qc.not(t)
-				qc.and(t, BEQ)
-				qc.or(BGT, t)
+				gtStep(i, 0)
 			}
-			qc.and(BEQ, qc.fetch(i, 0))
+			b.and(BEQ, b.fetch(i, 0))
+			continue
 		}
+		if needLT {
+			t := b.cloneInto(regOp(BEQ))
+			b.and(t, b.fetch(i, int(di-1)))
+			b.or(BLT, regOp(t))
+			b.release(t)
+		}
+		var t segreg
+		if di < bi-1 {
+			if needGT {
+				gtStep(i, di)
+			}
+			t = b.cloneInto(b.fetch(i, int(di)))
+			b.xor(t, b.fetch(i, int(di-1)))
+		} else {
+			t = b.cloneInto(b.fetch(i, int(bi-2)))
+			b.not(t)
+		}
+		b.and(BEQ, regOp(t))
+		b.release(t)
 	}
 	switch op {
 	case Eq:
 		return BEQ
 	case Ne:
-		qc.not(BEQ)
-		return qc.maskNN(BEQ)
+		b.not(BEQ)
+		b.maskNN(BEQ)
+		return BEQ
 	case Lt:
 		return BLT
 	case Le:
-		qc.or(BLT, BEQ)
+		b.or(BLT, regOp(BEQ))
 		return BLT
 	case Gt:
 		return BGT
 	default: // Ge
-		qc.or(BGT, BEQ)
+		b.or(BGT, regOp(BEQ))
 		return BGT
 	}
 }

@@ -7,21 +7,22 @@ import (
 	"time"
 
 	"bitmapindex/internal/bitvec"
-	"bitmapindex/internal/flight"
-	"bitmapindex/internal/invariant"
 	"bitmapindex/internal/profile"
 	"bitmapindex/internal/telemetry"
 )
 
-// segeval.go — segmented (intra-query parallel) evaluation.
+// segeval.go — the program runner, the one execution path of every
+// evaluation.
 //
 // The row space is partitioned into fixed-width segments of 2^SegBits bits
-// (word-aligned by construction), the predicate is compiled once into a
-// segProgram (segprog.go), and a pool of workers replays the program over
-// the segments concurrently using the range-restricted bitvec kernels.
-// Each worker writes only its own segments' windows of the shared result
-// vector, so stitching is free: the windows are disjoint and the final
-// vector is complete once every segment is processed.
+// (word-aligned by construction), and the compiled segProgram (segprog.go)
+// is replayed segment by segment using the range-restricted bitvec
+// kernels, so one segment's working set stays cache-resident. Eval runs
+// the segments on the calling goroutine; SegmentedEval also hands them to
+// a pool of helpers. Each goroutine writes only its own segments' windows
+// of the shared result vector, so stitching is free: the windows are
+// disjoint and the final vector is complete once every segment is
+// processed.
 
 // DefaultSegBits is log2 of the default segment width in bits: 2^18 bits
 // = 32 KiB per bitmap per segment, small enough that one segment's working
@@ -32,7 +33,7 @@ const DefaultSegBits = 18
 // MinSegBits is the smallest accepted segment width (one 64-bit word).
 const MinSegBits = 6
 
-// SegConfig tunes segmented evaluation.
+// SegConfig tunes segmented evaluation (SegmentedEval, EvalBatch).
 type SegConfig struct {
 	// SegBits is log2 of the segment width in bits. 0 selects
 	// DefaultSegBits; values below MinSegBits are clamped up.
@@ -102,13 +103,6 @@ func segPoolSubmit(fn func()) bool {
 	}
 }
 
-// Evaluation modes of segRun.
-const (
-	segMaterialize = iota // build the full result vector
-	segCount              // per-segment popcount, no shared result
-	segAny                // early exit on the first non-empty segment
-)
-
 // segRegSet is one worker's scratch register file, recycled across
 // queries through segRegPool: for a fixed row count the register vectors
 // are the dominant per-drain allocation (nregs × rows/8 bytes per worker
@@ -116,22 +110,21 @@ const (
 // allocation-free outside the result vector itself.
 //
 // vecs owns the scratch vectors; regs is the view handed to runSegment,
-// in which register 0 may alias the query's shared result vector instead
-// of a scratch. Stale scratch content is safe by construction: a
-// segProgram initializes every register (sLoad/sZero/sOnes) inside the
-// segment window before combining into it, and Count/Any read only the
-// window just written.
+// in which register 0 aliases the query's shared result vector. Stale
+// scratch content is safe by construction: a segProgram initializes every
+// register (sLoad/sZero/sOnes) inside the segment window before combining
+// into it.
 type segRegSet struct {
 	rows int
-	vecs []*bitvec.Vector // owned scratch, reused across queries
-	regs []*bitvec.Vector // register view; regs[0] may alias the shared result
+	vecs []*bitvec.Vector // owned scratch (registers 1..), reused across queries
+	regs []*bitvec.Vector // register view; regs[0] aliases the shared result
 }
 
 var segRegPool sync.Pool
 
 // getSegRegs checks a register set out of the pool, rebuilding it when the
 // row count changed or the program needs more registers than last time.
-// When shared is non-nil it becomes register 0 (materialize mode).
+// The query's result vector shared becomes register 0.
 func getSegRegs(rows, nregs int, shared *bitvec.Vector) *segRegSet {
 	rs, ok := segRegPool.Get().(*segRegSet)
 	if !ok || rs.rows != rows {
@@ -141,18 +134,11 @@ func getSegRegs(rows, nregs int, shared *bitvec.Vector) *segRegSet {
 		rs.regs = make([]*bitvec.Vector, nregs)
 	}
 	rs.regs = rs.regs[:nregs]
-	own := 0
-	for i := 0; i < nregs; i++ {
-		if i == 0 && shared != nil {
-			rs.regs[0] = shared
-			continue
-		}
-		if own == len(rs.vecs) {
-			rs.vecs = append(rs.vecs, bitvec.New(rows))
-		}
-		rs.regs[i] = rs.vecs[own]
-		own++
+	rs.regs[0] = shared
+	for len(rs.vecs) < nregs-1 {
+		rs.vecs = append(rs.vecs, bitvec.New(rows))
 	}
+	copy(rs.regs[1:], rs.vecs)
 	return rs
 }
 
@@ -168,59 +154,50 @@ func putSegRegs(rs *segRegSet) {
 	segRegPool.Put(rs)
 }
 
-// SegmentedEval evaluates (A op v) exactly like Eval but combines bitmaps
-// segment-by-segment across a worker pool, using up to cfg.Workers
-// goroutines. The result is bit-identical to Eval's and the reported
-// Stats are the same (verified under -tags bixdebug).
-//
-// All opt.Fetch and opt.Buffered calls happen sequentially on the calling
-// goroutine before any parallel work starts, so the callbacks need not be
-// safe for concurrent use — a CachedStore's per-query closures work
-// unchanged. The fetched bitmaps themselves are only read concurrently.
+// SegmentedEval evaluates (A op v) exactly like Eval — same result, Stats
+// and Fetch contract — but combines segments on up to cfg.Workers
+// goroutines: the caller plus helpers from a process-wide pool. The
+// fetched bitmaps are only read concurrently. Each call counts once in
+// bix_segment_eval_total and lands a flight record tagged eval-segmented.
 func (ix *Index) SegmentedEval(op Op, v uint64, opt *EvalOptions, cfg SegConfig) *bitvec.Vector {
-	res, _, _ := ix.segRun(op, v, opt, cfg, segMaterialize)
-	return res
+	return ix.instrumented(op, v, opt, planEvalSegmented, func(o *EvalOptions) *bitvec.Vector {
+		telemetry.SegmentEvalTotal.Inc()
+		res, _ := ix.run(ix.compile(op, v), o, cfg.normalized(), telemetry.PhaseSegments)
+		return res
+	})
 }
 
-// SegmentedCount evaluates (A op v) and returns only the number of
-// qualifying records, popcounting each segment in place of stitching a
-// result vector — the fast path for COUNT(*) consumers.
-func (ix *Index) SegmentedCount(op Op, v uint64, opt *EvalOptions, cfg SegConfig) int {
-	_, n, _ := ix.segRun(op, v, opt, cfg, segCount)
-	return n
+// serialConfig runs a program on the calling goroutine alone, at the
+// default segment width.
+var serialConfig = SegConfig{SegBits: DefaultSegBits, Workers: 1}
+
+// runSerial runs p on the calling goroutine: the path of Eval, EvalDirect
+// and EvalRangeNaive. Segment combination time lands in the trace's
+// bool_ops phase.
+func (ix *Index) runSerial(p *segProgram, opt *EvalOptions) (res *bitvec.Vector, srcs []*bitvec.Vector) {
+	return ix.run(p, opt, serialConfig, telemetry.PhaseBoolOps)
 }
 
-// SegmentedAny evaluates (A op v) and reports whether any record
-// qualifies, stopping all workers as soon as one segment turns up a set
-// bit. Reported operation counts still cover the full program, since the
-// logical per-query cost measures do not depend on the early exit.
-func (ix *Index) SegmentedAny(op Op, v uint64, opt *EvalOptions, cfg SegConfig) bool {
-	_, _, any := ix.segRun(op, v, opt, cfg, segAny)
-	return any
-}
-
-func (ix *Index) segRun(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode int) (*bitvec.Vector, int, bool) {
-	cfg = cfg.normalized()
+// run executes a compiled program. It first resolves every referenced
+// bitmap, sequentially on the calling goroutine and once each (the Fetch
+// contract), charging a scan for every stored bitmap that is not
+// buffered. It then combines the segments on the calling goroutine plus
+// up to cfg.Workers-1 pool helpers, timing each segment into phase, and
+// finally adds the program's operation counts to opt.Stats. srcs are the
+// resolved inputs, aligned with p.refs.
+func (ix *Index) run(p *segProgram, opt *EvalOptions, cfg SegConfig, phase telemetry.Phase) (res *bitvec.Vector, srcs []*bitvec.Vector) {
 	var o EvalOptions
 	if opt != nil {
 		o = *opt
 	}
-	hits0, misses0 := telemetry.CacheHitsTotal.Value(), telemetry.CacheMissesTotal.Value()
-	t0 := time.Now()
-	prog := ix.compileSeg(op, v)
-
-	// Prefetch every referenced bitmap sequentially on this goroutine
-	// (the documented Fetch contract), counting scans per distinct stored
-	// bitmap exactly like qctx.fetch would.
-	srcs := make([]*bitvec.Vector, len(prog.refs))
-	scans := 0
-	for i, rf := range prog.refs {
+	srcs = make([]*bitvec.Vector, len(p.refs))
+	for i, rf := range p.refs {
 		if rf.comp < 0 {
 			srcs[i] = ix.nn
 			continue
 		}
 		if o.Stats != nil && (o.Buffered == nil || !o.Buffered(rf.comp, rf.slot)) {
-			scans++
+			o.Stats.Scans++
 		}
 		sp := o.Trace.Start(telemetry.PhaseFetch)
 		if o.Fetch != nil {
@@ -234,116 +211,51 @@ func (ix *Index) segRun(op Op, v uint64, opt *EvalOptions, cfg SegConfig, mode i
 	nwords := (ix.rows + 63) / 64
 	segWords := 1 << (cfg.SegBits - 6)
 	nseg := (nwords + segWords - 1) / segWords
-
-	var res *bitvec.Vector
-	if mode == segMaterialize {
-		res = bitvec.New(ix.rows)
-	}
+	res = bitvec.New(ix.rows)
 	var next atomic.Int64
-	var total atomic.Int64
-	var found atomic.Bool
 	drain := func() {
 		// Worker-local scratch registers, checked out of segRegPool on the
 		// first segment this goroutine actually claims and returned at
-		// exit. In materialize mode register 0 aliases the shared result:
-		// workers write disjoint word windows, so no synchronization is
-		// needed beyond the final wg.Wait.
+		// exit. Register 0 aliases the shared result: goroutines write
+		// disjoint word windows, so no synchronization is needed beyond
+		// the final wg.Wait.
 		var rs *segRegSet
-		var regs []*bitvec.Vector
-		defer func() {
-			if rs != nil {
-				putSegRegs(rs)
-			}
-		}()
-		local := 0
+		defer func() { putSegRegs(rs) }()
 		for {
-			if mode == segAny && found.Load() {
-				break
-			}
 			s := int(next.Add(1)) - 1
 			if s >= nseg {
 				break
 			}
-			if regs == nil {
-				var shared *bitvec.Vector
-				if mode == segMaterialize {
-					shared = res
-				}
-				rs = getSegRegs(ix.rows, prog.nregs, shared)
-				regs = rs.regs
+			if rs == nil {
+				rs = getSegRegs(ix.rows, p.nregs, res)
 			}
 			lo := s * segWords
-			hi := lo + segWords
-			if hi > nwords {
-				hi = nwords
-			}
+			hi := min(lo+segWords, nwords)
 			ts := time.Now()
-			runSegment(prog, srcs, regs, lo, hi)
-			switch mode {
-			case segCount:
-				local += regs[0].CountRange(lo, hi)
-			case segAny:
-				if regs[0].AnyRange(lo, hi) {
-					found.Store(true)
-				}
-			}
-			o.Trace.Add(telemetry.PhaseSegments, time.Since(ts))
-		}
-		if local != 0 {
-			total.Add(int64(local))
+			runSegment(p, srcs, rs.regs, lo, hi)
+			o.Trace.Add(phase, time.Since(ts))
 		}
 	}
 
-	workers := cfg.Workers
-	if workers > nseg {
-		workers = nseg
-	}
-	// Pool workers combine segments on this query's behalf from a foreign
+	// Pool helpers combine segments on this query's behalf from a foreign
 	// goroutine; the pprof labels are what tie their CPU samples back to
 	// the query (phase "segment" vs the caller's own "eval").
 	qid := o.Trace.ID()
 	var wg sync.WaitGroup
-	for i := 1; i < workers; i++ {
+	for i := 1; i < min(cfg.Workers, nseg); i++ {
 		wg.Add(1)
 		if !segPoolSubmit(func() { defer wg.Done(); profile.Do(qid, "segment", drain) }) {
 			wg.Done()
 			break // pool saturated; the caller still drains everything
 		}
 	}
-	profile.Do(qid, "eval", drain)
+	drain()
 	wg.Wait()
 
 	if o.Stats != nil {
-		o.Stats.Scans += scans
-		o.Stats.Ands += prog.ops.Ands
-		o.Stats.Ors += prog.ops.Ors
-		o.Stats.Xors += prog.ops.Xors
-		o.Stats.Nots += prog.ops.Nots
+		o.Stats.Add(p.ops) // p.ops.Scans is 0: scans were charged above
 	}
-	telemetry.SegmentEvalTotal.Inc()
-	elapsed := time.Since(t0)
-	telemetry.RecordEval(scans, prog.ops.Ands, prog.ops.Ors, prog.ops.Xors,
-		prog.ops.Nots, elapsed, o.Trace)
-	rows := int64(-1)
-	if mode == segCount {
-		rows = total.Load()
-	}
-	frec := flight.Record{
-		TraceID: o.Trace.ID(), Plan: planEvalSegmented, Op: op.String(), Value: v,
-		Total: elapsed, Rows: rows,
-		Scans: scans, Ands: prog.ops.Ands, Ors: prog.ops.Ors,
-		Xors: prog.ops.Xors, Nots: prog.ops.Nots,
-		CacheHits:   telemetry.CacheHitsTotal.Value() - hits0,
-		CacheMisses: telemetry.CacheMissesTotal.Value() - misses0,
-	}
-	flight.Default().Add(&frec, o.Trace)
-
-	count := int(total.Load())
-	any := found.Load()
-	if invariant.Enabled {
-		ix.segCrossCheck(op, v, prog, srcs, mode, res, count, any)
-	}
-	return res, count, any
+	return res, srcs
 }
 
 // runSegment replays the compiled program over the word window [lo, hi).
@@ -377,41 +289,5 @@ func runSegment(p *segProgram, srcs, regs []*bitvec.Vector, lo, hi int) {
 		case sNot:
 			dst.NotRange(lo, hi)
 		}
-	}
-}
-
-// segCrossCheck (bixdebug only) re-evaluates the predicate with the serial
-// encoding-specific evaluator, resolving fetches from the already
-// prefetched bitmaps, and asserts the segmented outcome matches bit for
-// bit (or count for count / any for any).
-func (ix *Index) segCrossCheck(op Op, v uint64, prog *segProgram, srcs []*bitvec.Vector, mode int, res *bitvec.Vector, count int, any bool) {
-	byKey := make(map[segRef]*bitvec.Vector, len(prog.refs))
-	for i, rf := range prog.refs {
-		if rf.comp >= 0 {
-			byKey[rf] = srcs[i]
-		}
-	}
-	sopt := &EvalOptions{Fetch: func(comp, slot int) *bitvec.Vector {
-		bv, ok := byKey[segRef{comp: comp, slot: slot}]
-		invariant.Assert(ok, "core: serial evaluator fetched a bitmap the segment program did not")
-		return bv
-	}}
-	var want *bitvec.Vector
-	switch ix.enc {
-	case RangeEncoded:
-		want = ix.EvalRangeOpt(op, v, sopt)
-	case EqualityEncoded:
-		want = ix.EvalEquality(op, v, sopt)
-	default:
-		want = ix.EvalInterval(op, v, sopt)
-	}
-	switch mode {
-	case segMaterialize:
-		invariant.TailZero(res.Words(), res.Len())
-		invariant.Assert(want.Equal(res), "core: segmented result differs from serial")
-	case segCount:
-		invariant.Assert(want.Count() == count, "core: segmented count differs from serial")
-	default: // segAny
-		invariant.Assert(want.Any() == any, "core: segmented any differs from serial")
 	}
 }

@@ -14,9 +14,9 @@ import (
 var segSizes = []int{(1 << 18) - 1, 1 << 18, (1 << 18) + 1}
 
 // TestSegmentedMatchesSerialProperty is the keystone property test:
-// segmented evaluation returns the same bitmap AND the same Stats as the
-// serial evaluator for every encoding, every operator, boundary row
-// counts, several bases and several segment configurations.
+// segmented evaluation returns the scalar reference's bitmap, and the same
+// Stats as the single-goroutine Eval, for every encoding, every operator,
+// boundary row counts, several bases and several segment configurations.
 func TestSegmentedMatchesSerialProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	const card = 20
@@ -39,8 +39,11 @@ func TestSegmentedMatchesSerialProperty(t *testing.T) {
 				}
 				for _, op := range AllOps {
 					for _, v := range []uint64{0, 7, card - 1, card + 5} {
+						want := referenceEval(vals, nil, op, v)
 						var wst Stats
-						want := ix.Eval(op, v, &EvalOptions{Stats: &wst})
+						if !ix.Eval(op, v, &EvalOptions{Stats: &wst}).Equal(want) {
+							t.Fatalf("n=%d base=%v enc=%v A %s %d: Eval differs from the reference", n, base, enc, op, v)
+						}
 						for _, cfg := range cfgs {
 							var gst Stats
 							got := ix.SegmentedEval(op, v, &EvalOptions{Stats: &gst}, cfg)
@@ -77,23 +80,17 @@ func TestSegmentedLargeMultiSegment(t *testing.T) {
 	cfg := SegConfig{SegBits: 12, Workers: 4} // 17 segments
 	for _, op := range AllOps {
 		for v := uint64(0); v < card; v += 13 {
-			want := ix.Eval(op, v, nil)
+			want := referenceEval(vals, nil, op, v)
 			if got := ix.SegmentedEval(op, v, nil, cfg); !got.Equal(want) {
 				t.Fatalf("A %s %d: segmented result differs", op, v)
-			}
-			if got := ix.SegmentedCount(op, v, nil, cfg); got != want.Count() {
-				t.Fatalf("A %s %d: SegmentedCount = %d, want %d", op, v, got, want.Count())
-			}
-			if got := ix.SegmentedAny(op, v, nil, cfg); got != want.Any() {
-				t.Fatalf("A %s %d: SegmentedAny = %v, want %v", op, v, got, want.Any())
 			}
 		}
 	}
 }
 
-// TestSegmentedCountAnyEmpty pins the count/any fast paths on empty and
-// trivial results, including a non-trivial empty result (a present-rank
-// equality that no row carries).
+// TestSegmentedCountAnyEmpty pins segmented results on empty and trivial
+// answers, including a non-trivial empty result (a present-rank equality
+// that no row carries).
 func TestSegmentedCountAnyEmpty(t *testing.T) {
 	n := 1<<14 + 3
 	vals := make([]uint64, n)
@@ -105,27 +102,22 @@ func TestSegmentedCountAnyEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SegConfig{SegBits: 10, Workers: 2}
-	if got := ix.SegmentedCount(Eq, 15, nil, cfg); got != 0 {
-		t.Fatalf("empty Eq count = %d", got)
-	}
-	if ix.SegmentedAny(Eq, 15, nil, cfg) {
-		t.Fatal("empty Eq reported any=true")
-	}
-	if got := ix.SegmentedCount(Lt, 0, nil, cfg); got != 0 {
-		t.Fatalf("A < 0 count = %d", got)
-	}
-	if got := ix.SegmentedCount(Ge, 0, nil, cfg); got != n {
-		t.Fatalf("A >= 0 count = %d, want %d", got, n)
-	}
-	if !ix.SegmentedAny(Le, 0, nil, cfg) {
-		t.Fatal("A <= 0 reported any=false")
-	}
-	// Trivial constants (v >= card).
-	if got := ix.SegmentedCount(Le, 99, nil, cfg); got != n {
-		t.Fatalf("trivial Le count = %d, want %d", got, n)
-	}
-	if got := ix.SegmentedCount(Gt, 99, nil, cfg); got != 0 {
-		t.Fatalf("trivial Gt count = %d", got)
+	for _, c := range []struct {
+		op   Op
+		v    uint64
+		want int
+	}{
+		{Eq, 15, 0},
+		{Lt, 0, 0},
+		{Ge, 0, n},
+		{Le, 0, (n + 9) / 10},
+		{Le, 99, n}, // trivial constants (v >= card)
+		{Gt, 99, 0},
+	} {
+		got := ix.SegmentedEval(c.op, c.v, nil, cfg)
+		if got.Count() != c.want || got.Any() != (c.want > 0) {
+			t.Fatalf("A %s %d: count %d any %v, want %d", c.op, c.v, got.Count(), got.Any(), c.want)
+		}
 	}
 }
 
@@ -147,7 +139,7 @@ func TestSegmentedWithNulls(t *testing.T) {
 		cfg := SegConfig{SegBits: 9, Workers: 3}
 		for _, op := range AllOps {
 			for v := uint64(0); v < 7; v++ {
-				want := ix.Eval(op, v, nil)
+				want := referenceEval(vals, nulls, op, v)
 				if got := ix.SegmentedEval(op, v, nil, cfg); !got.Equal(want) {
 					t.Fatalf("enc=%v A %s %d: segmented result differs with nulls", enc, op, v)
 				}
@@ -265,7 +257,7 @@ func TestSegRegSet(t *testing.T) {
 		t.Fatalf("checkout shape: rows=%d regs=%d, want %d/3", rs.rows, len(rs.regs), rows)
 	}
 	if rs.regs[0] != shared {
-		t.Fatal("materialize mode must alias register 0 to the shared result")
+		t.Fatal("register 0 must alias the shared result")
 	}
 	for i := 1; i < 3; i++ {
 		if rs.regs[i] == nil || rs.regs[i] == shared || rs.regs[i].Len() != rows {
@@ -280,16 +272,9 @@ func TestSegRegSet(t *testing.T) {
 		}
 	}
 
-	// Count/Any mode: no shared vector, register 0 is scratch too.
-	rs2 := getSegRegs(rows, 2, nil)
-	if rs2.regs[0] == nil || rs2.regs[0].Len() != rows {
-		t.Fatal("count mode must provide scratch for register 0")
-	}
-	putSegRegs(rs2)
-
 	// A row-count change must discard recycled state entirely.
 	segRegPool.Put(&segRegSet{rows: rows, vecs: []*bitvec.Vector{bitvec.New(rows)}})
-	rs3 := getSegRegs(2*rows, 2, nil)
+	rs3 := getSegRegs(2*rows, 2, bitvec.New(2*rows))
 	if rs3.rows != 2*rows {
 		t.Fatalf("rows after mismatched checkout = %d, want %d", rs3.rows, 2*rows)
 	}
@@ -302,7 +287,7 @@ func TestSegRegSet(t *testing.T) {
 
 	// Growing the register demand on a recycled set allocates the extras.
 	segRegPool.Put(&segRegSet{rows: rows})
-	rs4 := getSegRegs(rows, 4, nil)
+	rs4 := getSegRegs(rows, 4, shared)
 	if len(rs4.regs) != 4 {
 		t.Fatalf("grew to %d registers, want 4", len(rs4.regs))
 	}

@@ -1,27 +1,26 @@
 package core
 
-import (
-	"fmt"
+import "fmt"
 
-	"bitmapindex/internal/invariant"
-)
-
-// segprog.go — compiled bitmap programs for segmented evaluation.
+// segprog.go — compiled bitmap programs, the single implementation of
+// predicate evaluation.
 //
 // A segProgram is the bitmap-combination plan of one selection predicate:
 // a straight-line register program over the index's stored bitmaps that
-// the segmented evaluator (segeval.go) replays once per row segment using
-// the range-restricted bitvec kernels. Compilation mirrors the serial
-// evaluators (EvalRangeOpt, EvalEquality, EvalInterval) instruction for
-// instruction: every place a serial evaluator performs one counted qctx
-// operation, the compiler emits exactly one counted instruction, so a
-// segmented evaluation reports the same Stats as its serial counterpart
-// and — verified under -tags bixdebug — produces the bit-identical result.
-// Any change to a serial evaluator must be applied to its compiler twin.
+// the runner (segeval.go) replays once per row segment using the
+// range-restricted bitvec kernels. Each evaluation algorithm is written
+// once, as a compiler next to its documentation: RangeEval-Opt and the
+// RangeEval baseline in rangeeval.go, the equality-encoding evaluator in
+// eqeval.go, the interval-encoding evaluator in intervaleval.go.
+//
+// Accounting is fixed at compile time. Every counted bitmap operation is
+// one counted instruction (segProgram.ops), and every distinct stored
+// bitmap the algorithm reads is one entry of segProgram.refs, charged as a
+// scan when the runner resolves it.
 
-// Instruction kinds. sLoad/sZero/sOnes initialize a register (mirroring
-// Clone/zeros/ones, which the serial evaluators do not count); the rest
-// mirror the counted qctx operations.
+// Instruction kinds. sLoad/sZero/sOnes initialize a register and are not
+// counted (they copy or fill, they do not combine); the rest are the
+// paper's counted bitmap operations.
 const (
 	sLoad   uint8 = iota // reg[dst] = src
 	sZero                // reg[dst] = 0
@@ -53,7 +52,7 @@ type segInstr struct {
 
 // segRef identifies one input bitmap of the program. comp == -1 is the
 // non-null bitmap B_nn, which is always in memory and never counted as a
-// scan (matching qctx.nonNull).
+// scan (the paper's scan counts are over the value bitmaps).
 type segRef struct{ comp, slot int }
 
 // segProgram is one compiled predicate. The result is always register 0
@@ -62,15 +61,15 @@ type segProgram struct {
 	instrs []segInstr
 	nregs  int
 	refs   []segRef
-	ops    Stats // logical operation counts; Scans stays 0 (filled at prefetch)
+	ops    Stats // logical operation counts; Scans stays 0 (charged by the runner)
 }
 
 // segreg is a virtual register index within a segProgram.
 type segreg int
 
-// progBuilder compiles a predicate into a segProgram. Its methods mirror
-// the qctx API so the compile functions below read exactly like the serial
-// evaluators they shadow.
+// progBuilder compiles a predicate into a segProgram. Its methods read
+// like operations on whole bitmaps, so each compiler reads like the
+// algorithm it implements.
 type progBuilder struct {
 	ix     *Index
 	p      *segProgram
@@ -83,18 +82,10 @@ func newProgBuilder(ix *Index) *progBuilder {
 }
 
 // fetch interns the stored bitmap (comp, slot) and returns it as an
-// operand. Distinct refs correspond exactly to the distinct bitmaps the
-// serial evaluator's per-query seen map would count, so scan accounting at
-// prefetch time matches qctx.fetch.
+// operand. Reading the same bitmap twice yields the same ref, so distinct
+// refs are exactly the distinct bitmaps the query reads.
 func (b *progBuilder) fetch(comp, slot int) segOperand {
-	key := segRef{comp: comp, slot: slot}
-	i, ok := b.refIdx[key]
-	if !ok {
-		i = len(b.p.refs)
-		b.refIdx[key] = i
-		b.p.refs = append(b.p.refs, key)
-	}
-	return refOp(i)
+	return b.fetchRef(segRef{comp: comp, slot: slot})
 }
 
 // nnOp returns the non-null bitmap as an operand (not a scan).
@@ -128,9 +119,9 @@ func (b *progBuilder) alloc() segreg {
 // component count.
 func (b *progBuilder) release(r segreg) { b.free = append(b.free, r) }
 
-// emit appends one instruction, mirroring qctx operation accounting: and,
-// or, xor, not count as themselves; andNot counts as one AND plus one NOT;
-// load/zero/ones (Clone and friends) are uncounted.
+// emit appends one instruction and counts it in the paper's operation
+// inventory (AND, OR, XOR, NOT): andNot counts as one AND plus one NOT;
+// load/zero/ones are uncounted.
 func (b *progBuilder) emit(kind uint8, dst segreg, src segOperand) {
 	b.p.instrs = append(b.p.instrs, segInstr{kind: kind, dst: int(dst), src: src})
 	switch kind {
@@ -166,6 +157,7 @@ func (b *progBuilder) ones() segreg {
 	return r
 }
 
+// nonNull returns a fresh copy of B_nn.
 func (b *progBuilder) nonNull() segreg { return b.cloneInto(b.nnOp()) }
 
 func (b *progBuilder) and(dst segreg, src segOperand)    { b.emit(sAnd, dst, src) }
@@ -174,8 +166,8 @@ func (b *progBuilder) xor(dst segreg, src segOperand)    { b.emit(sXor, dst, src
 func (b *progBuilder) andNot(dst segreg, src segOperand) { b.emit(sAndNot, dst, src) }
 func (b *progBuilder) not(dst segreg)                    { b.emit(sNot, dst, noOperand()) }
 
-// maskNN mirrors qctx.maskNN: one counted AND with B_nn, only on nullable
-// indexes.
+// maskNN AND-masks a result with B_nn, on nullable indexes only: results
+// built by complement may otherwise contain null rows.
 func (b *progBuilder) maskNN(r segreg) {
 	if b.ix.hasNulls {
 		b.and(r, b.nnOp())
@@ -183,371 +175,44 @@ func (b *progBuilder) maskNN(r segreg) {
 }
 
 // seal asserts the compiler left the result in register 0, which the
-// interpreter aliases to the (shared) result vector.
-func (b *progBuilder) seal(r segreg) {
+// runner aliases to the (shared) result vector.
+func (b *progBuilder) seal(r segreg) *segProgram {
 	if r != 0 {
 		panic(fmt.Sprintf("core: segment program result in register %d, want 0", r))
-	}
-}
-
-// compileSeg builds the segment program for (A op v).
-func (ix *Index) compileSeg(op Op, v uint64) *segProgram {
-	b := newProgBuilder(ix)
-	// Mirror qctx.trivialResult: constants outside [0, C) need no bitmaps
-	// beyond B_nn and count no operations.
-	if v >= ix.card {
-		switch op {
-		case Lt, Le, Ne:
-			b.seal(b.nonNull())
-		default: // Gt, Ge, Eq
-			b.seal(b.zeros())
-		}
-		return b.p
-	}
-	switch ix.enc {
-	case RangeEncoded:
-		b.seal(b.compileRangeOpt(op, v))
-	case EqualityEncoded:
-		b.seal(b.compileEquality(op, v))
-	case IntervalEncoded:
-		b.seal(b.compileInterval(op, v))
-	default:
-		panic("core: unknown encoding")
 	}
 	return b.p
 }
 
-// compileRangeOpt mirrors EvalRangeOpt (rangeeval.go).
-func (b *progBuilder) compileRangeOpt(op Op, v uint64) segreg {
-	ix := b.ix
-	if !op.IsRange() {
-		B := b.compileRangeEqChain(v)
-		if op == Ne {
-			b.not(B)
-		}
-		b.maskNN(B)
-		return B
+// trivial compiles predicate constants outside [0, C): the answer depends
+// on no stored bitmap and costs no operation. ok is false when the
+// predicate needs real evaluation.
+func (b *progBuilder) trivial(op Op, v uint64) (p *segProgram, ok bool) {
+	if v < b.ix.card {
+		return nil, false
 	}
-	neg := op == Gt || op == Ge
-	w := v
-	underflow := false
-	if op == Lt || op == Ge {
-		if v == 0 {
-			underflow = true // A <= -1: empty
-		} else {
-			w = v - 1
-		}
-	}
-	var B segreg
-	if underflow {
-		B = b.zeros()
-	} else {
-		digits := ix.base.Decompose(w, nil)
-		invariant.DigitsInBase(digits, ix.base)
-		if digits[0] < ix.base[0]-1 {
-			B = b.cloneInto(b.fetch(0, int(digits[0])))
-		} else {
-			B = b.ones()
-		}
-		for i := 1; i < len(ix.base); i++ {
-			bi, di := ix.base[i], digits[i]
-			if di != bi-1 {
-				b.and(B, b.fetch(i, int(di)))
-			}
-			if di != 0 {
-				b.or(B, b.fetch(i, int(di-1)))
-			}
-		}
-	}
-	if neg {
-		b.not(B)
-	}
-	b.maskNN(B)
-	return B
-}
-
-// compileRangeEqChain mirrors qctx.rangeEqChain.
-func (b *progBuilder) compileRangeEqChain(v uint64) segreg {
-	ix := b.ix
-	digits := ix.base.Decompose(v, nil)
-	invariant.DigitsInBase(digits, ix.base)
-	B := b.ones()
-	for i, bi := range ix.base {
-		di := digits[i]
-		switch {
-		case di == 0:
-			b.and(B, b.fetch(i, 0))
-		case di == bi-1:
-			t := b.cloneInto(b.fetch(i, int(bi-2)))
-			b.not(t)
-			b.and(B, regOp(t))
-			b.release(t)
-		default:
-			t := b.cloneInto(b.fetch(i, int(di)))
-			b.xor(t, b.fetch(i, int(di-1)))
-			b.and(B, regOp(t))
-			b.release(t)
-		}
-	}
-	return B
-}
-
-// compileEquality mirrors EvalEquality (eqeval.go).
-func (b *progBuilder) compileEquality(op Op, v uint64) segreg {
-	ix := b.ix
 	switch op {
-	case Eq:
-		return b.compileEqEQ(v)
-	case Ne:
-		B := b.compileEqEQ(v)
-		b.not(B)
-		b.maskNN(B)
-		return B
-	case Lt:
-		if v == 0 {
-			return b.zeros()
-		}
-		return b.compileEqLT(v)
-	case Ge:
-		if v == 0 {
-			return b.nonNull()
-		}
-		B := b.compileEqLT(v)
-		b.not(B)
-		b.maskNN(B)
-		return B
-	case Le:
-		if v >= ix.card-1 {
-			return b.nonNull()
-		}
-		return b.compileEqLT(v + 1)
-	default: // Gt
-		if v >= ix.card-1 {
-			return b.zeros()
-		}
-		B := b.compileEqLT(v + 1)
-		b.not(B)
-		b.maskNN(B)
-		return B
+	case Lt, Le, Ne:
+		return b.seal(b.nonNull()), true
+	default: // Gt, Ge, Eq
+		return b.seal(b.zeros()), true
 	}
 }
 
-// compileEqBitmap mirrors qctx.eqBitmap: the digit-equality bitmap E_i^j.
-// When derived (base-2 component, j == 0) the operand is a fresh register
-// the caller must release (or adopt as its accumulator).
-func (b *progBuilder) compileEqBitmap(i int, j uint64) (op segOperand, t segreg, derived bool) {
-	if b.ix.base[i] == 2 {
-		stored := b.fetch(i, 0) // E_i^1
-		if j == 1 {
-			return stored, 0, false
-		}
-		t = b.nonNull()
-		b.andNot(t, stored)
-		return regOp(t), t, true
+// compile builds the program for (A op v) with the index's own evaluator:
+// RangeEval-Opt, the equality evaluator or the interval evaluator.
+func (ix *Index) compile(op Op, v uint64) *segProgram {
+	b := newProgBuilder(ix)
+	if p, ok := b.trivial(op, v); ok {
+		return p
 	}
-	return b.fetch(i, int(j)), 0, false
-}
-
-// compileEqEQ mirrors qctx.eqEQ.
-func (b *progBuilder) compileEqEQ(v uint64) segreg {
-	digits := b.ix.base.Decompose(v, nil)
-	invariant.DigitsInBase(digits, b.ix.base)
-	B := segreg(-1)
-	for i := range b.ix.base {
-		e, t, derived := b.compileEqBitmap(i, digits[i])
-		if B < 0 {
-			if derived {
-				B = t
-			} else {
-				B = b.cloneInto(e)
-			}
-			continue
-		}
-		b.and(B, e)
-		if derived {
-			b.release(t)
-		}
+	switch ix.enc {
+	case RangeEncoded:
+		return b.seal(b.compileRangeOpt(op, v))
+	case EqualityEncoded:
+		return b.seal(b.compileEquality(op, v))
+	case IntervalEncoded:
+		return b.seal(b.compileInterval(op, v))
+	default:
+		panic("core: unknown encoding")
 	}
-	return B
-}
-
-// compileEqLT mirrors qctx.eqLT.
-func (b *progBuilder) compileEqLT(v uint64) segreg {
-	ix := b.ix
-	digits := ix.base.Decompose(v, nil)
-	invariant.DigitsInBase(digits, ix.base)
-	R := b.zeros()
-	P := b.nonNull()
-	for i := len(ix.base) - 1; i >= 0; i-- {
-		di := digits[i]
-		if di > 0 {
-			lt := b.compileEqLTDigit(i, di)
-			b.and(lt, regOp(P))
-			b.or(R, regOp(lt))
-			b.release(lt)
-		}
-		if i > 0 {
-			e, t, derived := b.compileEqBitmap(i, di)
-			b.and(P, e)
-			if derived {
-				b.release(t)
-			}
-		}
-	}
-	b.release(P)
-	return R
-}
-
-// compileEqLTDigit mirrors qctx.eqLTDigit.
-func (b *progBuilder) compileEqLTDigit(i int, d uint64) segreg {
-	bi := b.ix.base[i]
-	if bi == 2 {
-		e, t, derived := b.compileEqBitmap(i, 0)
-		if derived {
-			return t
-		}
-		return b.cloneInto(e)
-	}
-	if d <= bi-d {
-		acc := b.cloneInto(b.fetch(i, 0))
-		for j := uint64(1); j < d; j++ {
-			b.or(acc, b.fetch(i, int(j)))
-		}
-		return acc
-	}
-	acc := b.cloneInto(b.fetch(i, int(d)))
-	for j := d + 1; j < bi; j++ {
-		b.or(acc, b.fetch(i, int(j)))
-	}
-	b.not(acc)
-	return acc
-}
-
-// compileInterval mirrors EvalInterval (intervaleval.go).
-func (b *progBuilder) compileInterval(op Op, v uint64) segreg {
-	ix := b.ix
-	switch op {
-	case Eq:
-		B := b.compileIvEQChain(v)
-		b.maskNN(B)
-		return B
-	case Ne:
-		B := b.compileIvEQChain(v)
-		b.not(B)
-		b.maskNN(B)
-		return B
-	case Lt:
-		if v == 0 {
-			return b.zeros()
-		}
-		return b.compileIvLT(v)
-	case Ge:
-		if v == 0 {
-			return b.nonNull()
-		}
-		B := b.compileIvLT(v)
-		b.not(B)
-		b.maskNN(B)
-		return B
-	case Le:
-		if v >= ix.card-1 {
-			return b.nonNull()
-		}
-		return b.compileIvLT(v + 1)
-	default: // Gt
-		if v >= ix.card-1 {
-			return b.zeros()
-		}
-		B := b.compileIvLT(v + 1)
-		b.not(B)
-		b.maskNN(B)
-		return B
-	}
-}
-
-// compileIvEQDigit mirrors qctx.ivEQDigit.
-func (b *progBuilder) compileIvEQDigit(i int, d uint64) segreg {
-	bi := b.ix.base[i]
-	m := uint64(ivWindows(bi))
-	switch {
-	case d < m-1:
-		t := b.cloneInto(b.fetch(i, int(d)))
-		b.andNot(t, b.fetch(i, int(d+1)))
-		return t
-	case d == m-1:
-		t := b.cloneInto(b.fetch(i, int(m-1)))
-		if m > 1 {
-			b.and(t, b.fetch(i, 0))
-		}
-		return t
-	case d <= 2*m-2:
-		t := b.cloneInto(b.fetch(i, int(d-m+1)))
-		b.andNot(t, b.fetch(i, int(d-m)))
-		return t
-	default: // d == 2m-1: the one digit outside every window (even b)
-		t := b.cloneInto(b.fetch(i, 0))
-		if m > 1 {
-			b.or(t, b.fetch(i, int(m-1)))
-		}
-		b.not(t)
-		return t
-	}
-}
-
-// compileIvLEDigit mirrors qctx.ivLEDigit.
-func (b *progBuilder) compileIvLEDigit(i int, w uint64) segreg {
-	bi := b.ix.base[i]
-	m := uint64(ivWindows(bi))
-	switch {
-	case w < m-1:
-		t := b.cloneInto(b.fetch(i, 0))
-		b.andNot(t, b.fetch(i, int(w+1)))
-		return t
-	case w == m-1:
-		return b.cloneInto(b.fetch(i, 0))
-	default: // m <= w <= 2m-2, always within range since w <= b-2
-		t := b.cloneInto(b.fetch(i, 0))
-		b.or(t, b.fetch(i, int(w-m+1)))
-		return t
-	}
-}
-
-// compileIvEQChain mirrors qctx.ivEQChain.
-func (b *progBuilder) compileIvEQChain(v uint64) segreg {
-	digits := b.ix.base.Decompose(v, nil)
-	B := segreg(-1)
-	for i := range b.ix.base {
-		e := b.compileIvEQDigit(i, digits[i])
-		if B < 0 {
-			B = e
-			continue
-		}
-		b.and(B, regOp(e))
-		b.release(e)
-	}
-	return B
-}
-
-// compileIvLT mirrors qctx.ivLT.
-func (b *progBuilder) compileIvLT(v uint64) segreg {
-	ix := b.ix
-	digits := ix.base.Decompose(v, nil)
-	R := b.zeros()
-	P := b.nonNull()
-	for i := len(ix.base) - 1; i >= 0; i-- {
-		di := digits[i]
-		if di > 0 {
-			lt := b.compileIvLEDigit(i, di-1)
-			b.and(lt, regOp(P))
-			b.or(R, regOp(lt))
-			b.release(lt)
-		}
-		if i > 0 {
-			e := b.compileIvEQDigit(i, di)
-			b.and(P, regOp(e))
-			b.release(e)
-		}
-	}
-	b.release(P)
-	return R
 }

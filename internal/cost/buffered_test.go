@@ -48,7 +48,7 @@ func TestScansRangeBufferedMatchesEvaluator(t *testing.T) {
 		for _, op := range core.AllOps {
 			for v := uint64(0); v < card+1; v++ {
 				var st core.Stats
-				ix.EvalRangeOpt(op, v, &core.EvalOptions{Stats: &st, Buffered: buffered})
+				ix.EvalDirect(op, v, &core.EvalOptions{Stats: &st, Buffered: buffered})
 				if want := ScansRangeBuffered(base, card, op, v, buffered); st.Scans != want {
 					t.Fatalf("base %v A %s %d: evaluator %d, model %d", base, op, v, st.Scans, want)
 				}

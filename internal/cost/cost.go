@@ -281,9 +281,9 @@ func ExactTimeRange(base core.Base, card uint64) float64 {
 
 // ScansEquality returns the number of bitmap scans the equality-encoded
 // evaluator performs for the single query (A op v), 0 <= v < card. It
-// mirrors core.(*Index).EvalEquality including its per-query fetch cache
-// and the per-component choice between the forward OR and the complemented
-// backward OR.
+// mirrors the equality-encoding compiler in internal/core (eqeval.go),
+// including its one scan per distinct bitmap and the per-component choice
+// between the forward OR and the complemented backward OR.
 func ScansEquality(base core.Base, card uint64, op core.Op, v uint64) int {
 	if v >= card {
 		return 0

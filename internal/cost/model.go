@@ -7,7 +7,7 @@ import (
 	"bitmapindex/internal/core"
 )
 
-// ScansFor predicts the number of stored-bitmap scans the serial evaluator
+// ScansFor predicts the number of stored-bitmap scans the evaluator
 // performs for the single predicate (A op v) on an index with the given
 // base, encoding and cardinality. For range and equality encodings it uses
 // the paper's digit-level models (which the test suite proves exact
@@ -62,17 +62,8 @@ func scansMeasured(base core.Base, enc core.Encoding, card uint64, op core.Op, v
 	probeCache.Unlock()
 
 	// The probe evaluation must not pollute the process-wide telemetry or
-	// flight recorder; use the encoding-specific evaluator directly (Eval
-	// is the instrumented wrapper).
+	// flight recorder: EvalDirect is Eval without the instrumentation.
 	var st core.Stats
-	o := core.EvalOptions{Stats: &st}
-	switch enc {
-	case core.IntervalEncoded:
-		ix.EvalInterval(op, v, &o)
-	case core.RangeEncoded:
-		ix.EvalRangeOpt(op, v, &o)
-	default:
-		ix.EvalEquality(op, v, &o)
-	}
+	ix.EvalDirect(op, v, &core.EvalOptions{Stats: &st})
 	return st.Scans
 }

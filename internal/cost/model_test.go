@@ -7,7 +7,7 @@ import (
 )
 
 // TestScansForExact proves the per-query prediction exact against the
-// instrumented serial evaluators for every operator and constant, across
+// instrumented evaluators for every operator and constant, across
 // all three encodings and several decompositions — the property
 // engine.ExplainAnalyze's scans_error=0 guarantee rests on.
 func TestScansForExact(t *testing.T) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -244,18 +245,29 @@ func TestRowBytes(t *testing.T) {
 	}
 }
 
+// TestSortRIDs checks that RID-index probes return sorted RID lists (the
+// merge plans rely on it) holding exactly the matching rows.
 func TestSortRIDs(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 20; trial++ {
-		n := r.Intn(500)
-		rids := make([]uint32, n)
-		for i := range rids {
-			rids[i] = uint32(r.Intn(1000))
-		}
-		sortRIDs(rids)
-		for i := 1; i < len(rids); i++ {
-			if rids[i] < rids[i-1] {
-				t.Fatalf("not sorted at %d", i)
+	rel := buildRelation(t, 500, 4)
+	qty, _ := rel.Column("quantity")
+	for _, op := range core.AllOps {
+		for _, val := range []int64{0, 1, 17, 50, 99} {
+			p := Pred{Col: "quantity", Op: op, Val: val}
+			rids, _, err := rel.ridsFor(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.IsSorted(rids) {
+				t.Fatalf("%v: RID list not sorted", p)
+			}
+			want := 0
+			for row := 0; row < rel.Rows(); row++ {
+				if p.matches(qty, row) {
+					want++
+				}
+			}
+			if len(rids) != want {
+				t.Fatalf("%v: %d RIDs, want %d", p, len(rids), want)
 			}
 		}
 	}

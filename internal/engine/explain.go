@@ -122,8 +122,8 @@ func relErr(predicted, measured float64) float64 {
 // ExplainAnalyze executes the conjunction with the given method (Auto
 // resolves as usual) and returns a PlanReport comparing the paper's cost
 // model against the measured execution. When the executed plan is the
-// bitmap merge, predicted scans are exact for the serial evaluators (the
-// digit-level model counts the very fetches the evaluator performs), and
+// bitmap merge, predicted scans are exact (the digit-level model counts
+// the very bitmaps each predicate's compiled program reads), and
 // scan/time errors are also observed into the bix_cost_model_error_*
 // histograms with the query's trace ID as exemplar. opt may be nil; a
 // profiled trace is created when opt carries none, so the report's phase

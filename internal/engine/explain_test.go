@@ -11,7 +11,7 @@ import (
 )
 
 // TestExplainAnalyzeExactScans is the acceptance pin for the scan model:
-// on the bitmap plan with serial evaluators, predicted scans equal
+// on the bitmap plan, predicted scans equal
 // measured scans exactly — per predicate and for the whole plan — so
 // every relative error is zero.
 func TestExplainAnalyzeExactScans(t *testing.T) {

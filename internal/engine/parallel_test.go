@@ -22,31 +22,8 @@ func noAllocs(c Cost) Cost {
 	return c
 }
 
-// TestSelectOptsParallelMatchesSerial pins the segmented bitmap plan to the
-// serial one: same result bitmap, same stats, same bytes.
-func TestSelectOptsParallelMatchesSerial(t *testing.T) {
-	rel := buildRelation(t, 3000, 7)
-	for qi, preds := range parallelQueries {
-		want, wc, err := rel.Select(preds, BitmapMerge)
-		if err != nil {
-			t.Fatalf("query %d serial: %v", qi, err)
-		}
-		opt := &SelectOptions{Parallel: true, Workers: 3, SegBits: 10}
-		got, gc, err := rel.SelectOpts(preds, BitmapMerge, opt)
-		if err != nil {
-			t.Fatalf("query %d parallel: %v", qi, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("query %d: parallel bitmap plan differs from serial", qi)
-		}
-		if noAllocs(gc) != noAllocs(wc) {
-			t.Fatalf("query %d: parallel cost %+v != serial cost %+v", qi, gc, wc)
-		}
-	}
-}
-
 // TestSelectCountAllPlans checks the count pushdown of every plan against
-// the materializing Select, with and without segment parallelism.
+// the materializing Select.
 func TestSelectCountAllPlans(t *testing.T) {
 	rel := buildRelation(t, 3000, 7)
 	for qi, preds := range parallelQueries {
@@ -56,17 +33,15 @@ func TestSelectCountAllPlans(t *testing.T) {
 		}
 		wantN := want.Count()
 		for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge, Auto} {
-			for _, opt := range []*SelectOptions{nil, {Parallel: true, Workers: 2, SegBits: 10}} {
-				n, c, err := rel.SelectCount(preds, m, opt)
-				if err != nil {
-					t.Fatalf("query %d method %v: %v", qi, m, err)
-				}
-				if n != wantN {
-					t.Fatalf("query %d method %v (opt=%+v): count %d, want %d", qi, m, opt, n, wantN)
-				}
-				if c.Rows != n {
-					t.Fatalf("query %d method %v: cost.Rows %d != count %d", qi, m, c.Rows, n)
-				}
+			n, c, err := rel.SelectCount(preds, m, nil)
+			if err != nil {
+				t.Fatalf("query %d method %v: %v", qi, m, err)
+			}
+			if n != wantN {
+				t.Fatalf("query %d method %v: count %d, want %d", qi, m, n, wantN)
+			}
+			if c.Rows != n {
+				t.Fatalf("query %d method %v: cost.Rows %d != count %d", qi, m, c.Rows, n)
 			}
 		}
 	}
@@ -115,22 +90,20 @@ func TestSelectCountErrors(t *testing.T) {
 	}
 }
 
-// TestSelectCountTracesSegments checks that the parallel count path records
-// per-segment spans into the trace.
+// TestSelectCountTracesSegments checks that the count path traces its
+// bitmap work: the evaluator's per-segment combination spans (the bool_ops
+// phase of the single-goroutine runner) and the fused final popcount.
 func TestSelectCountTracesSegments(t *testing.T) {
 	rel := buildRelation(t, 3000, 7)
 	tr := telemetry.NewTrace("count")
-	opt := &SelectOptions{Trace: tr, Parallel: true, Workers: 2, SegBits: 10}
-	if _, _, err := rel.SelectCount(parallelQueries[0], BitmapMerge, opt); err != nil {
+	if _, _, err := rel.SelectCount(parallelQueries[1], BitmapMerge, &SelectOptions{Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
-	found := false
+	calls := map[telemetry.Phase]int{}
 	for _, ph := range tr.Phases() {
-		if ph.Phase == telemetry.PhaseSegments && ph.Calls > 0 {
-			found = true
-		}
+		calls[ph.Phase] = ph.Calls
 	}
-	if !found {
-		t.Fatal("parallel SelectCount recorded no segment spans")
+	if calls[telemetry.PhaseBoolOps] == 0 || calls[telemetry.PhasePopcount] != 1 {
+		t.Fatalf("SelectCount phases %v: want segment spans under bool_ops and one fused popcount", tr.Phases())
 	}
 }

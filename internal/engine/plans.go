@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -79,7 +80,7 @@ type Cost struct {
 // cost. All predicates must reference existing columns; RIDMerge needs a
 // RID index and BitmapMerge a bitmap index on every referenced column.
 func (r *Relation) Select(preds []Pred, m Method) (*bitvec.Vector, Cost, error) {
-	return r.SelectTraced(preds, m, nil)
+	return r.SelectOpts(preds, m, nil)
 }
 
 // SelectOptions tunes plan execution beyond the method choice.
@@ -87,28 +88,17 @@ type SelectOptions struct {
 	// Trace, when non-nil, receives per-phase durations (plan selection,
 	// bitmap work, row filtering, result popcounts).
 	Trace *telemetry.Trace
-	// Parallel evaluates bitmap predicates with the segmented intra-query
-	// evaluator (core.SegmentedEval) instead of the serial one, so a
-	// single heavy predicate uses every core. Engine-level batches over
-	// many predicates should instead parallelize across predicates; see
-	// core.EvalBatch for the crossover heuristic.
-	Parallel bool
-	// Workers bounds segment workers when Parallel is set (0 selects
-	// GOMAXPROCS).
-	Workers int
-	// SegBits overrides the segment width when Parallel is set (0 selects
-	// the core default).
-	SegBits int
 
 	// Workload, when non-nil, receives one event per bitmap predicate
-	// evaluated by the bitmap-merge plans: the attribute name, operator
-	// class, rank-space constant and measured scan/latency cost. Result
-	// cardinalities are not counted per predicate (the plans fuse the
-	// final AND with the popcount), so events carry Matches: -1.
+	// evaluated by the bitmap-merge plan: the attribute name, operator
+	// class, rank-space constant and measured scan/latency cost. The
+	// result cardinality is known per predicate only for a single
+	// predicate (the conjunction's AND comes after), so events of a
+	// multi-predicate plan carry Matches: -1.
 	Workload *workload.Accumulator
 
 	// perPred, when non-nil, receives one predActual per bitmap predicate
-	// evaluated by the bitmap-merge plans, in predicate order: the measured
+	// evaluated by the bitmap-merge plan, in predicate order: the measured
 	// scan delta and wall-clock time of that predicate alone. Filled only
 	// by ExplainAnalyze, which compares the entries against the cost
 	// model's per-predicate predictions.
@@ -119,10 +109,6 @@ type SelectOptions struct {
 type predActual struct {
 	Scans int
 	NS    int64
-}
-
-func (o *SelectOptions) segConfig() core.SegConfig {
-	return core.SegConfig{SegBits: o.SegBits, Workers: o.Workers}
 }
 
 // plansTotal pre-registers one execution counter per concrete plan. The
@@ -138,26 +124,84 @@ var plansTotal = [...]*telemetry.Counter{
 
 const plansHelp = "Query plan executions, by method."
 
-// SelectTraced is Select with per-query tracing: plan selection, bitmap
-// work, row filtering and result popcounts are recorded into tr (which may
-// be nil). Each executed plan also increments the registry's
-// bix_engine_plans_total{method=...} counter.
-func (r *Relation) SelectTraced(preds []Pred, m Method, tr *telemetry.Trace) (*bitvec.Vector, Cost, error) {
-	return r.SelectOpts(preds, m, &SelectOptions{Trace: tr})
+// SelectOpts is Select with execution options: tracing, workload
+// accounting. opt may be nil. Each executed plan increments the registry's
+// bix_engine_plans_total{method=...} counter and lands a flight record.
+func (r *Relation) SelectOpts(preds []Pred, m Method, opt *SelectOptions) (*bitvec.Vector, Cost, error) {
+	var out sink
+	c, err := r.execute(preds, m, opt, &out)
+	if err != nil {
+		return nil, Cost{}, err
+	}
+	return out.res, c, nil
 }
 
-// SelectOpts is Select with full execution options (tracing plus
-// segmented intra-query parallelism for the bitmap plan). opt may be nil.
-func (r *Relation) SelectOpts(preds []Pred, m Method, opt *SelectOptions) (*bitvec.Vector, Cost, error) {
+// SelectCount evaluates the conjunction like SelectOpts but returns only
+// the number of qualifying records. Every plan runs the same code as in
+// SelectOpts against a counting sink: FullScan and IndexFilter count
+// matches without building a result bitmap, and BitmapMerge fuses the
+// final AND with the popcount (bitvec.AndCount) so the conjunction's
+// result vector is never written. Costs report the same bytes and stats
+// as the materializing plans; Cost.Rows is the count. opt may be nil.
+func (r *Relation) SelectCount(preds []Pred, m Method, opt *SelectOptions) (int, Cost, error) {
+	out := sink{count: true}
+	c, err := r.execute(preds, m, opt, &out)
+	if err != nil {
+		return 0, Cost{}, err
+	}
+	return c.Rows, c, nil
+}
+
+// sink receives a plan's qualifying rows: it either materializes them
+// into a result bitmap or only counts them.
+type sink struct {
+	count bool           // count only; res stays nil
+	res   *bitvec.Vector // materialized result
+	n     int            // rows added, count mode
+}
+
+// open prepares the sink for a plan that adds rows one at a time.
+func (s *sink) open(rows int) {
+	if !s.count {
+		s.res = bitvec.New(rows)
+	}
+}
+
+func (s *sink) add(row int) {
+	if s.count {
+		s.n++
+		return
+	}
+	s.res.Set(row)
+}
+
+// rows returns the number of rows added (a popcount when materializing).
+func (s *sink) rows(tr *telemetry.Trace) int {
+	if s.count {
+		return s.n
+	}
+	return popcount(s.res, tr)
+}
+
+// execute runs one plan into out and does the plan-level accounting:
+// allocation deltas, bix_engine_plans_total and the flight record. Auto
+// resolves to the cheapest estimable plan first.
+func (r *Relation) execute(preds []Pred, m Method, opt *SelectOptions, out *sink) (Cost, error) {
 	if opt == nil {
 		opt = &SelectOptions{}
 	}
 	if err := r.checkPreds(preds); err != nil {
-		return nil, Cost{}, err
+		return Cost{}, err
 	}
 	tr := opt.Trace
+	if m == Auto {
+		best, err := r.pickPlan(preds, tr)
+		if err != nil {
+			return Cost{}, err
+		}
+		m = best
+	}
 	var (
-		res *bitvec.Vector
 		c   Cost
 		err error
 	)
@@ -165,27 +209,24 @@ func (r *Relation) SelectOpts(preds []Pred, m Method, opt *SelectOptions) (*bitv
 	t0 := time.Now()
 	switch m {
 	case FullScan:
-		res, c, err = r.fullScan(preds, tr)
+		c, err = r.fullScan(preds, out, tr)
 	case IndexFilter:
-		res, c, err = r.indexFilter(preds, tr)
+		c, err = r.indexFilter(preds, out, tr)
 	case RIDMerge:
-		res, c, err = r.ridMerge(preds, tr)
+		c, err = r.ridMerge(preds, out, tr)
 	case BitmapMerge:
-		res, c, err = r.bitmapMerge(preds, opt)
-	case Auto:
-		return r.auto(preds, opt) // the recursive call accounts and records
+		c, err = r.bitmapMerge(preds, out, opt)
 	default:
-		return nil, Cost{}, fmt.Errorf("engine: unknown method %v", m)
+		return Cost{}, fmt.Errorf("engine: unknown method %v", m)
 	}
-	if err == nil {
-		b, o := telemetry.ReadAllocs()
-		c.AllocBytes, c.AllocObjects = b-aB, o-aO
-		if int(c.Method) < len(plansTotal) {
-			plansTotal[c.Method].Inc()
-		}
-		recordPlanFlight(preds, &c, time.Since(t0), tr)
+	if err != nil {
+		return Cost{}, err
 	}
-	return res, c, err
+	b, o := telemetry.ReadAllocs()
+	c.AllocBytes, c.AllocObjects = b-aB, o-aO
+	plansTotal[c.Method].Inc()
+	recordPlanFlight(preds, &c, time.Since(t0), tr)
+	return c, nil
 }
 
 // recordPlanFlight lands one plan-level flight record for an executed
@@ -227,28 +268,36 @@ func (r *Relation) checkPreds(preds []Pred) error {
 	return nil
 }
 
-func (r *Relation) fullScan(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, Cost, error) {
-	sp := tr.Start(telemetry.PhaseFilter)
-	out := bitvec.New(r.Rows())
+// columns resolves each predicate's column (checkPreds has validated them).
+func (r *Relation) columns(preds []Pred) []*Column {
 	cols := make([]*Column, len(preds))
 	for i, p := range preds {
 		cols[i], _ = r.Column(p.Col)
 	}
-	for row := 0; row < r.Rows(); row++ {
-		ok := true
-		for i, p := range preds {
-			if !p.matches(cols[i], row) {
-				ok = false
-				break
-			}
+	return cols
+}
+
+// matchRow reports whether row satisfies every predicate except preds[skip].
+func matchRow(preds []Pred, cols []*Column, row, skip int) bool {
+	for i, p := range preds {
+		if i != skip && !p.matches(cols[i], row) {
+			return false
 		}
-		if ok {
-			out.Set(row)
+	}
+	return true
+}
+
+func (r *Relation) fullScan(preds []Pred, out *sink, tr *telemetry.Trace) (Cost, error) {
+	sp := tr.Start(telemetry.PhaseFilter)
+	out.open(r.Rows())
+	cols := r.columns(preds)
+	for row := 0; row < r.Rows(); row++ {
+		if matchRow(preds, cols, row, -1) {
+			out.add(row)
 		}
 	}
 	sp.End()
-	cost := Cost{Method: FullScan, BytesRead: int64(r.Rows()) * int64(r.RowBytes()), Rows: popcount(out, tr)}
-	return out, cost, nil
+	return Cost{Method: FullScan, BytesRead: int64(r.Rows()) * int64(r.RowBytes()), Rows: out.rows(tr)}, nil
 }
 
 // popcount counts the result bits under the popcount trace phase.
@@ -258,83 +307,32 @@ func popcount(v *bitvec.Vector, tr *telemetry.Trace) int {
 }
 
 // ridsFor returns the RIDs matching the predicate via the column's RID
-// index, along with the index bytes read (RIDBytes per RID touched, over
-// every list probed).
+// index, sorted, along with the index bytes read (RIDBytes per RID
+// touched, over every list probed).
 func (r *Relation) ridsFor(p Pred) ([]uint32, int64, error) {
 	c, _ := r.Column(p.Col)
 	if c.rids == nil {
 		return nil, 0, fmt.Errorf("engine: column %q has no RID index", p.Col)
 	}
-	rop, rank, all, none, err := translateChecked(c, p)
-	if err != nil {
-		return nil, 0, err
-	}
+	rop, rank, all, none := c.dict.Translate(p.Op, p.Val)
 	if none {
 		return nil, 0, nil
-	}
-	match := func(v uint64) bool {
-		if all {
-			return true
-		}
-		return rop.Matches(v, rank)
 	}
 	var out []uint32
 	var bytes int64
 	for v := uint64(0); v < c.Card(); v++ {
-		if !match(v) {
+		if !all && !rop.Matches(v, rank) {
 			continue
 		}
 		list := c.rids[v]
 		bytes += int64(len(list)) * RIDBytes
 		out = append(out, list...)
 	}
-	sortRIDs(out)
+	slices.Sort(out)
 	return out, bytes, nil
 }
 
-func translateChecked(c *Column, p Pred) (rop core.Op, rank uint64, all, none bool, err error) {
-	rop, rank, all, none = c.dict.Translate(p.Op, p.Val)
-	return rop, rank, all, none, nil
-}
-
-func sortRIDs(r []uint32) {
-	// RID lists are concatenations of already-sorted per-value lists;
-	// a simple merge via sort is adequate at this scale.
-	if len(r) < 2 {
-		return
-	}
-	quickSortRIDs(r)
-}
-
-func quickSortRIDs(r []uint32) {
-	if len(r) < 16 {
-		for i := 1; i < len(r); i++ {
-			for j := i; j > 0 && r[j] < r[j-1]; j-- {
-				r[j], r[j-1] = r[j-1], r[j]
-			}
-		}
-		return
-	}
-	pivot := r[len(r)/2]
-	lo, hi := 0, len(r)-1
-	for lo <= hi {
-		for r[lo] < pivot {
-			lo++
-		}
-		for r[hi] > pivot {
-			hi--
-		}
-		if lo <= hi {
-			r[lo], r[hi] = r[hi], r[lo]
-			lo++
-			hi--
-		}
-	}
-	quickSortRIDs(r[:hi+1])
-	quickSortRIDs(r[lo:])
-}
-
-func (r *Relation) indexFilter(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, Cost, error) {
+func (r *Relation) indexFilter(preds []Pred, out *sink, tr *telemetry.Trace) (Cost, error) {
 	// Choose the most selective indexed predicate (smallest RID list) as
 	// the driver; fall back to the first RID-indexed column.
 	probe := tr.Start(telemetry.PhaseFetch)
@@ -349,7 +347,7 @@ func (r *Relation) indexFilter(preds []Pred, tr *telemetry.Trace) (*bitvec.Vecto
 		rids, bytes, err := r.ridsFor(p)
 		if err != nil {
 			probe.End()
-			return nil, Cost{}, err
+			return Cost{}, err
 		}
 		if driver < 0 || len(rids) < len(driverRIDs) {
 			driver, driverRIDs, driverBytes = i, rids, bytes
@@ -357,27 +355,16 @@ func (r *Relation) indexFilter(preds []Pred, tr *telemetry.Trace) (*bitvec.Vecto
 	}
 	probe.End()
 	if driver < 0 {
-		return nil, Cost{}, fmt.Errorf("engine: no RID index available for index-filter plan")
+		return Cost{}, fmt.Errorf("engine: no RID index available for index-filter plan")
 	}
 	sp := tr.Start(telemetry.PhaseFilter)
-	out := bitvec.New(r.Rows())
-	cols := make([]*Column, len(preds))
-	for i, p := range preds {
-		cols[i], _ = r.Column(p.Col)
-	}
+	out.open(r.Rows())
+	cols := r.columns(preds)
+	// Per-value RID lists are disjoint, so the driver list has no
+	// duplicates and counting candidates equals counting result bits.
 	for _, rid := range driverRIDs {
-		ok := true
-		for i, p := range preds {
-			if i == driver {
-				continue
-			}
-			if !p.matches(cols[i], int(rid)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out.Set(int(rid))
+		if matchRow(preds, cols, int(rid), driver) {
+			out.add(int(rid))
 		}
 	}
 	sp.End()
@@ -385,12 +372,12 @@ func (r *Relation) indexFilter(preds []Pred, tr *telemetry.Trace) (*bitvec.Vecto
 		Method: IndexFilter,
 		// Index probe plus fetching each candidate record.
 		BytesRead: driverBytes + int64(len(driverRIDs))*int64(r.RowBytes()),
-		Rows:      popcount(out, tr),
+		Rows:      out.rows(tr),
 	}
-	return out, cost, nil
+	return cost, nil
 }
 
-func (r *Relation) ridMerge(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, Cost, error) {
+func (r *Relation) ridMerge(preds []Pred, out *sink, tr *telemetry.Trace) (Cost, error) {
 	var result []uint32
 	var bytes int64
 	for i, p := range preds {
@@ -398,7 +385,7 @@ func (r *Relation) ridMerge(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, 
 		rids, b, err := r.ridsFor(p)
 		probe.End()
 		if err != nil {
-			return nil, Cost{}, err
+			return Cost{}, err
 		}
 		bytes += b
 		if i == 0 {
@@ -409,11 +396,11 @@ func (r *Relation) ridMerge(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, 
 		result = intersectSorted(result, rids)
 		sp.End()
 	}
-	out := bitvec.New(r.Rows())
+	out.open(r.Rows())
 	for _, rid := range result {
-		out.Set(int(rid))
+		out.add(int(rid))
 	}
-	return out, Cost{Method: RIDMerge, BytesRead: bytes, Rows: len(result)}, nil
+	return Cost{Method: RIDMerge, BytesRead: bytes, Rows: len(result)}, nil
 }
 
 func intersectSorted(a, b []uint32) []uint32 {
@@ -435,83 +422,81 @@ func intersectSorted(a, b []uint32) []uint32 {
 }
 
 // evalBitmapPred evaluates one predicate through the column's bitmap
-// index, honoring opt.Parallel (segmented evaluation) and accounting
-// stats into st.
-func (r *Relation) evalBitmapPred(p Pred, opt *SelectOptions, st *core.Stats) (*bitvec.Vector, error) {
+// index, accounting stats into st. It also returns the workload operator
+// class and rank-space constant the predicate was evaluated as.
+func (r *Relation) evalBitmapPred(p Pred, tr *telemetry.Trace, st *core.Stats) (*bitvec.Vector, workload.OpClass, uint64, error) {
 	c, _ := r.Column(p.Col)
 	if c.bitmap == nil {
-		return nil, fmt.Errorf("engine: column %q has no bitmap index", p.Col)
+		return nil, 0, 0, fmt.Errorf("engine: column %q has no bitmap index", p.Col)
 	}
-	rop, rank, all, none, err := translateChecked(c, p)
-	if err != nil {
-		return nil, err
-	}
-	var t0 time.Time
-	scans0 := st.Scans
-	if opt.Workload != nil {
-		t0 = time.Now()
-	}
-	var res *bitvec.Vector
-	cls := workload.ClassOf(p.Op)
+	rop, rank, all, none := c.dict.Translate(p.Op, p.Val)
 	switch {
 	case none:
-		res = bitvec.New(r.Rows())
+		return bitvec.New(r.Rows()), workload.ClassOf(p.Op), rank, nil
 	case all:
-		res = bitvec.NewOnes(r.Rows())
-	case opt.Parallel:
-		cls = workload.ClassOf(rop)
-		res = c.bitmap.SegmentedEval(rop, rank, &core.EvalOptions{Stats: st, Trace: opt.Trace}, opt.segConfig())
-	default:
-		cls = workload.ClassOf(rop)
-		res = c.bitmap.Eval(rop, rank, &core.EvalOptions{Stats: st, Trace: opt.Trace})
+		return bitvec.NewOnes(r.Rows()), workload.ClassOf(p.Op), rank, nil
 	}
-	if opt.Workload != nil {
-		opt.Workload.Observe(workload.Event{
-			Attr:    p.Col,
-			Class:   cls,
-			Value:   rank,
-			Matches: -1,
-			Scans:   st.Scans - scans0,
-			NS:      time.Since(t0).Nanoseconds(),
-		})
-	}
-	return res, nil
+	res := c.bitmap.Eval(rop, rank, &core.EvalOptions{Stats: st, Trace: tr})
+	return res, workload.ClassOf(rop), rank, nil
 }
 
-func (r *Relation) bitmapMerge(preds []Pred, opt *SelectOptions) (*bitvec.Vector, Cost, error) {
+// bitmapMerge is plan P3 over bitmap indexes: one bitmap evaluation per
+// predicate, ANDed together. In count mode the final AND is fused with
+// the popcount (bitvec.AndCount), so the conjunction's result vector is
+// never written; a single predicate is counted straight off its result.
+func (r *Relation) bitmapMerge(preds []Pred, out *sink, opt *SelectOptions) (Cost, error) {
 	tr := opt.Trace
 	bitmapBytes := int64((r.Rows() + 7) / 8)
-	var out *bitvec.Vector
+	var acc *bitvec.Vector
 	var bytes int64
 	var st core.Stats
-	for _, p := range preds {
-		before := st
-		var t0 time.Time
-		if opt.perPred != nil {
-			t0 = time.Now()
-		}
-		res, err := r.evalBitmapPred(p, opt, &st)
+	n := -1 // result rows, once known
+	for k, p := range preds {
+		scans0, t0 := st.Scans, time.Now()
+		res, cls, rank, err := r.evalBitmapPred(p, tr, &st)
 		if err != nil {
-			return nil, Cost{}, err
+			return Cost{}, err
 		}
-		if opt.perPred != nil {
-			*opt.perPred = append(*opt.perPred,
-				predActual{Scans: st.Scans - before.Scans, NS: time.Since(t0).Nanoseconds()})
-		}
-		bytes += int64(st.Scans-before.Scans) * bitmapBytes
-		if out == nil {
-			out = res
-		} else {
+		ns := time.Since(t0).Nanoseconds()
+		scans := st.Scans - scans0
+		bytes += int64(scans) * bitmapBytes
+		last := k == len(preds)-1
+		switch {
+		case acc == nil:
+			acc = res
+		case last && out.count:
+			sp := tr.Start(telemetry.PhasePopcount)
+			n = bitvec.AndCount(acc, res)
+			sp.End()
+			st.Ands++
+		default:
 			// The cross-predicate AND is a bitmap operation too; count it
 			// so plan-level Stats cover all CPU work, not just the
 			// per-index evaluations.
 			sp := tr.Start(telemetry.PhaseBoolOps)
-			out.And(res)
+			acc.And(res)
 			sp.End()
 			st.Ands++
 		}
+		if last && n < 0 {
+			n = popcount(acc, tr)
+		}
+		if opt.perPred != nil {
+			*opt.perPred = append(*opt.perPred, predActual{Scans: scans, NS: ns})
+		}
+		if opt.Workload != nil {
+			matches := -1
+			if len(preds) == 1 {
+				matches = n
+			}
+			opt.Workload.Observe(workload.Event{Attr: p.Col, Class: cls, Value: rank,
+				Matches: matches, Rows: r.Rows(), Scans: scans, NS: ns})
+		}
 	}
-	return out, Cost{Method: BitmapMerge, BytesRead: bytes, Rows: popcount(out, tr), Stats: st}, nil
+	if !out.count {
+		out.res = acc
+	}
+	return Cost{Method: BitmapMerge, BytesRead: bytes, Rows: n, Stats: st}, nil
 }
 
 // EstimateBytes predicts the bytes a plan would read, using exact index
@@ -575,16 +560,6 @@ func (r *Relation) EstimateBytes(preds []Pred, m Method) (int64, error) {
 	return 0, fmt.Errorf("engine: cannot estimate method %v", m)
 }
 
-// auto runs the cheapest estimable plan; the estimation pass is traced as
-// the plan phase.
-func (r *Relation) auto(preds []Pred, opt *SelectOptions) (*bitvec.Vector, Cost, error) {
-	best, err := r.pickPlan(preds, opt.Trace)
-	if err != nil {
-		return nil, Cost{}, err
-	}
-	return r.SelectOpts(preds, best, opt)
-}
-
 // pickPlan returns the method with the lowest estimated bytes read among
 // the plans whose indexes exist; the estimation pass is traced as the plan
 // phase.
@@ -607,242 +582,6 @@ func (r *Relation) pickPlan(preds []Pred, tr *telemetry.Trace) (Method, error) {
 		return 0, fmt.Errorf("engine: no executable plan")
 	}
 	return best, nil
-}
-
-// SelectCount evaluates the conjunction like SelectOpts but returns only
-// the number of qualifying records, pushing the count into each plan:
-// FullScan and IndexFilter count matches without building a result bitmap,
-// RIDMerge counts the intersected list, and BitmapMerge fuses the final
-// AND with the popcount (bitvec.AndCount) — with a single predicate and
-// opt.Parallel set it counts segment-by-segment (core.SegmentedCount)
-// without materializing any result vector at all. Costs report the same
-// bytes as the materializing plans; Cost.Rows is the count. opt may be
-// nil.
-func (r *Relation) SelectCount(preds []Pred, m Method, opt *SelectOptions) (int, Cost, error) {
-	if opt == nil {
-		opt = &SelectOptions{}
-	}
-	if err := r.checkPreds(preds); err != nil {
-		return 0, Cost{}, err
-	}
-	tr := opt.Trace
-	var (
-		n   int
-		c   Cost
-		err error
-	)
-	aB, aO := telemetry.ReadAllocs()
-	t0 := time.Now()
-	switch m {
-	case FullScan:
-		n, c, err = r.countFullScan(preds, tr)
-	case IndexFilter:
-		n, c, err = r.countIndexFilter(preds, tr)
-	case RIDMerge:
-		n, c, err = r.countRIDMerge(preds, tr)
-	case BitmapMerge:
-		n, c, err = r.countBitmapMerge(preds, opt)
-	case Auto:
-		best, perr := r.pickPlan(preds, tr)
-		if perr != nil {
-			return 0, Cost{}, perr
-		}
-		return r.SelectCount(preds, best, opt) // the recursive call accounts and records
-	default:
-		return 0, Cost{}, fmt.Errorf("engine: unknown method %v", m)
-	}
-	if err == nil {
-		b, o := telemetry.ReadAllocs()
-		c.AllocBytes, c.AllocObjects = b-aB, o-aO
-		if int(c.Method) < len(plansTotal) {
-			plansTotal[c.Method].Inc()
-		}
-		recordPlanFlight(preds, &c, time.Since(t0), tr)
-	}
-	return n, c, err
-}
-
-func (r *Relation) countFullScan(preds []Pred, tr *telemetry.Trace) (int, Cost, error) {
-	sp := tr.Start(telemetry.PhaseFilter)
-	cols := make([]*Column, len(preds))
-	for i, p := range preds {
-		cols[i], _ = r.Column(p.Col)
-	}
-	n := 0
-	for row := 0; row < r.Rows(); row++ {
-		ok := true
-		for i, p := range preds {
-			if !p.matches(cols[i], row) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			n++
-		}
-	}
-	sp.End()
-	return n, Cost{Method: FullScan, BytesRead: int64(r.Rows()) * int64(r.RowBytes()), Rows: n}, nil
-}
-
-func (r *Relation) countIndexFilter(preds []Pred, tr *telemetry.Trace) (int, Cost, error) {
-	probe := tr.Start(telemetry.PhaseFetch)
-	driver := -1
-	var driverRIDs []uint32
-	var driverBytes int64
-	for i, p := range preds {
-		c, _ := r.Column(p.Col)
-		if c.rids == nil {
-			continue
-		}
-		rids, bytes, err := r.ridsFor(p)
-		if err != nil {
-			probe.End()
-			return 0, Cost{}, err
-		}
-		if driver < 0 || len(rids) < len(driverRIDs) {
-			driver, driverRIDs, driverBytes = i, rids, bytes
-		}
-	}
-	probe.End()
-	if driver < 0 {
-		return 0, Cost{}, fmt.Errorf("engine: no RID index available for index-filter plan")
-	}
-	sp := tr.Start(telemetry.PhaseFilter)
-	cols := make([]*Column, len(preds))
-	for i, p := range preds {
-		cols[i], _ = r.Column(p.Col)
-	}
-	// Per-value RID lists are disjoint, so the driver list has no
-	// duplicates and counting candidates equals counting result bits.
-	n := 0
-	for _, rid := range driverRIDs {
-		ok := true
-		for i, p := range preds {
-			if i == driver {
-				continue
-			}
-			if !p.matches(cols[i], int(rid)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			n++
-		}
-	}
-	sp.End()
-	cost := Cost{
-		Method:    IndexFilter,
-		BytesRead: driverBytes + int64(len(driverRIDs))*int64(r.RowBytes()),
-		Rows:      n,
-	}
-	return n, cost, nil
-}
-
-func (r *Relation) countRIDMerge(preds []Pred, tr *telemetry.Trace) (int, Cost, error) {
-	var result []uint32
-	var bytes int64
-	for i, p := range preds {
-		probe := tr.Start(telemetry.PhaseFetch)
-		rids, b, err := r.ridsFor(p)
-		probe.End()
-		if err != nil {
-			return 0, Cost{}, err
-		}
-		bytes += b
-		if i == 0 {
-			result = rids
-			continue
-		}
-		sp := tr.Start(telemetry.PhaseFilter)
-		result = intersectSorted(result, rids)
-		sp.End()
-	}
-	return len(result), Cost{Method: RIDMerge, BytesRead: bytes, Rows: len(result)}, nil
-}
-
-func (r *Relation) countBitmapMerge(preds []Pred, opt *SelectOptions) (int, Cost, error) {
-	tr := opt.Trace
-	bitmapBytes := int64((r.Rows() + 7) / 8)
-	var st core.Stats
-
-	// Single predicate: count straight off the evaluator. With Parallel
-	// set, no result vector is materialized at all.
-	if len(preds) == 1 {
-		p := preds[0]
-		c, _ := r.Column(p.Col)
-		if c.bitmap == nil {
-			return 0, Cost{}, fmt.Errorf("engine: column %q has no bitmap index", p.Col)
-		}
-		rop, rank, all, none, err := translateChecked(c, p)
-		if err != nil {
-			return 0, Cost{}, err
-		}
-		t0 := time.Now()
-		var n int
-		cls := workload.ClassOf(p.Op)
-		switch {
-		case none:
-			n = 0
-		case all:
-			n = r.Rows()
-		case opt.Parallel:
-			cls = workload.ClassOf(rop)
-			n = c.bitmap.SegmentedCount(rop, rank, &core.EvalOptions{Stats: &st, Trace: tr}, opt.segConfig())
-		default:
-			cls = workload.ClassOf(rop)
-			n = popcount(c.bitmap.Eval(rop, rank, &core.EvalOptions{Stats: &st, Trace: tr}), tr)
-		}
-		if opt.perPred != nil {
-			*opt.perPred = append(*opt.perPred,
-				predActual{Scans: st.Scans, NS: time.Since(t0).Nanoseconds()})
-		}
-		if opt.Workload != nil {
-			opt.Workload.Observe(workload.Event{Attr: p.Col, Class: cls, Value: rank,
-				Matches: n, Rows: r.Rows(), Scans: st.Scans, NS: time.Since(t0).Nanoseconds()})
-		}
-		bytes := int64(st.Scans) * bitmapBytes
-		return n, Cost{Method: BitmapMerge, BytesRead: bytes, Rows: n, Stats: st}, nil
-	}
-
-	// Multi-predicate: materialize the running AND for all but the last
-	// predicate, then fuse the final AND with the popcount so the result
-	// vector of the conjunction is never written.
-	var out *bitvec.Vector
-	var bytes int64
-	n := 0
-	for k, p := range preds {
-		before := st
-		var t0 time.Time
-		if opt.perPred != nil {
-			t0 = time.Now()
-		}
-		res, err := r.evalBitmapPred(p, opt, &st)
-		if err != nil {
-			return 0, Cost{}, err
-		}
-		if opt.perPred != nil {
-			*opt.perPred = append(*opt.perPred,
-				predActual{Scans: st.Scans - before.Scans, NS: time.Since(t0).Nanoseconds()})
-		}
-		bytes += int64(st.Scans-before.Scans) * bitmapBytes
-		switch {
-		case out == nil:
-			out = res
-		case k == len(preds)-1:
-			sp := tr.Start(telemetry.PhasePopcount)
-			n = bitvec.AndCount(out, res)
-			sp.End()
-			st.Ands++
-		default:
-			sp := tr.Start(telemetry.PhaseBoolOps)
-			out.And(res)
-			sp.End()
-			st.Ands++
-		}
-	}
-	return n, Cost{Method: BitmapMerge, BytesRead: bytes, Rows: n, Stats: st}, nil
 }
 
 // ridStats returns the matching-row count and index bytes for a predicate

@@ -133,7 +133,7 @@ func TestSelectTracedPhases(t *testing.T) {
 	r := telemetryRelation(t, 2000, 20, base)
 	preds := []Pred{{Col: "a", Op: core.Le, Val: 11}, {Col: "b", Op: core.Ge, Val: 4}}
 	tr := telemetry.NewTrace("auto le/ge")
-	if _, _, err := r.SelectTraced(preds, Auto, tr); err != nil {
+	if _, _, err := r.SelectOpts(preds, Auto, &SelectOptions{Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()

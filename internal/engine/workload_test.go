@@ -8,9 +8,9 @@ import (
 	"bitmapindex/internal/workload"
 )
 
-// TestSelectFeedsWorkload: the bitmap-merge plans report one event per
-// predicate into SelectOptions.Workload, for both the serial and the
-// segmented evaluator and for the fused count path.
+// TestSelectFeedsWorkload: the bitmap-merge plan reports one event per
+// predicate into SelectOptions.Workload, from Select and from the fused
+// count path.
 func TestSelectFeedsWorkload(t *testing.T) {
 	rel := buildRelation(t, 2000, 5)
 	var infos []workload.AttrInfo
@@ -24,9 +24,8 @@ func TestSelectFeedsWorkload(t *testing.T) {
 		{Col: "quantity", Op: core.Le, Val: 25},
 		{Col: "region", Op: core.Eq, Val: 3},
 	}
-	for _, parallel := range []bool{false, true} {
-		opt := &SelectOptions{Parallel: parallel, Workload: wl}
-		if _, _, err := rel.SelectOpts(preds, BitmapMerge, opt); err != nil {
+	for i := 0; i < 2; i++ {
+		if _, _, err := rel.SelectOpts(preds, BitmapMerge, &SelectOptions{Workload: wl}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -141,7 +141,7 @@ func runTable1(cfg Config, w io.Writer) error {
 		for v := uint64(0); v < card; v++ {
 			var sn, so core.Stats
 			ix.EvalRangeNaive(op, v, &core.EvalOptions{Stats: &sn})
-			ix.EvalRangeOpt(op, v, &core.EvalOptions{Stats: &so})
+			ix.EvalDirect(op, v, &core.EvalOptions{Stats: &so})
 			if sn.Ops() > maxN {
 				maxN = sn.Ops()
 			}
@@ -191,7 +191,7 @@ func runFig8(cfg Config, w io.Writer) error {
 			for _, op := range core.AllOps {
 				for v := uint64(0); v < card; v++ {
 					ix.EvalRangeNaive(op, v, &core.EvalOptions{Stats: &sn})
-					ix.EvalRangeOpt(op, v, &core.EvalOptions{Stats: &so})
+					ix.EvalDirect(op, v, &core.EvalOptions{Stats: &so})
 				}
 			}
 			q := float64(6 * card)

@@ -136,13 +136,13 @@ func (c *CachedStore) insert(comp, slot int, v *bitvec.Vector) {
 
 // queryOptions builds the per-query EvalOptions wiring the pool into the
 // evaluator. The returned callbacks share per-query state and are NOT safe
-// for concurrent use; they fit Eval and SegmentedEval (which prefetches
-// sequentially on the calling goroutine) but not concurrent batch workers
-// — those use the batch-scoped wiring in EvalBatch.
+// for concurrent use; they rely on the evaluator's Fetch contract (one
+// call per distinct bitmap, sequentially on the calling goroutine) and do
+// not fit concurrent batch workers — those use the batch-scoped wiring in
+// EvalBatch.
 func (c *CachedStore) queryOptions(q *query, m *Metrics) *core.EvalOptions {
-	// perQuery remembers residency as observed at first touch within this
-	// query, so the Buffered callback and Fetch agree even though Fetch
-	// also inserts into the pool.
+	// perQuery remembers residency as observed by the Buffered probe, so
+	// the probe and the Fetch that follows it agree on hit or miss.
 	perQuery := make(map[cacheKey]bool, 8)
 	wasResident := func(comp, slot int) bool {
 		key := cacheKey{comp, slot}
@@ -177,10 +177,10 @@ func (c *CachedStore) queryOptions(q *query, m *Metrics) *core.EvalOptions {
 				c.mu.Lock()
 				el, ok := c.byKey[key]
 				if !ok {
-					// Evicted since first touch within this query: the hit
-					// recorded at first touch no longer serves this read, so
-					// the refetch is a real pool miss. Count it, then fall
-					// through to read from the store.
+					// Evicted since the Buffered probe (a concurrent query's
+					// insert can land in between): the hit recorded at the
+					// probe no longer serves this read, so the read is a real
+					// pool miss. Count it, then fall through to the store.
 					c.misses++
 				}
 				c.mu.Unlock()
@@ -221,31 +221,6 @@ func (c *CachedStore) Eval(op core.Op, v uint64, m *Metrics) (res *bitvec.Vector
 		m.Queries++
 	}
 	return c.store.shell.Eval(op, v, opt), nil
-}
-
-// EvalSegmented evaluates (A op v) through the pool like Eval, but with
-// intra-query segment parallelism (core.SegmentedEval). The pool's
-// per-query callbacks are not concurrency-safe, which is fine here:
-// SegmentedEval guarantees all Fetch/Buffered calls happen sequentially on
-// the calling goroutine before any parallel work starts, and the fetched
-// bitmaps are only read by the workers.
-func (c *CachedStore) EvalSegmented(op core.Op, v uint64, m *Metrics, cfg core.SegConfig) (res *bitvec.Vector, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if se, ok := r.(storageErr); ok {
-				res, err = nil, se.err
-				return
-			}
-			panic(r)
-		}
-	}()
-	telemetry.StorageQueriesTotal.Inc()
-	q := &query{s: c.store, m: m}
-	opt := c.queryOptions(q, m)
-	if m != nil {
-		m.Queries++
-	}
-	return c.store.shell.SegmentedEval(op, v, opt, cfg), nil
 }
 
 // resident reports pool residency without touching recency or the hit/miss

@@ -124,7 +124,7 @@ func TestCrossCodecEvaluatorsAgree(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("cached roaring A %s %d differs", op, v)
 			}
-			seg, err := cs.EvalSegmented(op, v, &m, core.SegConfig{SegBits: 14, Workers: 2})
+			seg, err := segmentedEval(cs, op, v, &m, core.SegConfig{SegBits: 14, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 )
 
 // evict removes one bitmap from the pool directly; tests use it (via
-// fetchHook) to force evictions between touches of the same query.
+// fetchHook) to force an eviction inside a query.
 func (c *CachedStore) evict(comp, slot int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -24,14 +24,37 @@ func (c *CachedStore) evict(comp, slot int) {
 	}
 }
 
+// segmentedEval evaluates (A op v) through the pool's per-query callbacks
+// with core.SegmentedEval, the way Eval does with core.Eval: the Fetch
+// contract (one call per distinct bitmap, sequentially on the calling
+// goroutine) is what lets those non-concurrent callbacks serve a
+// multi-goroutine evaluation.
+func segmentedEval(c *CachedStore, op core.Op, v uint64, m *Metrics, cfg core.SegConfig) (res *bitvec.Vector, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			se, ok := r.(storageErr)
+			if !ok {
+				panic(r)
+			}
+			res, err = nil, se.err
+		}
+	}()
+	opt := c.queryOptions(&query{s: c.store, m: m}, m)
+	if m != nil {
+		m.Queries++
+	}
+	return c.store.shell.SegmentedEval(op, v, opt, cfg), nil
+}
+
 // TestCacheEvictedMidQueryCountsMiss is the regression test for the
-// evicted-mid-query undercount: a bitmap seen resident at first touch but
-// evicted before a second touch within the same query must count the
-// refetch as a miss, since it really goes back to disk.
+// evicted-mid-query undercount: a bitmap the Buffered probe saw resident
+// but that is evicted before its Fetch — under concurrent queries another
+// query's insert can land in that window — must count the read as a miss,
+// since it really goes back to disk.
 //
-// On the base <2,2> equality index, A < 3 touches E_1^1 twice (once for
-// the digit comparison, once for the prefix-equality chain), so evicting
-// it between the touches exercises exactly that path.
+// On the base <2,2> equality index, A < 3 reads E_1^1 for both the digit
+// comparison and the prefix-equality chain, yet the query fetches every
+// stored bitmap exactly once.
 func TestCacheEvictedMidQueryCountsMiss(t *testing.T) {
 	vals := []uint64{0, 1, 2, 3, 1, 2, 0, 3, 2, 1}
 	ix, err := core.Build(vals, 4, core.Base{2, 2}, core.EqualityEncoded, nil)
@@ -58,32 +81,35 @@ func TestCacheEvictedMidQueryCountsMiss(t *testing.T) {
 	}
 	h0, m0 := cs.Hits(), cs.Misses()
 
-	// Second pass: evict (1,0) between its first and second touch.
-	calls := 0
+	// Second pass: the hook runs at the start of each Fetch, after the
+	// bitmap's Buffered probe, and evicts E_1^1 in that window.
+	fetched := map[cacheKey]int{}
 	cs.fetchHook = func(comp, slot int) {
+		fetched[cacheKey{comp, slot}]++
 		if comp == 1 && slot == 0 {
-			calls++
-			if calls == 2 {
-				cs.evict(1, 0)
-			}
+			cs.evict(1, 0)
 		}
 	}
 	defer func() { cs.fetchHook = nil }()
-	got, err = cs.Eval(core.Lt, 3, nil)
+	var m Metrics
+	got, err = cs.Eval(core.Lt, 3, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
 		t.Fatal("post-eviction result differs from in-memory eval")
 	}
-	if calls != 2 {
-		t.Fatalf("E_1^1 touched %d times, want 2 (query shape changed?)", calls)
+	if len(fetched) != 2 || fetched[cacheKey{0, 0}] != 1 || fetched[cacheKey{1, 0}] != 1 {
+		t.Fatalf("fetches per (comp, slot) = %v, want E_0^1 and E_1^1 exactly once each", fetched)
 	}
 	if hits := cs.Hits() - h0; hits != 2 {
-		t.Errorf("second pass hits = %d, want 2", hits)
+		t.Errorf("second pass hits = %d, want 2 (both probes saw the bitmaps resident)", hits)
 	}
 	if misses := cs.Misses() - m0; misses != 1 {
-		t.Errorf("second pass misses = %d, want 1 (evicted-mid-query refetch)", misses)
+		t.Errorf("second pass misses = %d, want 1 (evicted before its fetch)", misses)
+	}
+	if m.FilesRead != 1 {
+		t.Errorf("second pass read %d files, want 1 (the evicted bitmap)", m.FilesRead)
 	}
 }
 
@@ -125,14 +151,14 @@ func TestCacheResidentGaugeConsistent(t *testing.T) {
 }
 
 // TestCachedStoreEvalSegmented checks the segmented read path against the
-// in-memory index and the serial cached path, including the metrics.
+// in-memory index and the cached Eval path, including the metrics.
 func TestCachedStoreEvalSegmented(t *testing.T) {
 	ix, cs := cachedFixture(t, 8)
 	cfg := core.SegConfig{SegBits: 10, Workers: 2}
 	var m Metrics
 	for _, op := range core.AllOps {
 		for v := uint64(0); v < 31; v += 3 {
-			got, err := cs.EvalSegmented(op, v, &m, cfg)
+			got, err := segmentedEval(cs, op, v, &m, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,9 +171,9 @@ func TestCachedStoreEvalSegmented(t *testing.T) {
 		t.Fatalf("metrics not accumulated: %+v", m)
 	}
 
-	// A fresh identical cache evaluated serially must report identical
+	// A fresh identical cache evaluated with Eval must report identical
 	// logical stats (scans and op counts) for the same query stream. Under
-	// -tags bixdebug the serial path's RangeEval cross-check fetches extra
+	// -tags bixdebug Eval's RangeEval cross-check fetches extra
 	// bitmaps through the pool, warming it differently, so the scan
 	// comparison only holds in a normal build.
 	if invariant.Enabled {
@@ -163,7 +189,7 @@ func TestCachedStoreEvalSegmented(t *testing.T) {
 		}
 	}
 	if m.Stats != m2.Stats {
-		t.Fatalf("segmented cached stats %+v differ from serial %+v", m.Stats, m2.Stats)
+		t.Fatalf("segmented cached stats %+v differ from Eval's %+v", m.Stats, m2.Stats)
 	}
 }
 
@@ -204,7 +230,7 @@ func TestCachedStoreEvalBatch(t *testing.T) {
 // kinds of clients at once — serial Eval, segmented Eval and EvalBatch —
 // and checks every result against precomputed expectations. Run under
 // -race (CI does) this pins the concurrency contract of the pool and of
-// SegmentedEval's sequential-prefetch design.
+// the evaluator's sequential-prefetch Fetch contract.
 func TestCachedStoreSegmentedRace(t *testing.T) {
 	const card = 30
 	col := data.Uniform(30000, card, 79)
@@ -239,7 +265,7 @@ func TestCachedStoreSegmentedRace(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for k := 0; k < 40; k++ {
 				q := queries[r.Intn(len(queries))]
-				got, err := cs.EvalSegmented(q.Op, q.V, nil, cfg)
+				got, err := segmentedEval(cs, q.Op, q.V, nil, cfg)
 				if err != nil {
 					errs <- err.Error()
 					return

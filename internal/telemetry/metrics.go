@@ -78,8 +78,8 @@ var (
 
 	// Cost-model accuracy, fed by engine.ExplainAnalyze: |predicted -
 	// measured| / max(measured, 1) per analyzed query, split by the model
-	// dimension. Scans should sit in the zero bucket for serial evaluators
-	// (the model counts the same fetches the evaluator performs); time drifts
+	// dimension. Scans should sit in the zero bucket (the model counts the
+	// same fetches the evaluator performs); time drifts
 	// with hardware and cache state, hence the wide layout.
 	CostModelErrorScans = Default().Histogram("bix_cost_model_error_scans",
 		"Relative error of predicted vs measured bitmap scans per analyzed query.",
