@@ -44,6 +44,17 @@ bixdebug:
 	$(GO) test -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/core
 	$(GO) test -race -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/reorder ./internal/core ./internal/cost ./internal/engine ./internal/buffer ./internal/telemetry ./internal/mutable ./internal/storage ./internal/catalog ./internal/flight ./internal/workload
 
+# Fuzz smoke: every fuzz target for ten seconds each. CI runs this target,
+# so the list of fuzzers lives only here.
+fuzz:
+	$(GO) test -fuzz=FuzzPayloadRoundTrip -fuzztime=10s ./internal/bitvec
+	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/wah
+	$(GO) test -fuzz=FuzzOpsVsDecompressed -fuzztime=10s ./internal/wah
+	$(GO) test -fuzz=FuzzOpsVsDense -fuzztime=10s ./internal/roaring
+	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/roaring
+	$(GO) test -fuzz=FuzzDecodeVector -fuzztime=10s ./internal/roaring
+	$(GO) test -fuzz=FuzzEvalAgreement -fuzztime=10s ./internal/core
+
 # Whole-tree statement coverage; open with `go tool cover -html=coverage.out`.
 cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./...

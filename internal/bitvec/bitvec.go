@@ -61,6 +61,23 @@ func FromIndices(n int, idx []int) *Vector {
 	return v
 }
 
+// FromWords returns an n-bit vector backed by words, taking ownership of
+// the slice: the caller must not use it afterwards. words must hold
+// exactly wordsFor(n) words; bits past n in the last word are cleared.
+// Decoders build a vector this way without a byte round trip.
+func FromWords(n int, words []uint64) (*Vector, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("bitvec: negative length %d", n)
+	}
+	if len(words) != wordsFor(n) {
+		return nil, fmt.Errorf("bitvec: %d words for length %d, need exactly %d", len(words), n, wordsFor(n))
+	}
+	v := &Vector{n: n, words: words}
+	v.maskTail()
+	invariant.TailZero(v.words, v.n)
+	return v, nil
+}
+
 func wordsFor(n int) int { return (n + wordBits - 1) / wordBits }
 
 // tailMask returns the mask of valid bits in the last word, or ^0 when the
@@ -358,8 +375,12 @@ func (v *Vector) MarshalBinary() ([]byte, error) {
 func (v *Vector) PayloadBytes() []byte {
 	nb := v.SizeBytes()
 	out := make([]byte, nb)
-	for i := 0; i < nb; i++ {
-		out[i] = byte(v.words[i/8] >> uint(8*(i%8)))
+	full := nb / 8
+	for i := 0; i < full; i++ {
+		binary.LittleEndian.PutUint64(out[8*i:], v.words[i])
+	}
+	for i := 8 * full; i < nb; i++ {
+		out[i] = byte(v.words[full] >> uint(8*(i%8)))
 	}
 	return out
 }
@@ -393,8 +414,12 @@ func (v *Vector) SetPayload(n int, payload []byte) error {
 	}
 	v.n = n
 	v.words = make([]uint64, wordsFor(n))
-	for i := 0; i < nb; i++ {
-		v.words[i/8] |= uint64(payload[i]) << uint(8*(i%8))
+	full := nb / 8
+	for i := 0; i < full; i++ {
+		v.words[i] = binary.LittleEndian.Uint64(payload[8*i:])
+	}
+	for i := 8 * full; i < nb; i++ {
+		v.words[full] |= uint64(payload[i]) << uint(8*(i%8))
 	}
 	v.maskTail()
 	invariant.TailZero(v.words, v.n)

@@ -339,6 +339,47 @@ func TestSetPayload(t *testing.T) {
 	}
 }
 
+// TestFromWordsMatchesSetPayload: adopting words equals decoding the same
+// bits from bytes, stray bits past the length included, at word and chunk
+// boundaries.
+func TestFromWordsMatchesSetPayload(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 63, 64, 65, 1<<16 - 1, 1<<16 + 1, 2<<16 - 1, 2<<16 + 1} {
+		words := make([]uint64, wordsFor(n))
+		payload := make([]byte, (n+7)/8)
+		for i := range words {
+			words[i] = r.Uint64()
+		}
+		for i := range payload {
+			payload[i] = byte(words[i/8] >> uint(8*(i%8)))
+		}
+		var want Vector
+		if err := want.SetPayload(n, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := FromWords(n, words)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !got.Equal(&want) || got.Count() != want.Count() {
+			t.Fatalf("n=%d: FromWords differs from SetPayload", n)
+		}
+		var back Vector
+		if err := back.SetPayload(n, got.PayloadBytes()); err != nil || !back.Equal(got) {
+			t.Fatalf("n=%d: PayloadBytes does not round-trip (%v)", n, err)
+		}
+	}
+	if _, err := FromWords(65, make([]uint64, 1)); err == nil {
+		t.Fatal("FromWords accepted too few words")
+	}
+	if _, err := FromWords(64, make([]uint64, 2)); err == nil {
+		t.Fatal("FromWords accepted too many words")
+	}
+	if _, err := FromWords(-1, nil); err == nil {
+		t.Fatal("FromWords accepted a negative length")
+	}
+}
+
 func BenchmarkAnd64K(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
 	x, y := randomVec(r, 1<<16), randomVec(r, 1<<16)

@@ -2,6 +2,7 @@ package roaring
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"bitmapindex/internal/bitvec"
@@ -107,6 +108,57 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if !bytes.Equal(p, p2) {
 			t.Fatalf("accepted non-canonical serialization")
+		}
+	})
+}
+
+// FuzzDecodeVector differentially checks the dense decoder against
+// UnmarshalBinary: on arbitrary bytes both accept or both reject, and an
+// accepted payload decodes to ToVector's bits. Headers declaring more than
+// 2^24 bits are skipped, since DecodeVector allocates the whole length.
+func FuzzDecodeVector(f *testing.F) {
+	for _, n := range []int{0, 1, 65, chunkBits, 2*chunkBits + 1} {
+		b := FromVector(mkVec(n, func(i int) bool { return i%3 == 0 }))
+		p, _ := b.MarshalBinary()
+		f.Add(p)
+	}
+	// One container of each kind, then a tail chunk holding a single bit:
+	// once at the last valid position, once just past the length.
+	kinds, _ := FromVector(mkVec(3*chunkBits, func(i int) bool {
+		switch i / chunkBits {
+		case 0:
+			return i%1000 == 0
+		case 1:
+			return i%3 != 0
+		default:
+			return (i%chunkBits)/8192%2 == 0
+		}
+	})).MarshalBinary()
+	f.Add(kinds)
+	n := 2*chunkBits + 1
+	tail, _ := FromVector(mkVec(n, func(i int) bool { return i == n-1 })).MarshalBinary()
+	f.Add(tail)
+	stray := append([]byte(nil), tail...)
+	stray[len(stray)-2] = 1 // the array entry: bit 1 of a 1-bit tail chunk
+	f.Add(stray)
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) >= 8 && binary.LittleEndian.Uint64(p) > 1<<24 {
+			return
+		}
+		var b Bitmap
+		uerr := b.UnmarshalBinary(p)
+		v, derr := DecodeVector(p)
+		if (uerr == nil) != (derr == nil) {
+			t.Fatalf("UnmarshalBinary error %v, DecodeVector error %v", uerr, derr)
+		}
+		if uerr != nil {
+			return
+		}
+		if !v.Equal(b.ToVector()) {
+			t.Fatal("DecodeVector differs from ToVector")
+		}
+		if v.Count() != b.Count() {
+			t.Fatalf("DecodeVector Count %d, bitmap Count %d", v.Count(), b.Count())
 		}
 	})
 }

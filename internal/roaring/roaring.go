@@ -25,6 +25,7 @@ package roaring
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -221,7 +222,7 @@ func FromVector(v *bitvec.Vector) *Bitmap {
 // excluded, as in classic roaring): run wins when strictly smallest,
 // otherwise array up to arrayCutoff entries, otherwise bitmap.
 func packContainer(cw *[chunkWords]uint64, card int) container {
-	nruns := countRuns(cw)
+	nruns := countRuns(cw[:])
 	if runWins(card, nruns) {
 		return runsFromWords(cw, card, nruns)
 	}
@@ -240,10 +241,11 @@ func runWins(card, nruns int) bool {
 	return runB < 2*card && runB < bmB
 }
 
-// countRuns returns the number of maximal runs of consecutive set bits.
+// countRuns returns the number of maximal runs of consecutive set bits in
+// a chunk's words; a partial tail chunk passes fewer than chunkWords.
 //
 //bix:hotpath
-func countRuns(cw *[chunkWords]uint64) int {
+func countRuns(cw []uint64) int {
 	n := 0
 	prev := false // bit 63 of the previous word
 	for _, w := range cw {
@@ -300,23 +302,16 @@ func nextBit(cw *[chunkWords]uint64, from int, invert bool) int {
 }
 
 // ToVector expands the bitmap to a dense vector of the same length. The
-// bits are staged in a local word buffer and installed via SetPayload —
+// bits are staged in a local word buffer that the vector then adopts —
 // Words() is read-only outside package bitvec.
 func (b *Bitmap) ToVector() *bitvec.Vector {
-	v := bitvec.New(b.nbits)
-	if b.nbits == 0 {
-		return v
-	}
 	words := make([]uint64, (b.nbits+63)/64)
 	for i := range b.containers {
 		base := int(b.keys[i]) * chunkWords
 		b.containers[i].writeWords(words[base:min(base+chunkWords, len(words))])
 	}
-	payload := make([]byte, (b.nbits+7)/8)
-	for i := range payload {
-		payload[i] = byte(words[i/8] >> uint(8*(i%8)))
-	}
-	if err := v.SetPayload(b.nbits, payload); err != nil {
+	v, err := bitvec.FromWords(b.nbits, words)
+	if err != nil {
 		panic("roaring: internal: " + err.Error())
 	}
 	return v
@@ -447,179 +442,225 @@ func (b *Bitmap) MarshalBinary() ([]byte, error) {
 // payload is rejected rather than producing a bitmap whose Count,
 // operations and ToVector disagree.
 func (b *Bitmap) UnmarshalBinary(p []byte) error {
+	nb, _, err := parse(p, false)
+	if err != nil {
+		return err
+	}
+	*b = nb
+	return nil
+}
+
+// DecodeVector decodes a MarshalBinary payload straight into the words of
+// a dense vector, without building containers. It accepts exactly the
+// payloads UnmarshalBinary accepts, and the result equals that bitmap's
+// ToVector. The vector is allocated at the length the header declares,
+// so a caller decoding untrusted input bounds that length first.
+func DecodeVector(p []byte) (*bitvec.Vector, error) {
+	nb, words, err := parse(p, true)
+	if err != nil {
+		return nil, err
+	}
+	return bitvec.FromWords(nb.nbits, words)
+}
+
+var errTruncated = errors.New("truncated payload")
+
+// parse is the one validating reader of the MarshalBinary format. With
+// dense false it rebuilds the container list; with dense true it writes
+// each container's bits into a word slice of the payload's length instead
+// and returns a Bitmap carrying only the length. Both modes enforce the
+// same invariants: ascending keys inside the length, per-form cardinality
+// bounds, sorted disjoint entries, no bits past the length, and the
+// minimal form for every container.
+func parse(p []byte, dense bool) (Bitmap, []uint64, error) {
 	if len(p) < 12 {
-		return fmt.Errorf("roaring: truncated header (%d bytes)", len(p))
+		return Bitmap{}, nil, fmt.Errorf("roaring: truncated header (%d bytes)", len(p))
 	}
 	n64 := binary.LittleEndian.Uint64(p)
 	if n64 > uint64(int(^uint(0)>>1)) {
-		return fmt.Errorf("roaring: length %d overflows int", n64)
+		return Bitmap{}, nil, fmt.Errorf("roaring: length %d overflows int", n64)
 	}
 	nbits := int(n64)
 	nc := int(binary.LittleEndian.Uint32(p[8:]))
 	maxChunks := (nbits + chunkBits - 1) / chunkBits
 	if nc > maxChunks {
-		return fmt.Errorf("roaring: %d containers exceed %d chunks for length %d", nc, maxChunks, nbits)
+		return Bitmap{}, nil, fmt.Errorf("roaring: %d containers exceed %d chunks for length %d", nc, maxChunks, nbits)
+	}
+	b := Bitmap{nbits: nbits}
+	var words []uint64
+	if dense {
+		words = make([]uint64, (nbits+63)/64)
 	}
 	pos := 12
-	need := func(n int) error {
-		if len(p)-pos < n {
-			return fmt.Errorf("roaring: truncated payload at byte %d", pos)
-		}
-		return nil
-	}
-	nb := &Bitmap{nbits: nbits}
 	prevKey := -1
 	for i := 0; i < nc; i++ {
-		if err := need(3); err != nil {
-			return err
+		if len(p)-pos < 3 {
+			return Bitmap{}, nil, fmt.Errorf("roaring: truncated payload at byte %d", pos)
 		}
 		key := binary.LittleEndian.Uint16(p[pos:])
 		typ := p[pos+2]
 		pos += 3
 		if int(key) <= prevKey {
-			return fmt.Errorf("roaring: container keys not strictly ascending at %d", key)
+			return Bitmap{}, nil, fmt.Errorf("roaring: container keys not strictly ascending at %d", key)
 		}
 		if int(key) >= maxChunks {
-			return fmt.Errorf("roaring: container key %d outside length %d", key, nbits)
+			return Bitmap{}, nil, fmt.Errorf("roaring: container key %d outside length %d", key, nbits)
 		}
 		prevKey = int(key)
-		var c container
-		switch typ {
-		case typeArray:
-			if err := need(2); err != nil {
-				return err
-			}
-			cnt := int(binary.LittleEndian.Uint16(p[pos:]))
-			pos += 2
-			if cnt == 0 || cnt > arrayCutoff {
-				return fmt.Errorf("roaring: array container cardinality %d out of (0,%d]", cnt, arrayCutoff)
-			}
-			if err := need(2 * cnt); err != nil {
-				return err
-			}
-			c = container{typ: typeArray, card: cnt, arr: make([]uint16, cnt)}
-			for j := 0; j < cnt; j++ {
-				c.arr[j] = binary.LittleEndian.Uint16(p[pos:])
-				pos += 2
-				if j > 0 && c.arr[j] <= c.arr[j-1] {
-					return fmt.Errorf("roaring: array container not strictly ascending")
-				}
-			}
-		case typeBitmap:
-			if err := need(8 * chunkWords); err != nil {
-				return err
-			}
-			c = container{typ: typeBitmap, bits: make([]uint64, chunkWords)}
-			for j := 0; j < chunkWords; j++ {
-				c.bits[j] = binary.LittleEndian.Uint64(p[pos:])
-				c.card += bits.OnesCount64(c.bits[j])
-				pos += 8
-			}
-			if c.card <= arrayCutoff {
-				return fmt.Errorf("roaring: bitmap container cardinality %d should be an array", c.card)
-			}
-		case typeRun:
-			if err := need(2); err != nil {
-				return err
-			}
-			cnt := int(binary.LittleEndian.Uint16(p[pos:]))
-			pos += 2
-			if cnt == 0 {
-				return fmt.Errorf("roaring: empty run container")
-			}
-			if err := need(4 * cnt); err != nil {
-				return err
-			}
-			c = container{typ: typeRun, runs: make([]run, cnt)}
-			for j := 0; j < cnt; j++ {
-				r := run{binary.LittleEndian.Uint16(p[pos:]), binary.LittleEndian.Uint16(p[pos+2:])}
-				pos += 4
-				if r.last < r.start {
-					return fmt.Errorf("roaring: inverted run [%d,%d]", r.start, r.last)
-				}
-				if j > 0 && int(r.start) <= int(c.runs[j-1].last)+1 {
-					return fmt.Errorf("roaring: runs overlap or touch")
-				}
-				c.runs[j] = r
-				c.card += int(r.last) - int(r.start) + 1
-			}
-		default:
-			return fmt.Errorf("roaring: unknown container type %d", typ)
+		// limit is the chunk's length in bits: shorter only for a partial
+		// tail chunk, whose container must not reach past the length.
+		limit := chunkBits
+		if rem := nbits & (chunkBits - 1); int(key) == maxChunks-1 && rem != 0 {
+			limit = rem
 		}
-		// The container must stay inside the logical length and in its
-		// canonical (minimal) form, so Count/ops/serialization agree.
-		if int(key) == maxChunks-1 {
-			if rem := nbits & (chunkBits - 1); rem != 0 && c.maxBit() >= rem {
-				return fmt.Errorf("roaring: container %d has bits past length %d", key, nbits)
-			}
+		var win []uint64
+		if dense {
+			base := int(key) * chunkWords
+			win = words[base:min(base+chunkWords, len(words))]
 		}
-		if !c.isCanonicalForm() {
-			return fmt.Errorf("roaring: container %d not in minimal form", key)
+		c, used, err := parseContainer(p[pos:], typ, limit, win)
+		if errors.Is(err, errTruncated) {
+			return Bitmap{}, nil, fmt.Errorf("roaring: truncated payload at byte %d", pos)
 		}
-		nb.keys = append(nb.keys, key)
-		nb.containers = append(nb.containers, c)
+		if err != nil {
+			return Bitmap{}, nil, fmt.Errorf("roaring: container %d: %w", key, err)
+		}
+		pos += used
+		if !dense {
+			b.keys = append(b.keys, key)
+			b.containers = append(b.containers, c)
+		}
 	}
 	if pos != len(p) {
-		return fmt.Errorf("roaring: %d trailing bytes", len(p)-pos)
+		return Bitmap{}, nil, fmt.Errorf("roaring: %d trailing bytes", len(p)-pos)
 	}
-	*b = *nb
-	return nil
+	return b, words, nil
 }
 
-// maxBit returns the highest set low-bit position in the container.
-func (c *container) maxBit() int {
-	switch c.typ {
+// parseContainer validates one container body of form typ at the start of
+// p and returns it with the number of bytes it occupies. No bit may lie at
+// or past limit. A nil win asks for the container's own storage; a
+// non-nil win (the chunk's zeroed words in a dense vector, truncated at
+// the vector's end) receives the bits instead, and the returned container
+// carries only its form and cardinality.
+func parseContainer(p []byte, typ uint8, limit int, win []uint64) (container, int, error) {
+	c := container{typ: typ}
+	var n, nruns int
+	last := -1 // highest set bit so far
+	switch typ {
 	case typeArray:
-		return int(c.arr[len(c.arr)-1])
+		if len(p) < 2 {
+			return c, 0, errTruncated
+		}
+		cnt := int(binary.LittleEndian.Uint16(p))
+		if cnt == 0 || cnt > arrayCutoff {
+			return c, 0, fmt.Errorf("array cardinality %d out of (0,%d]", cnt, arrayCutoff)
+		}
+		if n = 2 + 2*cnt; len(p) < n {
+			return c, 0, errTruncated
+		}
+		if win == nil {
+			c.arr = make([]uint16, cnt)
+		}
+		for j := 0; j < cnt; j++ {
+			x := int(binary.LittleEndian.Uint16(p[2+2*j:]))
+			if x <= last {
+				return c, 0, errors.New("array not strictly ascending")
+			}
+			if x >= limit {
+				return c, 0, fmt.Errorf("bit %d past the length", x)
+			}
+			if x != last+1 || j == 0 {
+				nruns++
+			}
+			last = x
+			if win == nil {
+				c.arr[j] = uint16(x)
+			} else {
+				win[x>>6] |= 1 << (x & 63)
+			}
+		}
+		c.card = cnt
 	case typeBitmap:
-		for i := chunkWords - 1; i >= 0; i-- {
-			if c.bits[i] != 0 {
-				return i*64 + 63 - bits.LeadingZeros64(c.bits[i])
+		if n = 8 * chunkWords; len(p) < n {
+			return c, 0, errTruncated
+		}
+		if win == nil {
+			c.bits = make([]uint64, chunkWords)
+			win = c.bits
+		}
+		// The first keep words may hold bits below limit and are copied;
+		// the rest, and the last kept word's bits from limit on, must be
+		// zero. For a dense window, keep is exactly its length.
+		keep := (limit + 63) / 64
+		dst, src := win[:keep], p[:8*keep]
+		for j := range dst {
+			w := binary.LittleEndian.Uint64(src[8*j:])
+			dst[j] = w
+			c.card += bits.OnesCount64(w)
+		}
+		for j := keep; j < chunkWords; j++ {
+			if binary.LittleEndian.Uint64(p[8*j:]) != 0 {
+				return c, 0, fmt.Errorf("bits in word %d past the length", j)
 			}
 		}
-		return -1
-	default:
-		return int(c.runs[len(c.runs)-1].last)
-	}
-}
-
-// isCanonicalForm reports whether the container's representation is the
-// one packContainer would pick for its contents.
-func (c *container) isCanonicalForm() bool {
-	nruns := c.numRuns()
-	switch c.typ {
+		if r := limit & 63; r != 0 && dst[keep-1]>>r != 0 {
+			return c, 0, fmt.Errorf("bits in word %d past the length", keep-1)
+		}
+		nruns = countRuns(dst)
 	case typeRun:
-		return runWins(c.card, nruns)
-	case typeArray:
-		return !runWins(c.card, nruns) && c.card <= arrayCutoff
-	default:
-		return !runWins(c.card, nruns) && c.card > arrayCutoff
-	}
-}
-
-// numRuns returns the number of maximal runs in the container.
-func (c *container) numRuns() int {
-	switch c.typ {
-	case typeRun:
-		return len(c.runs)
-	case typeArray:
-		n := 0
-		for i, p := range c.arr {
-			if i == 0 || p != c.arr[i-1]+1 {
-				n++
+		if len(p) < 2 {
+			return c, 0, errTruncated
+		}
+		cnt := int(binary.LittleEndian.Uint16(p))
+		if cnt == 0 {
+			return c, 0, errors.New("empty run container")
+		}
+		if n = 2 + 4*cnt; len(p) < n {
+			return c, 0, errTruncated
+		}
+		if win == nil {
+			c.runs = make([]run, cnt)
+		}
+		for j := 0; j < cnt; j++ {
+			r := run{binary.LittleEndian.Uint16(p[2+4*j:]), binary.LittleEndian.Uint16(p[4+4*j:])}
+			if r.last < r.start {
+				return c, 0, fmt.Errorf("inverted run [%d,%d]", r.start, r.last)
+			}
+			if j > 0 && int(r.start) <= last+1 {
+				return c, 0, errors.New("runs overlap or touch")
+			}
+			if int(r.last) >= limit {
+				return c, 0, fmt.Errorf("bit %d past the length", r.last)
+			}
+			last = int(r.last)
+			c.card += int(r.last) - int(r.start) + 1
+			if win == nil {
+				c.runs[j] = r
+			} else {
+				setWordRange(win, int(r.start), int(r.last))
 			}
 		}
-		return n
+		nruns = cnt
 	default:
-		var cw [chunkWords]uint64
-		copy(cw[:], c.bits)
-		return countRuns(&cw)
+		return c, 0, fmt.Errorf("unknown container type %d", typ)
 	}
+	// The minimal form keeps Count, operations and serialization agreeing.
+	if !canonical(typ, c.card, nruns) {
+		return c, 0, fmt.Errorf("%d bits in %d runs not in minimal form", c.card, nruns)
+	}
+	return c, n, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// canonical reports whether typ is the form packContainer picks for a
+// chunk of card set bits in nruns maximal runs.
+func canonical(typ uint8, card, nruns int) bool {
+	switch {
+	case runWins(card, nruns):
+		return typ == typeRun
+	case card <= arrayCutoff:
+		return typ == typeArray
+	default:
+		return typ == typeBitmap
 	}
-	return b
 }

@@ -20,6 +20,7 @@ package storage
 import (
 	"bytes"
 	"compress/zlib"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -188,7 +189,7 @@ type Metrics struct {
 	FilesRead    int
 	BytesRead    int64 // on-disk bytes read (compressed size when compressed)
 	ReadNS       int64 // file read time
-	DecompressNS int64 // zlib inflate time
+	DecompressNS int64 // codec decode time: zlib inflate, WAH or roaring decode
 	ExtractNS    int64 // row-major column extraction time
 	Stats        core.Stats
 	// Trace, when non-nil, receives per-phase durations (fetch,
@@ -365,15 +366,11 @@ func Open(dir string) (*Store, error) {
 		codec = CodecZlib // descriptor written before the codec field existed
 	}
 	s := &Store{dir: dir, meta: m, codec: codec}
-	nnPayload, _, err := s.readFile("nn.bm", nil)
+	nn, err := s.readFile("nn.bm", m.Rows, nil)
 	if err != nil {
 		return nil, err
 	}
-	var nn bitvec.Vector
-	if err := nn.SetPayload(m.Rows, nnPayload); err != nil {
-		return nil, fmt.Errorf("storage: nn bitmap: %w", err)
-	}
-	shell, err := core.NewShell(core.Base(m.Base), enc, m.Card, &nn, m.HasNulls)
+	shell, err := core.NewShell(core.Base(m.Base), enc, m.Card, nn, m.HasNulls)
 	if err != nil {
 		return nil, err
 	}
@@ -435,52 +432,29 @@ func (s *Store) Describe() string {
 		s.meta.Scheme, s.codec, s.meta.Encoding, core.Base(s.meta.Base).String())
 }
 
-// readFile reads (and if needed inflates) one file, accounting into m.
-func (s *Store) readFile(name string, m *Metrics) ([]byte, int64, error) {
+// readFile reads one file, verifies its checksum over the on-disk bytes
+// and decodes it exactly once, straight into the words of the returned
+// nbits-bit vector, accounting into m. A file that fails to decode, or
+// decodes to any other length, is rejected as ErrCorrupt: without
+// checksums in the descriptor (older writers), the codec's own checks and
+// the length check are all that stand between a torn or stale file and a
+// wrong answer.
+func (s *Store) readFile(name string, nbits int, m *Metrics) (*bitvec.Vector, error) {
 	t0 := time.Now()
 	raw, err := os.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
-		return nil, 0, fmt.Errorf("storage: %w", err)
+		return nil, fmt.Errorf("storage: %w", err)
 	}
 	readNS := time.Since(t0).Nanoseconds()
 	onDisk := int64(len(raw))
 	if want, ok := s.meta.Checksums[name]; ok {
 		if got := crc32.ChecksumIEEE(raw); got != want {
-			return nil, 0, fmt.Errorf("storage: %w: %s (crc %08x, want %08x)", ErrCorrupt, name, got, want)
+			return nil, fmt.Errorf("storage: %w: %s (crc %08x, want %08x)", ErrCorrupt, name, got, want)
 		}
 	}
-	var decompNS int64
-	switch s.codec {
-	case CodecZlib:
-		t1 := time.Now()
-		zr, err := zlib.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			return nil, 0, fmt.Errorf("storage: inflate %s: %w", name, err)
-		}
-		raw, err = io.ReadAll(zr)
-		if cerr := zr.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("storage: inflate %s: %w", name, err)
-		}
-		decompNS = time.Since(t1).Nanoseconds()
-	case CodecWAH:
-		t1 := time.Now()
-		var wb wah.Bitmap
-		if err := wb.UnmarshalBinary(raw); err != nil {
-			return nil, 0, fmt.Errorf("storage: decode %s: %w", name, err)
-		}
-		raw = wb.Decompress().PayloadBytes()
-		decompNS = time.Since(t1).Nanoseconds()
-	case CodecRoaring:
-		t1 := time.Now()
-		var rb roaring.Bitmap
-		if err := rb.UnmarshalBinary(raw); err != nil {
-			return nil, 0, fmt.Errorf("storage: decode %s: %w", name, err)
-		}
-		raw = rb.ToVector().PayloadBytes()
-		decompNS = time.Since(t1).Nanoseconds()
+	v, decompNS, err := s.decode(raw, nbits)
+	if err != nil {
+		return nil, fmt.Errorf("storage: %w: %s: %w", ErrCorrupt, name, err)
 	}
 	telemetry.StorageFilesReadTotal.Inc()
 	telemetry.StorageBytesReadTotal.Add(onDisk)
@@ -495,68 +469,131 @@ func (s *Store) readFile(name string, m *Metrics) ([]byte, int64, error) {
 			m.Trace.Add(telemetry.PhaseDecompress, time.Duration(decompNS))
 		}
 	}
-	return raw, onDisk, nil
+	return v, nil
 }
 
-// query is the per-query fetch context: every file is read at most once
-// per query regardless of how many bitmaps are extracted from it.
+// decode turns one file's on-disk bytes into its nbits-bit vector and
+// reports the time of the codec step (zero for raw files). Each codec
+// checks the length: SetPayload wants exactly ceil(nbits/8) raw or
+// inflated bytes, and the WAH and roaring headers must declare nbits.
+func (s *Store) decode(raw []byte, nbits int) (*bitvec.Vector, int64, error) {
+	if nbits < 0 {
+		return nil, 0, fmt.Errorf("negative length %d", nbits)
+	}
+	t0 := time.Now()
+	var codecNS int64
+	switch s.codec {
+	case CodecZlib:
+		var err error
+		if raw, err = inflate(raw, (nbits+7)/8); err != nil {
+			return nil, 0, fmt.Errorf("inflate: %w", err)
+		}
+		codecNS = time.Since(t0).Nanoseconds()
+	case CodecWAH, CodecRoaring:
+		// Both open with an 8-byte little-endian bit length, checked before
+		// the decoder allocates that many bits.
+		if len(raw) < 8 || binary.LittleEndian.Uint64(raw) != uint64(nbits) {
+			return nil, 0, fmt.Errorf("header does not declare %d bits", nbits)
+		}
+		var v *bitvec.Vector
+		var err error
+		if s.codec == CodecWAH {
+			var wb wah.Bitmap
+			if err = wb.UnmarshalBinary(raw); err == nil {
+				v = wb.Decompress()
+			}
+		} else {
+			v, err = roaring.DecodeVector(raw)
+		}
+		return v, time.Since(t0).Nanoseconds(), err
+	}
+	v := new(bitvec.Vector)
+	return v, codecNS, v.SetPayload(nbits, raw)
+}
+
+// inflate decompresses a zlib stream that must hold exactly n bytes. The
+// buffer is allocated once at its final size, and the read past the end
+// must report io.EOF, which is where the reader verifies the adler32
+// trailer, so short, long and checksum-damaged streams all fail.
+func inflate(raw []byte, n int) ([]byte, error) {
+	zr, err := zlib.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, n)
+	if _, err := io.ReadFull(zr, out); err != nil {
+		return nil, fmt.Errorf("want %d bytes: %w", n, err)
+	}
+	var extra [1]byte
+	if _, err := io.ReadFull(zr, extra[:]); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("stream inflates past %d bytes", n)
+		}
+		return nil, err
+	}
+	return out, zr.Close()
+}
+
+// query is the per-query fetch context: every file is read and decoded at
+// most once per query regardless of how many bitmaps come out of it.
 type query struct {
 	s     *Store
 	m     *Metrics
-	files map[string][]byte
+	files map[string]*bitvec.Vector
 }
 
-func (q *query) file(name string) []byte {
-	if p, ok := q.files[name]; ok {
-		return p
+// file returns the decoded contents of the named file, an nbits-bit vector.
+func (q *query) file(name string, nbits int) *bitvec.Vector {
+	if v, ok := q.files[name]; ok {
+		return v
 	}
-	p, _, err := q.s.readFile(name, q.m)
+	v, err := q.s.readFile(name, nbits, q.m)
 	if err != nil {
 		panic(storageErr{err})
 	}
 	if q.files == nil {
-		q.files = make(map[string][]byte, 4)
+		q.files = make(map[string]*bitvec.Vector, 4)
 	}
-	q.files[name] = p
-	return p
+	q.files[name] = v
+	return v
 }
 
-// fetch implements core.EvalOptions.Fetch against the store's layout.
+// fetch implements core.EvalOptions.Fetch against the store's layout. A BS
+// file is the bitmap itself; CS and IS files are row-major matrices whose
+// columns are extracted.
 func (q *query) fetch(comp, slot int) *bitvec.Vector {
 	s := q.s
 	rows := s.shell.Rows()
 	switch s.meta.Scheme {
 	case "BS":
-		payload := q.file(bitmapFile(comp, slot))
-		var v bitvec.Vector
-		if err := v.SetPayload(rows, payload); err != nil {
-			panic(storageErr{err})
-		}
-		return &v
+		return q.file(bitmapFile(comp, slot), rows)
 	case "CS":
-		payload := q.file(componentFile(comp))
-		return q.extract(payload, s.shell.ComponentBitmaps(comp), slot)
+		stride := s.shell.ComponentBitmaps(comp)
+		return q.extract(q.file(componentFile(comp), rows*stride), stride, slot)
 	default: // IS
-		payload := q.file("index.is")
 		off := 0
 		for i := 0; i < comp; i++ {
 			off += s.shell.ComponentBitmaps(i)
 		}
-		return q.extract(payload, totalBitmaps(s.shell), off+slot)
+		stride := totalBitmaps(s.shell)
+		return q.extract(q.file("index.is", rows*stride), stride, off+slot)
 	}
 }
 
 // extract pulls one column out of a row-major bit matrix.
-func (q *query) extract(payload []byte, stride, col int) *bitvec.Vector {
+func (q *query) extract(matrix *bitvec.Vector, stride, col int) *bitvec.Vector {
 	t0 := time.Now()
 	rows := q.s.shell.Rows()
-	v := bitvec.New(rows)
+	src := matrix.Words()
+	words := make([]uint64, (rows+63)/64)
 	k := col
 	for r := 0; r < rows; r++ {
-		if payload[k/8]&(1<<uint(k%8)) != 0 {
-			v.Set(r)
-		}
+		words[r>>6] |= (src[k>>6] >> uint(k&63) & 1) << uint(r&63)
 		k += stride
+	}
+	v, err := bitvec.FromWords(rows, words)
+	if err != nil {
+		panic("storage: internal: " + err.Error())
 	}
 	extractNS := time.Since(t0).Nanoseconds()
 	telemetry.StorageExtractNSTotal.Add(extractNS)
@@ -594,7 +631,8 @@ func (s *Store) Eval(op core.Op, v uint64, m *Metrics) (res *bitvec.Vector, err 
 var ErrNotFound = errors.New("storage: index not found")
 
 // ErrCorrupt reports a stored file whose contents no longer match the
-// checksum recorded at save time.
+// checksum recorded at save time, fail to decode, or decode to a length
+// other than the descriptor's.
 var ErrCorrupt = errors.New("storage: checksum mismatch")
 
 // Exists reports whether dir contains a saved index.

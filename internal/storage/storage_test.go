@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bitmapindex/internal/bitvec"
 	"bitmapindex/internal/core"
 	"bitmapindex/internal/data"
+	"bitmapindex/internal/roaring"
 )
 
 func allOptions() []Options {
@@ -336,6 +338,21 @@ func TestOldMetaWithoutChecksumsStillOpens(t *testing.T) {
 	if _, err := Save(ix, dir, Options{Scheme: BitmapLevel}); err != nil {
 		t.Fatal(err)
 	}
+	st := openWithoutChecksums(t, dir)
+	got, err := st.Eval(core.Le, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(ix.Eval(core.Le, 3, nil)) {
+		t.Fatal("result differs")
+	}
+}
+
+// openWithoutChecksums strips the checksum map from a saved descriptor, as
+// older writers left it, and opens the store: reads are then guarded only
+// by the codecs' own checks and the decoded-length check.
+func openWithoutChecksums(t *testing.T, dir string) *Store {
+	t.Helper()
 	mj, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if err != nil {
 		t.Fatal(err)
@@ -356,11 +373,58 @@ func TestOldMetaWithoutChecksumsStillOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Eval(core.Le, 3, nil)
+	return st
+}
+
+// TestShortRoaringBitmapRejected: a roaring BS file whose header declares
+// one bit fewer than the index has rows is a wrong-length bitmap, not a
+// valid one, even when no checksum covers it.
+func TestShortRoaringBitmapRejected(t *testing.T) {
+	ix, _, _ := buildTestIndex(t, core.RangeEncoded, false)
+	dir := t.TempDir()
+	if _, err := Save(ix, dir, Options{Scheme: BitmapLevel, Codec: CodecRoaring}); err != nil {
+		t.Fatal(err)
+	}
+	full := ix.StoredBitmap(0, 0)
+	short := bitvec.New(full.Len() - 1)
+	full.Ones(func(i int) bool {
+		if i < short.Len() {
+			short.Set(i)
+		}
+		return true
+	})
+	p, err := roaring.FromVector(short).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(ix.Eval(core.Le, 3, nil)) {
-		t.Fatal("result differs")
+	if err := os.WriteFile(filepath.Join(dir, bitmapFile(0, 0)), p, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openWithoutChecksums(t, dir)
+	if _, err := st.Eval(core.Le, 0, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("short roaring bitmap returned %v, want ErrCorrupt", err)
+	}
+}
+
+// TestTruncatedRawComponentRejected: a raw CS file missing its last bytes
+// used to index past the end of the payload during column extraction and
+// panic out of Eval; it must be rejected as corrupt instead.
+func TestTruncatedRawComponentRejected(t *testing.T) {
+	ix, _, _ := buildTestIndex(t, core.RangeEncoded, false)
+	dir := t.TempDir()
+	if _, err := Save(ix, dir, Options{Scheme: ComponentLevel}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, componentFile(0))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openWithoutChecksums(t, dir)
+	if _, err := st.Eval(core.Le, 0, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated component file returned %v, want ErrCorrupt", err)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"math/bits"
 
 	"bitmapindex/internal/bitvec"
-	"bitmapindex/internal/invariant"
 )
 
 const (
@@ -118,7 +117,6 @@ func (r *reader) next() uint64 {
 
 // Decompress expands the bitmap to a plain vector.
 func (b *Bitmap) Decompress() *bitvec.Vector {
-	v := bitvec.New(b.nbits)
 	words := make([]uint64, (b.nbits+63)/64)
 	r := reader{words: b.words}
 	ng := b.groups()
@@ -131,15 +129,11 @@ func (b *Bitmap) Decompress() *bitvec.Vector {
 			words[wi+1] |= gw >> (64 - off)
 		}
 	}
-	// Rebuild via payload to respect the vector's tail invariant.
-	payload := make([]byte, (b.nbits+7)/8)
-	for i := range payload {
-		payload[i] = byte(words[i/8] >> uint(8*(i%8)))
-	}
-	if err := v.SetPayload(b.nbits, payload); err != nil {
+	// The vector adopts the words; FromWords masks the padded tail group.
+	v, err := bitvec.FromWords(b.nbits, words)
+	if err != nil {
 		panic("wah: internal: " + err.Error())
 	}
-	invariant.TailZero(v.Words(), v.Len())
 	return v
 }
 
