@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build vet test lint lint-timings sarif race bixdebug scaling \
-	fuzz ci cover bench-baseline bench-compare
+	fuzz bench-smoke ci cover bench-baseline bench-compare
 
 all: build
 
@@ -54,6 +54,13 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/roaring
 	$(GO) test -fuzz=FuzzDecodeVector -fuzztime=10s ./internal/roaring
 	$(GO) test -fuzz=FuzzEvalAgreement -fuzztime=10s ./internal/core
+	$(GO) test -fuzz=FuzzInflateVector -fuzztime=10s ./internal/storage
+
+# Benchmark smoke: every Go benchmark once, so they keep compiling and
+# running (BenchmarkReadFile, BenchmarkTableCount, ...). It times nothing
+# worth reading; run a benchmark with -benchtime and -count for numbers.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Whole-tree statement coverage; open with `go tool cover -html=coverage.out`.
 cover:

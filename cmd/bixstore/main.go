@@ -206,6 +206,9 @@ func runQuery(w io.Writer, args []string) error {
 	if *dir == "" || *q == "" {
 		return fmt.Errorf("query needs -dir and -q")
 	}
+	if *limit < 0 {
+		return fmt.Errorf("bad limit %d", *limit)
+	}
 	op, v, err := parsePredicate(*q)
 	if err != nil {
 		return err
@@ -240,12 +243,9 @@ func runQuery(w io.Writer, args []string) error {
 	fmt.Fprintf(w, "A %s %d: %d of %d rows match\n", op, v, count, st.Index().Rows())
 	fmt.Fprintf(w, "scans: %d bitmaps, %d files, %d bytes read\n", m.Stats.Scans, m.FilesRead, m.BytesRead)
 	if *list {
-		n := 0
-		res.Ones(func(r int) bool {
-			fmt.Fprintln(w, r)
-			n++
-			return n < *limit
-		})
+		for _, rid := range firstIDs(res, *limit) {
+			fmt.Fprintln(w, rid)
+		}
 	}
 	if *metrics {
 		m.Trace.Finish()
@@ -257,6 +257,19 @@ func runQuery(w io.Writer, args []string) error {
 		}
 	}
 	return nil
+}
+
+// firstIDs returns the first limit set positions of v, in order.
+func firstIDs(v *bitmapindex.Bitmap, limit int) []int {
+	var ids []int
+	v.Ones(func(i int) bool {
+		if len(ids) == limit {
+			return false
+		}
+		ids = append(ids, i)
+		return true
+	})
+	return ids
 }
 
 // popcount counts result bits under the popcount trace phase.

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
@@ -344,6 +345,12 @@ func (s *queryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	rids := r.URL.Query().Get("rids") == "1"
+	limit, ok := ridLimit(r.URL.Query())
+	if rids && !ok {
+		http.Error(w, "bad limit", http.StatusBadRequest)
+		return
+	}
 	analyze := r.URL.Query().Get("analyze") == "1"
 	eval := s.eval
 	if analyze {
@@ -402,18 +409,22 @@ func (s *queryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 			AllocBytes: p.AllocBytes, AllocObjects: p.AllocObjects,
 		})
 	}
-	if r.URL.Query().Get("rids") == "1" {
-		limit := 20
-		if ls := r.URL.Query().Get("limit"); ls != "" {
-			fmt.Sscanf(ls, "%d", &limit)
-		}
-		res.Ones(func(rid int) bool {
-			resp.RIDs = append(resp.RIDs, rid)
-			return len(resp.RIDs) < limit
-		})
+	if rids {
+		resp.RIDs = firstIDs(res, limit)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
+}
+
+// ridLimit reads the limit parameter of a rids=1 request: a non-negative
+// integer, 20 when absent. ok is false for any other value.
+func ridLimit(q url.Values) (limit int, ok bool) {
+	ls := q.Get("limit")
+	if ls == "" {
+		return 20, true
+	}
+	limit, err := strconv.Atoi(ls)
+	return limit, err == nil && limit >= 0
 }
 
 // debugQueriesResponse is the JSON body of /debug/queries.

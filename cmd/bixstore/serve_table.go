@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -60,9 +59,10 @@ type tableQueryResponse struct {
 }
 
 // handleQuery evaluates q=<col> <op> <val> [AND ...]; rids=1 includes
-// matching record ids (capped by limit, default 20). Each predicate is
-// accounted against its attribute in the workload profile by
-// catalog.Table.Query itself.
+// matching record ids (capped by limit, default 20). Only rids=1 maps the
+// result back to original row ids; a bare count is taken in sorted row
+// space. Each predicate is accounted against its attribute in the
+// workload profile by the catalog itself.
 func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
@@ -74,14 +74,19 @@ func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	rids := r.URL.Query().Get("rids") == "1"
+	limit, ok := ridLimit(r.URL.Query())
+	if rids && !ok {
+		http.Error(w, "bad limit", http.StatusBadRequest)
+		return
+	}
 	m := storage.Metrics{Trace: telemetry.NewTrace(q)}
 	start := time.Now()
-	res, err := s.tbl.Query(preds, &m)
+	matches, res, err := evalConjunction(s.tbl, preds, &m, rids)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	matches := res.Count()
 	elapsed := time.Since(start)
 	frec := flight.Record{
 		TraceID: m.Trace.ID(), Query: q, Plan: "table-query",
@@ -101,15 +106,8 @@ func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		BytesRead: m.BytesRead,
 		ElapsedNS: int64(elapsed),
 	}
-	if r.URL.Query().Get("rids") == "1" {
-		limit := 20
-		if ls := r.URL.Query().Get("limit"); ls != "" {
-			fmt.Sscanf(ls, "%d", &limit)
-		}
-		res.Ones(func(rid int) bool {
-			resp.RIDs = append(resp.RIDs, rid)
-			return len(resp.RIDs) < limit
-		})
+	if rids {
+		resp.RIDs = firstIDs(res, limit)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)

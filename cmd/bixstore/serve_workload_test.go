@@ -14,9 +14,10 @@ import (
 	"bitmapindex/internal/workload"
 )
 
-// buildTestTable writes a small CSV and indexes it into a catalog table,
-// returning the table directory.
-func buildTestTable(t *testing.T) string {
+// buildTestTable writes a small CSV and indexes it into a catalog table
+// with `bixstore csv` and the given extra flags, returning the table
+// directory.
+func buildTestTable(t *testing.T, csvFlags ...string) string {
 	t.Helper()
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "t.csv")
@@ -29,7 +30,7 @@ func buildTestTable(t *testing.T) string {
 		t.Fatal(err)
 	}
 	tblDir := filepath.Join(dir, "tbl")
-	if err := cmdCSV([]string{"-in", csvPath, "-dir", tblDir}); err != nil {
+	if err := cmdCSV(append([]string{"-in", csvPath, "-dir", tblDir}, csvFlags...)); err != nil {
 		t.Fatal(err)
 	}
 	return tblDir

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -114,7 +115,10 @@ func loadCSV(path string) (*engine.Relation, error) {
 }
 
 // cmdWhere runs a conjunctive query against a catalog built by cmdCSV.
-func cmdWhere(args []string) error {
+func cmdWhere(args []string) error { return runWhere(os.Stdout, args) }
+
+// runWhere is cmdWhere writing to w, so tests can inspect the output.
+func runWhere(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("where", flag.ExitOnError)
 	var (
 		dir   = fs.String("dir", "", "table directory (required)")
@@ -128,6 +132,9 @@ func cmdWhere(args []string) error {
 	if *dir == "" || *q == "" {
 		return fmt.Errorf("where needs -dir and -q")
 	}
+	if *limit < 0 {
+		return fmt.Errorf("bad limit %d", *limit)
+	}
 	preds, err := parseConjunction(*q)
 	if err != nil {
 		return err
@@ -137,21 +144,34 @@ func cmdWhere(args []string) error {
 		return err
 	}
 	var m storage.Metrics
-	res, err := tbl.Query(preds, &m)
+	matches, res, err := evalConjunction(tbl, preds, &m, *rids)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d of %d rows match\n", res.Count(), tbl.Rows())
-	fmt.Printf("scans: %d bitmaps, %d files, %d bytes read\n", m.Stats.Scans, m.FilesRead, m.BytesRead)
+	fmt.Fprintf(w, "%d of %d rows match\n", matches, tbl.Rows())
+	fmt.Fprintf(w, "scans: %d bitmaps, %d files, %d bytes read\n", m.Stats.Scans, m.FilesRead, m.BytesRead)
 	if *rids {
-		n := 0
-		res.Ones(func(r int) bool {
-			fmt.Println(r)
-			n++
-			return n < *limit
-		})
+		for _, rid := range firstIDs(res, *limit) {
+			fmt.Fprintln(w, rid)
+		}
 	}
 	return nil
+}
+
+// evalConjunction counts the rows matching preds. Only with rids does it
+// also return their bitmap, over original row ids: that costs
+// Table.Query's map-back through the row permutation, which a count in
+// sorted row space (Table.Count) does not need.
+func evalConjunction(tbl *catalog.Table, preds []engine.Pred, m *storage.Metrics, rids bool) (int, *bitmapindex.Bitmap, error) {
+	if !rids {
+		n, err := tbl.Count(preds, m)
+		return n, nil, err
+	}
+	res, err := tbl.Query(preds, m)
+	if err != nil {
+		return 0, nil, err
+	}
+	return res.Count(), res, nil
 }
 
 // parseConjunction parses "col op val AND col op val ...".

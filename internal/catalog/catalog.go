@@ -68,8 +68,8 @@ type Options struct {
 	Encoding core.Encoding
 	// Reorder sorts rows by their attribute-rank tuples (in column order)
 	// before building the bitmaps, multiplying run-length compression
-	// (arXiv:0901.3751). Results are transparently mapped back to
-	// original row ids by Query.
+	// (arXiv:0901.3751). Query maps its result back to original row ids;
+	// Count needs no map-back.
 	Reorder reorder.Order
 }
 
@@ -80,10 +80,10 @@ type Table struct {
 	attrs map[string]*Attr
 	// perm is the build-time row permutation (perm[newPos] = origRow),
 	// nil when rows were not reordered. Stored bitmaps are positioned in
-	// sorted row space; Query maps results back through it.
+	// sorted row space; Query maps its results back through it.
 	perm []int
-	// wl is the always-on per-attribute access accountant; Query feeds it
-	// one event per predicate.
+	// wl is the always-on per-attribute access accountant; every
+	// conjunction feeds it one event per predicate.
 	wl *workload.Accumulator
 }
 
@@ -264,9 +264,33 @@ func (t *Table) Attr(name string) (*Attr, error) {
 
 // Query evaluates a conjunction of raw-value predicates entirely against
 // the stored indexes (plan P3 with bitmap indexes) and returns the
-// qualifying record bitmap. Physical costs accumulate into m when
-// non-nil.
+// qualifying record bitmap over original row ids. Physical costs
+// accumulate into m when non-nil.
 func (t *Table) Query(preds []engine.Pred, m *storage.Metrics) (*bitvec.Vector, error) {
+	out, err := t.conjunction(preds, m)
+	if err != nil {
+		return nil, err
+	}
+	if t.perm != nil {
+		out = reorder.MapBack(t.perm, out)
+	}
+	return out, nil
+}
+
+// Count returns the number of rows matching the conjunction. A count does
+// not change under the build-time row permutation, so Count takes it in
+// sorted row space and skips the map-back Query pays for row ids.
+func (t *Table) Count(preds []engine.Pred, m *storage.Metrics) (int, error) {
+	out, err := t.conjunction(preds, m)
+	if err != nil {
+		return 0, err
+	}
+	return out.Count(), nil
+}
+
+// conjunction ANDs the predicates' bitmaps in the stored (sorted) row
+// space, feeding the workload accountant one event per predicate.
+func (t *Table) conjunction(preds []engine.Pred, m *storage.Metrics) (*bitvec.Vector, error) {
 	if len(preds) == 0 {
 		return nil, fmt.Errorf("catalog: empty predicate list")
 	}
@@ -314,26 +338,11 @@ func (t *Table) Query(preds []engine.Pred, m *storage.Metrics) (*bitvec.Vector, 
 			out.And(res)
 		}
 	}
-	// The conjunction is ANDed in sorted row space (cheaper: one map-back
-	// per query, not per predicate) and translated to original row ids
-	// only at the end.
-	if t.perm != nil {
-		out = reorder.MapBack(t.perm, out)
-	}
 	return out, nil
 }
 
-// Count returns the number of rows matching the conjunction.
-func (t *Table) Count(preds []engine.Pred, m *storage.Metrics) (int, error) {
-	b, err := t.Query(preds, m)
-	if err != nil {
-		return 0, err
-	}
-	return b.Count(), nil
-}
-
 // Workload returns the table's access accountant. It is always on; Query
-// feeds it one event per predicate.
+// and Count feed it one event per predicate.
 func (t *Table) Workload() *workload.Accumulator { return t.wl }
 
 // Designs describes the current physical design of every attribute in

@@ -28,6 +28,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"bitmapindex/internal/bitvec"
@@ -474,21 +475,21 @@ func (s *Store) readFile(name string, nbits int, m *Metrics) (*bitvec.Vector, er
 
 // decode turns one file's on-disk bytes into its nbits-bit vector and
 // reports the time of the codec step (zero for raw files). Each codec
-// checks the length: SetPayload wants exactly ceil(nbits/8) raw or
-// inflated bytes, and the WAH and roaring headers must declare nbits.
+// checks the length: raw files and inflated zlib streams must hold
+// exactly ceil(nbits/8) bytes, and the WAH and roaring headers must
+// declare nbits.
 func (s *Store) decode(raw []byte, nbits int) (*bitvec.Vector, int64, error) {
 	if nbits < 0 {
 		return nil, 0, fmt.Errorf("negative length %d", nbits)
 	}
 	t0 := time.Now()
-	var codecNS int64
 	switch s.codec {
 	case CodecZlib:
-		var err error
-		if raw, err = inflate(raw, (nbits+7)/8); err != nil {
+		v, err := inflateVector(raw, nbits)
+		if err != nil {
 			return nil, 0, fmt.Errorf("inflate: %w", err)
 		}
-		codecNS = time.Since(t0).Nanoseconds()
+		return v, time.Since(t0).Nanoseconds(), nil
 	case CodecWAH, CodecRoaring:
 		// Both open with an 8-byte little-endian bit length, checked before
 		// the decoder allocates that many bits.
@@ -508,30 +509,68 @@ func (s *Store) decode(raw []byte, nbits int) (*bitvec.Vector, int64, error) {
 		return v, time.Since(t0).Nanoseconds(), err
 	}
 	v := new(bitvec.Vector)
-	return v, codecNS, v.SetPayload(nbits, raw)
+	return v, 0, v.SetPayload(nbits, raw)
 }
 
-// inflate decompresses a zlib stream that must hold exactly n bytes. The
-// buffer is allocated once at its final size, and the read past the end
-// must report io.EOF, which is where the reader verifies the adler32
-// trailer, so short, long and checksum-damaged streams all fail.
-func inflate(raw []byte, n int) ([]byte, error) {
-	zr, err := zlib.NewReader(bytes.NewReader(raw))
+// inflateChunk is the size of the buffer a zlib stream is inflated
+// through on its way into the words; a multiple of 8, so every chunk but
+// the last fills whole words.
+const inflateChunk = 4096
+
+// inflater is one reusable zlib decoding state. The reader's inflate
+// window and Huffman tables (about 40 KB) survive from file to file
+// through zlib.Resetter; src and buf are reset per file.
+type inflater struct {
+	src bytes.Reader
+	zr  io.Reader // nil until a stream with a valid header has been opened
+	buf [inflateChunk]byte
+}
+
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// inflateVector decodes a zlib stream that must inflate to exactly
+// ceil(nbits/8) bytes straight into the words of an nbits-bit vector. The
+// read past the last byte must report io.EOF, which is where the reader
+// verifies the adler32 trailer, so short, long and checksum-damaged
+// streams all fail. A reader left in an error state is safe to reuse:
+// Reset rebuilds everything but its buffers.
+func inflateVector(raw []byte, nbits int) (*bitvec.Vector, error) {
+	f := inflaters.Get().(*inflater)
+	defer inflaters.Put(f)
+	f.src.Reset(raw)
+	defer f.src.Reset(nil) // the pool must not pin the file's bytes
+	var err error
+	if f.zr == nil {
+		f.zr, err = zlib.NewReader(&f.src) // still nil after a bad header
+	} else {
+		err = f.zr.(zlib.Resetter).Reset(&f.src, nil)
+	}
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(zr, out); err != nil {
-		return nil, fmt.Errorf("want %d bytes: %w", n, err)
+	n := (nbits + 7) / 8
+	words := make([]uint64, (nbits+63)/64)
+	for off := 0; off < n; off += inflateChunk {
+		chunk := f.buf[:min(inflateChunk, n-off)]
+		if _, err := io.ReadFull(f.zr, chunk); err != nil {
+			return nil, fmt.Errorf("want %d bytes: %w", n, err)
+		}
+		w := words[off/8:]
+		full := len(chunk) / 8
+		for i := range full {
+			w[i] = binary.LittleEndian.Uint64(chunk[8*i:])
+		}
+		for i := 8 * full; i < len(chunk); i++ {
+			w[full] |= uint64(chunk[i]) << (8 * (i % 8))
+		}
 	}
-	var extra [1]byte
-	if _, err := io.ReadFull(zr, extra[:]); err != io.EOF {
+	if _, err := io.ReadFull(f.zr, f.buf[:1]); err != io.EOF {
 		if err == nil {
 			err = fmt.Errorf("stream inflates past %d bytes", n)
 		}
 		return nil, err
 	}
-	return out, zr.Close()
+	return bitvec.FromWords(nbits, words)
 }
 
 // query is the per-query fetch context: every file is read and decoded at
