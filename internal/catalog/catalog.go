@@ -80,7 +80,7 @@ type Table struct {
 	attrs map[string]*Attr
 	// perm is the build-time row permutation (perm[newPos] = origRow),
 	// nil when rows were not reordered. Stored bitmaps are positioned in
-	// sorted row space; Query maps its results back through it.
+	// sorted row space; Query maps results back through it.
 	perm []int
 	// wl is the always-on per-attribute access accountant; every
 	// conjunction feeds it one event per predicate.
