@@ -54,7 +54,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/roaring
 	$(GO) test -fuzz=FuzzDecodeVector -fuzztime=10s ./internal/roaring
 	$(GO) test -fuzz=FuzzEvalAgreement -fuzztime=10s ./internal/core
+	$(GO) test -fuzz=FuzzBaseDecompose -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzInflateVector -fuzztime=10s ./internal/storage
+	$(GO) test -fuzz=FuzzOpenMeta -fuzztime=10s ./internal/storage
+	$(GO) test -fuzz=FuzzProfileDecode -fuzztime=10s ./internal/workload
+	$(GO) test -fuzz=FuzzParseQuery -fuzztime=10s ./cmd/bixstore
 
 # Benchmark smoke: every Go benchmark once, so they keep compiling and
 # running (BenchmarkReadFile, BenchmarkTableCount, ...). It times nothing

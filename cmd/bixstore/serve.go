@@ -65,6 +65,7 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return err
 		}
+		ts.slow = newSlowLog(*slow, os.Stderr)
 		handler = ts.mux()
 		if *wlPath != "" {
 			path := *wlPath
@@ -200,10 +201,36 @@ func newQueryServer(st *bitmapindex.Store, cache int, slow time.Duration, slowW 
 		}
 		s.eval = cs.Eval
 	}
-	if slow > 0 {
-		s.slow = bitmapindex.NewSlowQueryLog(slow, slowW, 0)
-	}
+	s.slow = newSlowLog(slow, slowW)
 	return s, nil
+}
+
+// newSlowLog returns the -slow query log writing to w, or nil when the
+// threshold is off (<= 0).
+func newSlowLog(threshold time.Duration, w io.Writer) *bitmapindex.SlowQueryLog {
+	if threshold <= 0 {
+		return nil
+	}
+	return bitmapindex.NewSlowQueryLog(threshold, w, 0)
+}
+
+// finishQuery is the one place a served /query is recorded, in either
+// mode. It finishes m's trace once and lands exactly one flight record:
+// rec, whose Query, Plan, Op, Value and Rows the handler fills, completed
+// here with the trace's ID and total and m's cost counters. The slow log,
+// when enabled, gets the same trace under the plan summary slowPlan. The
+// returned total is the response's elapsed_ns.
+func finishQuery(rec *flight.Record, m *bitmapindex.StoreMetrics, slow *bitmapindex.SlowQueryLog, slowPlan string) time.Duration {
+	rec.TraceID, rec.Total = m.Trace.ID(), m.Trace.Finish()
+	rec.FilesRead, rec.BytesRead = m.FilesRead, m.BytesRead
+	rec.CacheHits, rec.CacheMisses = m.CacheHits, m.CacheMisses
+	st := m.Stats
+	rec.Scans, rec.Ands, rec.Ors, rec.Xors, rec.Nots = st.Scans, st.Ands, st.Ors, st.Xors, st.Nots
+	if slow != nil {
+		slow.ObserveWithPlan(rec.Query, slowPlan, m.Trace)
+	}
+	flight.Default().Add(rec, m.Trace)
+	return rec.Total
 }
 
 // mux routes /query, /metrics, the health probes, /debug/runtime,
@@ -363,23 +390,14 @@ func (s *queryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	matches := popcount(res, m.Trace)
-	elapsed := m.Trace.Finish()
+	rec := flight.Record{Query: q, Plan: "http-query", Op: op.String(), Value: v, Rows: int64(matches)}
+	elapsed := finishQuery(&rec, &m, s.slow, s.desc)
 	s.wl.Observe(workload.Event{
 		Attr: "value", Class: workload.ClassOf(op), Value: v,
 		Matches: matches, Rows: s.rows,
-		Scans: m.Stats.Scans, Bytes: m.BytesRead, NS: int64(elapsed),
+		Scans: rec.Scans, Bytes: rec.BytesRead, NS: int64(elapsed),
+		CacheHits: int(rec.CacheHits), CacheMisses: int(rec.CacheMisses),
 	})
-	if s.slow != nil {
-		s.slow.ObserveWithPlan(q, s.desc, m.Trace)
-	}
-	frec := flight.Record{
-		TraceID: m.Trace.ID(), Query: q, Plan: "http-query",
-		Op: op.String(), Value: v,
-		Total: elapsed, Rows: int64(matches), BytesRead: m.BytesRead,
-		Scans: m.Stats.Scans, Ands: m.Stats.Ands, Ors: m.Stats.Ors,
-		Xors: m.Stats.Xors, Nots: m.Stats.Nots,
-	}
-	flight.Default().Add(&frec, m.Trace)
 
 	if analyze {
 		ix := s.st.Index()

@@ -3,8 +3,8 @@ package main
 import (
 	"encoding/json"
 	"net/http"
-	"time"
 
+	"bitmapindex"
 	"bitmapindex/internal/catalog"
 	"bitmapindex/internal/flight"
 	"bitmapindex/internal/storage"
@@ -15,7 +15,8 @@ import (
 // table built by `bixstore csv`, with the always-on workload accumulator
 // and the design advisor exposed under /debug.
 type tableServer struct {
-	tbl *catalog.Table
+	tbl  *catalog.Table
+	slow *bitmapindex.SlowQueryLog // nil when disabled
 }
 
 // newTableServer opens the table and, when wlPath names a saved profile,
@@ -81,20 +82,13 @@ func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := storage.Metrics{Trace: telemetry.NewTrace(q)}
-	start := time.Now()
 	matches, res, err := evalConjunction(s.tbl, preds, &m, rids)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	elapsed := time.Since(start)
-	frec := flight.Record{
-		TraceID: m.Trace.ID(), Query: q, Plan: "table-query",
-		Total: elapsed, Rows: int64(matches), BytesRead: m.BytesRead,
-		Scans: m.Stats.Scans, Ands: m.Stats.Ands, Ors: m.Stats.Ors,
-		Xors: m.Stats.Xors, Nots: m.Stats.Nots,
-	}
-	flight.Default().Add(&frec, m.Trace)
+	rec := flight.Record{Query: q, Plan: "table-query", Rows: int64(matches)}
+	elapsed := finishQuery(&rec, &m, s.slow, rec.Plan)
 
 	resp := tableQueryResponse{
 		Query:     q,

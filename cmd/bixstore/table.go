@@ -187,27 +187,35 @@ func parseConjunction(s string) ([]engine.Pred, error) {
 	return preds, nil
 }
 
+// clauseOps lists the operator spellings, longest first so that at one
+// position "<=" wins over "<".
+var clauseOps = []string{"<=", ">=", "!=", "<>", "==", "=", "<", ">"}
+
+// parseClause parses "col op val", splitting at the leftmost operator. The
+// column name therefore holds no operator, and it may not end in " AND",
+// so the clause's printed form (Pred.String) parses back to the same
+// predicate, alone or inside a conjunction.
 func parseClause(s string) (engine.Pred, error) {
-	// Longest operators first so "<=" wins over "<".
-	for _, opStr := range []string{"<=", ">=", "!=", "<>", "==", "=", "<", ">"} {
-		i := strings.Index(s, opStr)
-		if i < 0 {
-			continue
+	for i := range s {
+		for _, opStr := range clauseOps {
+			if !strings.HasPrefix(s[i:], opStr) {
+				continue
+			}
+			col := strings.TrimSpace(s[:i])
+			valStr := strings.TrimSpace(s[i+len(opStr):])
+			if col == "" || valStr == "" || strings.HasSuffix(col, " AND") {
+				return engine.Pred{}, fmt.Errorf("bad clause %q", s)
+			}
+			op, err := bitmapindex.ParseOp(opStr)
+			if err != nil {
+				return engine.Pred{}, err
+			}
+			v, err := strconv.ParseInt(valStr, 10, 64)
+			if err != nil {
+				return engine.Pred{}, fmt.Errorf("bad constant in %q: %v", s, err)
+			}
+			return engine.Pred{Col: col, Op: op, Val: v}, nil
 		}
-		col := strings.TrimSpace(s[:i])
-		valStr := strings.TrimSpace(s[i+len(opStr):])
-		if col == "" || valStr == "" {
-			return engine.Pred{}, fmt.Errorf("bad clause %q", s)
-		}
-		op, err := bitmapindex.ParseOp(opStr)
-		if err != nil {
-			return engine.Pred{}, err
-		}
-		v, err := strconv.ParseInt(valStr, 10, 64)
-		if err != nil {
-			return engine.Pred{}, fmt.Errorf("bad constant in %q: %v", s, err)
-		}
-		return engine.Pred{Col: col, Op: op, Val: v}, nil
 	}
 	return engine.Pred{}, fmt.Errorf("no operator in clause %q", s)
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bitmapindex/internal/bitvec"
-	"bitmapindex/internal/flight"
 	"bitmapindex/internal/invariant"
 	"bitmapindex/internal/profile"
 	"bitmapindex/internal/telemetry"
@@ -146,11 +145,11 @@ type EvalOptions struct {
 //
 // Eval is EvalDirect plus instrumentation: every call also publishes its
 // scan and operation counts plus wall-clock latency to the process-wide
-// telemetry registry (telemetry.Default) and the flight recorder, so the
-// paper's two cost measures are observable without threading a Stats
-// through every caller.
+// telemetry registry (telemetry.Default), so the paper's two cost measures
+// are observable without threading a Stats through every caller. The
+// query's flight record is written by whoever owns its trace, not here.
 func (ix *Index) Eval(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	return ix.instrumented(op, v, opt, evalPlan(ix.enc), func(o *EvalOptions) *bitvec.Vector {
+	return ix.instrumented(opt, func(o *EvalOptions) *bitvec.Vector {
 		p := ix.compile(op, v)
 		res, srcs := ix.runSerial(p, o)
 		if invariant.Enabled && ix.enc == RangeEncoded {
@@ -162,25 +161,23 @@ func (ix *Index) Eval(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
 
 // EvalDirect evaluates (A op v) exactly like Eval — same algorithm, result,
 // Stats and trace phases — but publishes nothing to the process-wide
-// telemetry registry or flight recorder. Cost probes and experiments that
-// sweep thousands of predicates use it so their evaluations stay out of
-// the served query metrics.
+// telemetry registry. Cost probes and experiments that sweep thousands of
+// predicates use it so their evaluations stay out of the served query
+// metrics.
 func (ix *Index) EvalDirect(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
 	res, _ := ix.runSerial(ix.compile(op, v), opt)
 	return res
 }
 
 // instrumented runs eval under the query's pprof labels and publishes its
-// cost — the Stats delta, wall-clock time and buffer-pool hits/misses — to
-// the telemetry registry and the flight recorder, tagged plan.
-func (ix *Index) instrumented(op Op, v uint64, opt *EvalOptions, plan string, eval func(o *EvalOptions) *bitvec.Vector) *bitvec.Vector {
+// cost — the Stats delta and wall-clock time — to the telemetry registry.
+func (ix *Index) instrumented(opt *EvalOptions, eval func(o *EvalOptions) *bitvec.Vector) *bitvec.Vector {
 	var o EvalOptions
 	if opt != nil {
 		o = *opt
 	}
 	var d Stats // this evaluation's cost alone
 	o.Stats = &d
-	hits0, misses0 := telemetry.CacheHitsTotal.Value(), telemetry.CacheMissesTotal.Value()
 	t0 := time.Now()
 	var res *bitvec.Vector
 	profile.Do(o.Trace.ID(), "eval", func() { res = eval(&o) })
@@ -192,14 +189,6 @@ func (ix *Index) instrumented(op Op, v uint64, opt *EvalOptions, plan string, ev
 		opt.Stats.Add(d)
 	}
 	telemetry.RecordEval(d.Scans, d.Ands, d.Ors, d.Xors, d.Nots, elapsed, o.Trace)
-	frec := flight.Record{
-		TraceID: o.Trace.ID(), Plan: plan, Op: op.String(), Value: v,
-		Total: elapsed, Rows: -1,
-		Scans: d.Scans, Ands: d.Ands, Ors: d.Ors, Xors: d.Xors, Nots: d.Nots,
-		CacheHits:   telemetry.CacheHitsTotal.Value() - hits0,
-		CacheMisses: telemetry.CacheMissesTotal.Value() - misses0,
-	}
-	flight.Default().Add(&frec, o.Trace)
 	return res
 }
 
@@ -229,29 +218,6 @@ func (ix *Index) naiveCrossCheck(op Op, v uint64, p *segProgram, srcs []*bitvec.
 	invariant.Assert(nres.Equal(res), "core: RangeEval disagrees with RangeEval-Opt")
 	if op.IsRange() {
 		invariant.OptNoWorse(p.ops.Ops(), ns.Ops(), "core: RangeEval-Opt vs RangeEval, op "+op.String())
-	}
-}
-
-// Flight-recorder plan tags of the core evaluators. The engine's plan
-// methods and the HTTP layer use their own tags; records from nested
-// layers share the same trace ID, so a /debug/queries reader can join an
-// engine-level record to the per-index evaluations beneath it.
-const (
-	planEvalRange     = "eval-range"
-	planEvalEquality  = "eval-equality"
-	planEvalInterval  = "eval-interval"
-	planEvalSegmented = "eval-segmented"
-)
-
-// evalPlan returns Eval's flight-recorder plan tag for an encoding.
-func evalPlan(enc Encoding) string {
-	switch enc {
-	case RangeEncoded:
-		return planEvalRange
-	case EqualityEncoded:
-		return planEvalEquality
-	default:
-		return planEvalInterval
 	}
 }
 

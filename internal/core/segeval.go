@@ -158,9 +158,10 @@ func putSegRegs(rs *segRegSet) {
 // and Fetch contract — but combines segments on up to cfg.Workers
 // goroutines: the caller plus helpers from a process-wide pool. The
 // fetched bitmaps are only read concurrently. Each call counts once in
-// bix_segment_eval_total and lands a flight record tagged eval-segmented.
+// bix_segment_eval_total and, like Eval, publishes its cost to the
+// telemetry registry.
 func (ix *Index) SegmentedEval(op Op, v uint64, opt *EvalOptions, cfg SegConfig) *bitvec.Vector {
-	return ix.instrumented(op, v, opt, planEvalSegmented, func(o *EvalOptions) *bitvec.Vector {
+	return ix.instrumented(opt, func(o *EvalOptions) *bitvec.Vector {
 		telemetry.SegmentEvalTotal.Inc()
 		res, _ := ix.run(ix.compile(op, v), o, cfg.normalized(), telemetry.PhaseSegments)
 		return res

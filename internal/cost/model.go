@@ -61,8 +61,8 @@ func scansMeasured(base core.Base, enc core.Encoding, card uint64, op core.Op, v
 	}
 	probeCache.Unlock()
 
-	// The probe evaluation must not pollute the process-wide telemetry or
-	// flight recorder: EvalDirect is Eval without the instrumentation.
+	// The probe evaluation must not pollute the process-wide telemetry:
+	// EvalDirect is Eval without the instrumentation.
 	var st core.Stats
 	ix.EvalDirect(op, v, &core.EvalOptions{Stats: &st})
 	return st.Scans

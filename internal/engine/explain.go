@@ -218,7 +218,7 @@ func (r *Relation) ExplainAnalyze(preds []Pred, m Method, opt *SelectOptions) (*
 // evaluation — the path bixstore's /query endpoint takes, where one stored
 // index answers one predicate without a relation or plan choice. st and
 // elapsed are the evaluation's measured stats and wall time; plan names
-// the evaluator (e.g. "eval-range" or a storage Describe string). The
+// the evaluator (e.g. a storage Describe string). The
 // same model-error histograms and time calibration are fed as for
 // ExplainAnalyze.
 func AnalyzeIndexQuery(query, plan string, base core.Base, enc core.Encoding, card uint64,

@@ -10,9 +10,7 @@ import (
 	"bitmapindex/internal/bitvec"
 	"bitmapindex/internal/core"
 	"bitmapindex/internal/cost"
-	"bitmapindex/internal/flight"
 	"bitmapindex/internal/telemetry"
-	"bitmapindex/internal/workload"
 )
 
 // Method selects a query evaluation plan for a conjunctive selection.
@@ -89,14 +87,6 @@ type SelectOptions struct {
 	// bitmap work, row filtering, result popcounts).
 	Trace *telemetry.Trace
 
-	// Workload, when non-nil, receives one event per bitmap predicate
-	// evaluated by the bitmap-merge plan: the attribute name, operator
-	// class, rank-space constant and measured scan/latency cost. The
-	// result cardinality is known per predicate only for a single
-	// predicate (the conjunction's AND comes after), so events of a
-	// multi-predicate plan carry Matches: -1.
-	Workload *workload.Accumulator
-
 	// perPred, when non-nil, receives one predActual per bitmap predicate
 	// evaluated by the bitmap-merge plan, in predicate order: the measured
 	// scan delta and wall-clock time of that predicate alone. Filled only
@@ -124,9 +114,9 @@ var plansTotal = [...]*telemetry.Counter{
 
 const plansHelp = "Query plan executions, by method."
 
-// SelectOpts is Select with execution options: tracing, workload
-// accounting. opt may be nil. Each executed plan increments the registry's
-// bix_engine_plans_total{method=...} counter and lands a flight record.
+// SelectOpts is Select with execution options (tracing). opt may be nil.
+// Each executed plan increments the registry's
+// bix_engine_plans_total{method=...} counter.
 func (r *Relation) SelectOpts(preds []Pred, m Method, opt *SelectOptions) (*bitvec.Vector, Cost, error) {
 	var out sink
 	c, err := r.execute(preds, m, opt, &out)
@@ -184,8 +174,8 @@ func (s *sink) rows(tr *telemetry.Trace) int {
 }
 
 // execute runs one plan into out and does the plan-level accounting:
-// allocation deltas, bix_engine_plans_total and the flight record. Auto
-// resolves to the cheapest estimable plan first.
+// allocation deltas and bix_engine_plans_total. Auto resolves to the
+// cheapest estimable plan first.
 func (r *Relation) execute(preds []Pred, m Method, opt *SelectOptions, out *sink) (Cost, error) {
 	if opt == nil {
 		opt = &SelectOptions{}
@@ -206,7 +196,6 @@ func (r *Relation) execute(preds []Pred, m Method, opt *SelectOptions, out *sink
 		err error
 	)
 	aB, aO := telemetry.ReadAllocs()
-	t0 := time.Now()
 	switch m {
 	case FullScan:
 		c, err = r.fullScan(preds, out, tr)
@@ -225,23 +214,7 @@ func (r *Relation) execute(preds []Pred, m Method, opt *SelectOptions, out *sink
 	b, o := telemetry.ReadAllocs()
 	c.AllocBytes, c.AllocObjects = b-aB, o-aO
 	plansTotal[c.Method].Inc()
-	recordPlanFlight(preds, &c, time.Since(t0), tr)
 	return c, nil
-}
-
-// recordPlanFlight lands one plan-level flight record for an executed
-// plan. Core evaluations beneath a bitmap plan land their own records
-// under the same trace ID, so /debug/queries readers can join a plan to
-// its per-index evaluations.
-func recordPlanFlight(preds []Pred, c *Cost, elapsed time.Duration, tr *telemetry.Trace) {
-	frec := flight.Record{
-		TraceID: tr.ID(), Query: predsSummary(preds), Plan: c.Method.String(),
-		Total: elapsed, Rows: int64(c.Rows), BytesRead: c.BytesRead,
-		Scans: c.Stats.Scans, Ands: c.Stats.Ands, Ors: c.Stats.Ors,
-		Xors: c.Stats.Xors, Nots: c.Stats.Nots,
-		AllocBytes: c.AllocBytes, AllocObjects: c.AllocObjects,
-	}
-	flight.Default().Add(&frec, tr)
 }
 
 // predsSummary renders the conjunction compactly ("A <= 7 AND B = 2").
@@ -422,22 +395,20 @@ func intersectSorted(a, b []uint32) []uint32 {
 }
 
 // evalBitmapPred evaluates one predicate through the column's bitmap
-// index, accounting stats into st. It also returns the workload operator
-// class and rank-space constant the predicate was evaluated as.
-func (r *Relation) evalBitmapPred(p Pred, tr *telemetry.Trace, st *core.Stats) (*bitvec.Vector, workload.OpClass, uint64, error) {
+// index, accounting stats into st.
+func (r *Relation) evalBitmapPred(p Pred, tr *telemetry.Trace, st *core.Stats) (*bitvec.Vector, error) {
 	c, _ := r.Column(p.Col)
 	if c.bitmap == nil {
-		return nil, 0, 0, fmt.Errorf("engine: column %q has no bitmap index", p.Col)
+		return nil, fmt.Errorf("engine: column %q has no bitmap index", p.Col)
 	}
 	rop, rank, all, none := c.dict.Translate(p.Op, p.Val)
 	switch {
 	case none:
-		return bitvec.New(r.Rows()), workload.ClassOf(p.Op), rank, nil
+		return bitvec.New(r.Rows()), nil
 	case all:
-		return bitvec.NewOnes(r.Rows()), workload.ClassOf(p.Op), rank, nil
+		return bitvec.NewOnes(r.Rows()), nil
 	}
-	res := c.bitmap.Eval(rop, rank, &core.EvalOptions{Stats: st, Trace: tr})
-	return res, workload.ClassOf(rop), rank, nil
+	return c.bitmap.Eval(rop, rank, &core.EvalOptions{Stats: st, Trace: tr}), nil
 }
 
 // bitmapMerge is plan P3 over bitmap indexes: one bitmap evaluation per
@@ -453,7 +424,7 @@ func (r *Relation) bitmapMerge(preds []Pred, out *sink, opt *SelectOptions) (Cos
 	n := -1 // result rows, once known
 	for k, p := range preds {
 		scans0, t0 := st.Scans, time.Now()
-		res, cls, rank, err := r.evalBitmapPred(p, tr, &st)
+		res, err := r.evalBitmapPred(p, tr, &st)
 		if err != nil {
 			return Cost{}, err
 		}
@@ -483,14 +454,6 @@ func (r *Relation) bitmapMerge(preds []Pred, out *sink, opt *SelectOptions) (Cos
 		}
 		if opt.perPred != nil {
 			*opt.perPred = append(*opt.perPred, predActual{Scans: scans, NS: ns})
-		}
-		if opt.Workload != nil {
-			matches := -1
-			if len(preds) == 1 {
-				matches = n
-			}
-			opt.Workload.Observe(workload.Event{Attr: p.Col, Class: cls, Value: rank,
-				Matches: matches, Rows: r.Rows(), Scans: scans, NS: ns})
 		}
 	}
 	if !out.count {

@@ -1,9 +1,10 @@
 // Package flight is the query flight recorder: a bounded in-memory ring of
 // recent query executions, the retrospective-debugging black box behind
-// /debug/queries. Every completed query — core evaluator calls, segmented
-// evaluations, engine plans, HTTP requests — lands one Record carrying its
-// trace ID, plan kind, cost counters, per-phase timing/allocation
-// aggregates, segment skew and cache deltas. Capacity is fixed at
+// /debug/queries. Every completed query lands exactly one Record, written
+// by the code that owns the query's trace (bixstore serve's /query
+// handlers, tagged http-query or table-query), carrying its trace ID, plan
+// tag, cost counters, per-phase timing/allocation aggregates, segment skew
+// and the query's own bitmap-pool hits and misses. Capacity is fixed at
 // construction; the record path performs no allocation in steady state
 // (one atomic cursor bump plus a per-slot mutex), so recording 100% of
 // queries costs well under the evaluator's own bookkeeping.
@@ -38,13 +39,14 @@ const maxPhases = telemetry.MaxPhases
 // outlierK is the annex size: the K slowest queries retained past wrap.
 const outlierK = 8
 
-// Record is one completed query execution. Numeric cost fields mirror
-// core.Stats deltas (scans and boolean-operation counts, the paper's I/O
-// and CPU cost measures); CacheHits/CacheMisses are deltas of the LRU-pool
-// counters across the evaluation. Rows is -1 when the recording site does
-// not count results. Phases is filled in snapshots only — the ring stores
-// phase aggregates in fixed per-slot arrays so the record path allocates
-// nothing.
+// Record is one completed query execution. Scans and the operation
+// counts are the query's core.Stats (the paper's I/O and CPU cost
+// measures); FilesRead, BytesRead, CacheHits and CacheMisses are its
+// storage.Metrics, the cache counts taken per query (one hit or miss per
+// distinct stored bitmap it references), not as deltas of process-wide
+// counters. Rows is the result cardinality. Phases is filled in snapshots
+// only — the ring stores phase aggregates in fixed per-slot arrays so the
+// record path allocates nothing.
 type Record struct {
 	Seq     uint64    `json:"seq"`
 	TraceID string    `json:"trace_id,omitempty"`
@@ -54,11 +56,10 @@ type Record struct {
 	Value   uint64    `json:"value,omitempty"`
 	Start   time.Time `json:"start"`
 
-	Total time.Duration `json:"ns"`
-	Rows  int64         `json:"rows"`
-	// BytesRead is the plan-level physical read volume (engine.Cost);
-	// zero for core-evaluator records, which count scans instead.
-	BytesRead int64 `json:"bytes_read,omitempty"`
+	Total     time.Duration `json:"ns"`
+	Rows      int64         `json:"rows"`
+	FilesRead int           `json:"files_read,omitempty"`
+	BytesRead int64         `json:"bytes_read,omitempty"`
 
 	Scans int `json:"scans"`
 	Ands  int `json:"ands"`
@@ -126,8 +127,8 @@ func New(capacity int) *Recorder {
 
 var defaultRecorder = New(DefaultCapacity)
 
-// Default returns the process-wide recorder that the core and engine
-// evaluators record into.
+// Default returns the process-wide recorder: bixstore serve's /query
+// handlers record into it and /debug/queries reads it.
 func Default() *Recorder { return defaultRecorder }
 
 // recordsTotal counts records accepted by any recorder, the liveness
@@ -137,8 +138,10 @@ var recordsTotal = telemetry.Default().Counter("bix_flight_records_total",
 
 // Add records one completed query. rec's Seq and Phases fields are
 // ignored (Seq is assigned from the cursor; phases are snapshotted from
-// tr into the slot's fixed buffer). tr may be nil — phase and skew fields
-// then stay empty. The caller keeps ownership of rec; Add copies it.
+// tr into the slot's fixed buffer). An AllocBytes or AllocObjects left at
+// zero is filled with the sum over tr's phases. tr may be nil — phase and
+// skew fields then stay empty. The caller keeps ownership of rec; Add
+// copies it.
 //
 //bix:hotpath
 func (r *Recorder) Add(rec *Record, tr *telemetry.Trace) {
@@ -155,16 +158,17 @@ func (r *Recorder) Add(rec *Record, tr *telemetry.Trace) {
 		s.rec.Start = time.Now()
 	}
 	s.nphases = tr.CopyPhases(s.phases[:])
+	sumBytes, sumObjects := s.rec.AllocBytes == 0, s.rec.AllocObjects == 0
 	for i := 0; i < s.nphases; i++ {
 		p := &s.phases[i]
 		if p.Phase == telemetry.PhaseSegments {
 			s.rec.SegMin = p.Min
 			s.rec.SegMax = p.Max
 		}
-		if s.rec.AllocBytes == 0 {
+		if sumBytes {
 			s.rec.AllocBytes += p.AllocBytes
 		}
-		if s.rec.AllocObjects == 0 {
+		if sumObjects {
 			s.rec.AllocObjects += p.AllocObjects
 		}
 	}

@@ -119,6 +119,40 @@ func TestRecorderTraceSnapshot(t *testing.T) {
 	}
 }
 
+// allocSink keeps TestRecorderAllocSum's buffers reachable, so each
+// 1 MiB allocation really happens inside its span.
+var allocSink [][]byte
+
+// TestRecorderAllocSum: a record whose caller leaves the allocation
+// totals at zero gets the sum over all phases, not the first nonzero
+// phase; totals the caller sets are kept.
+func TestRecorderAllocSum(t *testing.T) {
+	const mib = 1 << 20
+	tr := telemetry.NewTrace("q").Profile()
+	for _, p := range []telemetry.Phase{telemetry.PhaseFetch, telemetry.PhaseBoolOps} {
+		sp := tr.Start(p)
+		allocSink = append(allocSink, make([]byte, mib))
+		sp.End()
+	}
+	allocSink = nil
+
+	r := New(4)
+	r.Add(rec("sum", time.Millisecond), tr)
+	set := rec("set", time.Millisecond)
+	set.AllocBytes, set.AllocObjects = 5, 1
+	r.Add(set, tr)
+	snap := r.Snapshot()
+	if got := snap[0].AllocBytes; got < 2*mib {
+		t.Errorf("alloc_bytes = %d, want >= %d (two 1 MiB phases)", got, 2*mib)
+	}
+	if got := snap[0].AllocObjects; got < 2 {
+		t.Errorf("alloc_objects = %d, want >= 2", got)
+	}
+	if snap[1].AllocBytes != 5 || snap[1].AllocObjects != 1 {
+		t.Errorf("caller totals overwritten: %d B, %d objects", snap[1].AllocBytes, snap[1].AllocObjects)
+	}
+}
+
 // TestRecorderZeroAlloc pins the tentpole's zero-steady-state-allocation
 // claim: once the outlier annex threshold is warm, Add allocates nothing.
 func TestRecorderZeroAlloc(t *testing.T) {
@@ -127,7 +161,7 @@ func TestRecorderZeroAlloc(t *testing.T) {
 	tr.Add(telemetry.PhaseBoolOps, time.Millisecond)
 
 	r := New(16)
-	base := Record{Plan: "eval-range", Op: "<=", Value: 7, Rows: -1,
+	base := Record{Plan: "http-query", Op: "<=", Value: 7, Rows: -1,
 		Total: time.Millisecond, Start: time.Now(), Scans: 3}
 	if avg := testing.AllocsPerRun(200, func() { r.Add(&base, tr) }); avg != 0 {
 		t.Fatalf("Add allocates %.1f objects per record, want 0", avg)

@@ -94,18 +94,26 @@ func (c *CachedStore) Resident() int {
 }
 
 // lookup returns the cached bitmap and whether it was resident, updating
-// recency and counters.
-func (c *CachedStore) lookup(comp, slot int) (*bitvec.Vector, bool) {
+// recency and counters: the pool's, the registry's and, when m is
+// non-nil, the querying Metrics' own (written under the pool lock, so
+// concurrent batch fetches may share m).
+func (c *CachedStore) lookup(comp, slot int, m *Metrics) (*bitvec.Vector, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[cacheKey{comp, slot}]; ok {
 		c.lru.MoveToFront(el)
 		c.hits++
 		telemetry.CacheHitsTotal.Inc()
+		if m != nil {
+			m.CacheHits++
+		}
 		return el.Value.(cacheEntry).v, true
 	}
 	c.misses++
 	telemetry.CacheMissesTotal.Inc()
+	if m != nil {
+		m.CacheMisses++
+	}
 	return nil, false
 }
 
@@ -149,7 +157,7 @@ func (c *CachedStore) queryOptions(q *query, m *Metrics) *core.EvalOptions {
 		if r, ok := perQuery[key]; ok {
 			return r
 		}
-		_, resident := c.lookup(comp, slot)
+		_, resident := c.lookup(comp, slot, m)
 		perQuery[key] = resident
 		return resident
 	}
@@ -167,7 +175,7 @@ func (c *CachedStore) queryOptions(q *query, m *Metrics) *core.EvalOptions {
 			resident, seen := perQuery[key]
 			if !seen {
 				resident = false
-				if v, ok := c.lookup(comp, slot); ok {
+				if v, ok := c.lookup(comp, slot, m); ok {
 					perQuery[key] = true
 					return v
 				}
@@ -180,8 +188,14 @@ func (c *CachedStore) queryOptions(q *query, m *Metrics) *core.EvalOptions {
 					// Evicted since the Buffered probe (a concurrent query's
 					// insert can land in between): the hit recorded at the
 					// probe no longer serves this read, so the read is a real
-					// pool miss. Count it, then fall through to the store.
+					// pool miss. Count it, then fall through to the store;
+					// the query's own counts turn the probe's hit into
+					// this miss, keeping one count per distinct bitmap.
 					c.misses++
+					if m != nil {
+						m.CacheHits--
+						m.CacheMisses++
+					}
 				}
 				c.mu.Unlock()
 				if ok {
@@ -272,7 +286,7 @@ func (c *CachedStore) EvalBatch(queries []core.Query, parallelism int, m *Metric
 				res = bitvec.New(rows)
 			}
 		}()
-		if v, ok := c.lookup(comp, slot); ok {
+		if v, ok := c.lookup(comp, slot, m); ok {
 			return v
 		}
 		var local Metrics

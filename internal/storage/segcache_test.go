@@ -111,6 +111,11 @@ func TestCacheEvictedMidQueryCountsMiss(t *testing.T) {
 	if m.FilesRead != 1 {
 		t.Errorf("second pass read %d files, want 1 (the evicted bitmap)", m.FilesRead)
 	}
+	// The query's own counts keep one per distinct bitmap: the evicted
+	// bitmap's probe hit becomes its miss.
+	if m.CacheHits != 1 || m.CacheMisses != 1 {
+		t.Errorf("query counts %d hits / %d misses, want 1/1", m.CacheHits, m.CacheMisses)
+	}
 }
 
 // TestCacheResidentGaugeConsistent pins the bix_cache_resident_bitmaps

@@ -192,7 +192,11 @@ type Metrics struct {
 	ReadNS       int64 // file read time
 	DecompressNS int64 // codec decode time: zlib inflate, WAH or roaring decode
 	ExtractNS    int64 // row-major column extraction time
-	Stats        core.Stats
+	// CacheHits and CacheMisses count this Metrics' own bitmap-pool reads
+	// (CachedStore): one per distinct stored bitmap a query references.
+	CacheHits   int64
+	CacheMisses int64
+	Stats       core.Stats
 	// Trace, when non-nil, receives per-phase durations (fetch,
 	// decompress, extract, bool_ops) for each query evaluated with this
 	// Metrics.
@@ -426,8 +430,7 @@ func (s *Store) ValueBytes() int64 { return s.valueBytes }
 
 // Describe returns a one-line plan summary of the store's physical design
 // — scheme, compression, encoding and base — the string slow-log entries
-// and flight-recorder records carry so a retained query names the index
-// design that served it (e.g. "bitvector/zlib range-encoded base <4,3>").
+// carry so a retained query names the index design that served it (e.g. "bitvector/zlib range-encoded base <4,3>").
 func (s *Store) Describe() string {
 	return fmt.Sprintf("%s/%s %s-encoded base %s",
 		s.meta.Scheme, s.codec, s.meta.Encoding, core.Base(s.meta.Base).String())

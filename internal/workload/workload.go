@@ -7,11 +7,10 @@
 // the catalog's current physical design against the recommendation under
 // the observed profile.
 //
-// The accumulator is fed from the same seams the flight recorder taps:
-// catalog.Table.Query (one event per predicate), the engine's
-// bitmap-merge plans (serial and segmented, via SelectOptions.Workload)
-// and bixstore serve's handlers. The attribute set is fixed at
-// construction (it comes from the catalog), so the accumulator — and the
+// The accumulator is fed by catalog.Table's Query and Count (one event
+// per predicate) and by bixstore serve's index-mode /query handler, from
+// the numbers of the query's one flight record. The attribute set is
+// fixed at construction (it comes from the catalog), so the accumulator — and the
 // attribute-labeled bix_attr_* metric families it pre-registers — have
 // statically bounded cardinality: events for unknown attributes are
 // counted in bix_workload_dropped_total and otherwise ignored, never
