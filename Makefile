@@ -41,7 +41,7 @@ race:
 	$(GO) test -race ./...
 
 bixdebug:
-	$(GO) test -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/core
+	$(GO) test -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/core ./internal/mutable
 	$(GO) test -race -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/reorder ./internal/core ./internal/cost ./internal/engine ./internal/buffer ./internal/telemetry ./internal/mutable ./internal/storage ./internal/catalog ./internal/flight ./internal/workload
 
 # Fuzz smoke: every fuzz target for ten seconds each. CI runs this target,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"bitmapindex/internal/bitvec"
 )
@@ -292,61 +293,74 @@ func (ix *Index) SizeBytes() int {
 func (ix *Index) StoredBitmap(i, j int) *bitvec.Vector { return ix.comps[i][j] }
 
 // Value reconstructs the value at row r (and whether it is non-null) by
-// probing the bitmaps. It is O(sum b_i) and intended for testing and
-// debugging, not bulk access.
+// decoding r's word with DecodeWord and picking r. It allocates nothing.
 func (ix *Index) Value(r int) (v uint64, ok bool) {
 	if !ix.nn.Get(r) {
 		return 0, false
 	}
-	digits := make([]uint64, len(ix.base))
+	var vals [64]uint64
+	k := r % 64
+	ix.DecodeWord(r/64, uint64(1)<<uint(k), &vals)
+	return vals[k], true
+}
+
+// DecodeWord decodes the values of the rows of word w (rows 64w to
+// 64w+63) that sel selects, working on the component bitmaps' words: for
+// each component and each nonzero digit d it derives the word of rows
+// whose digit is d, then adds d times the digit's weight to those rows.
+// Null rows are dropped from sel. It writes dst[k] for every row 64w+k left
+// in sel, leaves the other entries of dst alone, and returns that mask.
+// The cost is O(sum b_i) word operations plus one add per selected row and
+// nonzero digit. Unavailable on a shell index.
+func (ix *Index) DecodeWord(w int, sel uint64, dst *[64]uint64) uint64 {
+	sel &= ix.nn.Words()[w]
+	for s := sel; s != 0; s &= s - 1 {
+		dst[bits.TrailingZeros64(s)] = 0
+	}
+	weight := uint64(1)
 	for i, bi := range ix.base {
-		switch ix.enc {
-		case EqualityEncoded:
-			if bi == 2 {
-				if ix.comps[i][0].Get(r) {
-					digits[i] = 1
-				}
-				continue
-			}
-			for j := uint64(0); j < bi; j++ {
-				if ix.comps[i][j].Get(r) {
-					digits[i] = j
-					break
-				}
-			}
-		case RangeEncoded:
-			// The digit is the first slot whose bitmap has the bit set;
-			// if none is set the digit is b_i - 1.
-			digits[i] = bi - 1
-			for j := uint64(0); j < bi-1; j++ {
-				if ix.comps[i][j].Get(r) {
-					digits[i] = j
-					break
-				}
-			}
-		case IntervalEncoded:
-			// Windows containing digit d are [max(0,d-m+1), min(d,m-1)].
-			m := ivWindows(bi)
-			lo, hi := -1, -1
-			for j := 0; j < m; j++ {
-				if ix.comps[i][j].Get(r) {
-					if lo < 0 {
-						lo = j
-					}
-					hi = j
-				}
-			}
-			switch {
-			case lo < 0:
-				digits[i] = bi - 1 // outside every window (even b only)
-			case hi < m-1:
-				digits[i] = uint64(hi)
-			case lo > 0:
-				digits[i] = uint64(lo + m - 1)
-			default:
-				digits[i] = uint64(m - 1)
+		c := ix.comps[i]
+		for d := uint64(1); d < bi; d++ {
+			add := d * weight
+			for m := digitWord(ix.enc, c, bi, d, w) & sel; m != 0; m &= m - 1 {
+				dst[bits.TrailingZeros64(m)] += add
 			}
 		}
+		weight *= bi
 	}
-	return ix.base.Compose(digits), true
+	return sel
+}
+
+// digitWord returns word w of the rows whose digit is d (1 <= d < b) in a
+// component with base b and stored bitmaps c. Where the rule takes a
+// complement, null rows are set too; callers mask with B_nn.
+func digitWord(enc Encoding, c []*bitvec.Vector, b, d uint64, w int) uint64 {
+	at := func(j uint64) uint64 { return c[j].Words()[w] }
+	switch enc {
+	case EqualityEncoded:
+		if b == 2 {
+			return at(0) // only E^1 is stored
+		}
+		return at(d)
+	case RangeEncoded:
+		// B^j holds digits <= j, so digit d is B^d minus B^{d-1}; the top
+		// digit is the complement of the top stored slot.
+		if d == b-1 {
+			return ^at(b - 2)
+		}
+		return at(d) &^ at(d-1)
+	default: // IntervalEncoded
+		// Window I^j holds digits [j, j+m-1].
+		m := uint64(ivWindows(b))
+		switch {
+		case d < m-1:
+			return at(d) &^ at(d+1)
+		case d == m-1:
+			return at(m-1) & at(0)
+		case d <= 2*m-2:
+			return at(d-m+1) &^ at(d-m)
+		default: // d == b-1 with b even: outside every window
+			return ^(at(0) | at(m-1))
+		}
+	}
 }

@@ -151,8 +151,8 @@ func TestBuildWithNulls(t *testing.T) {
 
 func TestValueRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	for _, enc := range []Encoding{EqualityEncoded, RangeEncoded} {
-		for _, base := range []Base{{12}, {4, 3}, {2, 3, 2}, {2, 2, 2, 2}} {
+	for _, enc := range []Encoding{EqualityEncoded, RangeEncoded, IntervalEncoded} {
+		for _, base := range []Base{{12}, {4, 3}, {2, 3, 2}, {2, 2, 2, 2}, {3, 5}, {2, 6}} {
 			card := uint64(12)
 			if !base.Covers(card) {
 				t.Fatalf("test base %v does not cover %d", base, card)
@@ -179,6 +179,72 @@ func TestValueRoundTrip(t *testing.T) {
 					t.Fatalf("%v/%v row %d: Value = %d,%v want %d", enc, base, i, got, ok, vals[i])
 				}
 			}
+		}
+	}
+}
+
+// TestDecodeWordSelects checks that DecodeWord writes exactly the selected
+// non-null rows of a word, with the values Build was given, and leaves the
+// other entries of dst alone.
+func TestDecodeWordSelects(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	const rows, card = 150, 30
+	vals := make([]uint64, rows)
+	nulls := make([]bool, rows)
+	for i := range vals {
+		vals[i] = uint64(r.Intn(card))
+		nulls[i] = r.Intn(8) == 0
+	}
+	for _, enc := range []Encoding{EqualityEncoded, RangeEncoded, IntervalEncoded} {
+		for _, base := range []Base{{30}, {5, 6}, {2, 3, 5}} {
+			ix, err := Build(vals, card, base, enc, &BuildOptions{Nulls: nulls})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := 0; w*64 < rows; w++ {
+				sel := r.Uint64()
+				var dst [64]uint64
+				for k := range dst {
+					dst[k] = 1000 + uint64(k)
+				}
+				got := ix.DecodeWord(w, sel, &dst)
+				for k := 0; k < 64; k++ {
+					row := w*64 + k
+					want := row < rows && sel&(1<<uint(k)) != 0 && !nulls[row]
+					if (got&(1<<uint(k)) != 0) != want {
+						t.Fatalf("%v/%v row %d: in mask %v, want %v", enc, base, row, !want, want)
+					}
+					switch {
+					case want && dst[k] != vals[row]:
+						t.Fatalf("%v/%v row %d: decoded %d, want %d", enc, base, row, dst[k], vals[row])
+					case !want && dst[k] != 1000+uint64(k):
+						t.Fatalf("%v/%v row %d: unselected entry overwritten with %d", enc, base, row, dst[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestValueAllocatesNothing pins Value at zero allocations for every
+// encoding: its word buffer stays on the stack.
+func TestValueAllocatesNothing(t *testing.T) {
+	vals := make([]uint64, 300)
+	for i := range vals {
+		vals[i] = uint64(i*7) % 100
+	}
+	for _, enc := range []Encoding{EqualityEncoded, RangeEncoded, IntervalEncoded} {
+		ix, err := Build(vals, 100, Base{10, 10}, enc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			ix.Value(row)
+			row = (row + 37) % len(vals)
+		})
+		if allocs != 0 {
+			t.Errorf("%v: Value allocates %.1f times per call, want 0", enc, allocs)
 		}
 	}
 }

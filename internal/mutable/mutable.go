@@ -6,12 +6,18 @@
 // and index rebuilds only at compaction points.
 //
 // Queries see one contiguous row space: base rows first (minus
-// tombstones), then appended rows. An Index is safe for concurrent use; a
-// read-write mutex serializes mutations against queries.
+// tombstones), then appended rows. Eval and Compact work a 64-row word at
+// a time over the base rows and touch each append row once. Eval costs the
+// base evaluation plus O(rows/64 + append rows), with no per-row base
+// work; Compact decodes the base with O(rows/64) word operations per
+// stored bitmap, copies each live value once, and rebuilds. An Index is
+// safe for concurrent use; a read-write mutex serializes mutations against
+// queries.
 package mutable
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"bitmapindex/internal/bitvec"
@@ -31,10 +37,26 @@ type Index struct {
 
 	dead *bitvec.Vector // guarded by mu; tombstones over base rows
 
+	// The append segment: values and, one bit per append row, null and
+	// tombstone words.
 	deltaVals  []uint64 // guarded by mu
-	deltaNulls []bool   // guarded by mu
-	deltaDead  []bool   // guarded by mu
+	deltaNulls rowBits  // guarded by mu
+	deltaDead  rowBits  // guarded by mu
 	deltaLive  int      // guarded by mu
+}
+
+// rowBits is a growable bitmap over append-segment positions.
+type rowBits []uint64
+
+func (b rowBits) get(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
+
+func (b rowBits) set(i int) { b[i/64] |= 1 << uint(i%64) }
+
+// grow makes room for position i, the next one appended.
+func (b *rowBits) grow(i int) {
+	if i%64 == 0 {
+		*b = append(*b, 0)
+	}
 }
 
 // New creates an empty mutable index with the given attribute cardinality
@@ -121,24 +143,30 @@ func (m *Index) Append(v uint64) (int, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	row := m.base.Rows() + len(m.deltaVals)
-	m.deltaVals = append(m.deltaVals, v)
-	m.deltaNulls = append(m.deltaNulls, false)
-	m.deltaDead = append(m.deltaDead, false)
-	m.deltaLive++
-	return row, nil
+	return m.push(v, false), nil
 }
 
 // AppendNull adds a null row and returns its id.
 func (m *Index) AppendNull() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	row := m.base.Rows() + len(m.deltaVals)
-	m.deltaVals = append(m.deltaVals, 0)
-	m.deltaNulls = append(m.deltaNulls, true)
-	m.deltaDead = append(m.deltaDead, false)
+	return m.push(0, true)
+}
+
+// push appends one live row to the append segment and returns its id.
+// Callers hold mu.
+//
+//bix:lockheld
+func (m *Index) push(v uint64, null bool) int {
+	d := len(m.deltaVals)
+	m.deltaVals = append(m.deltaVals, v)
+	m.deltaNulls.grow(d)
+	m.deltaDead.grow(d)
+	if null {
+		m.deltaNulls.set(d)
+	}
 	m.deltaLive++
-	return row
+	return m.base.Rows() + d
 }
 
 // Delete tombstones a row. Deleting a row twice is a no-op.
@@ -152,38 +180,82 @@ func (m *Index) Delete(row int) error {
 		m.dead.Set(row)
 	default:
 		d := row - m.base.Rows()
-		if !m.deltaDead[d] {
-			m.deltaDead[d] = true
+		if !m.deltaDead.get(d) {
+			m.deltaDead.set(d)
 			m.deltaLive--
 		}
 	}
 	return nil
 }
 
-// Eval evaluates (A op v) over the combined row space: the base index
-// answers its rows through the bitmap evaluator (minus tombstones) and the
-// append segment is scanned (it is small by construction — that is what
-// Compact is for).
+// Eval evaluates (A op v) over the combined row space. The output is
+// allocated once: its base prefix is the base index's bitmap answer minus
+// tombstones, one word at a time, and the append segment's matches are
+// built as 64-row words and stored after it. Beyond the base evaluation
+// the cost is O(rows/64 + append rows), with no per-row work over the
+// base; the append segment is small by construction (that is what Compact
+// is for).
 func (m *Index) Eval(op core.Op, v uint64) *bitvec.Vector {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	baseRows := m.base.Rows()
-	out := bitvec.New(baseRows + len(m.deltaVals))
-	b := m.base.Eval(op, v, nil)
-	b.AndNot(m.dead)
-	b.Ones(func(r int) bool {
-		out.Set(r)
-		return true
-	})
-	for d, dv := range m.deltaVals {
-		if m.deltaDead[d] || m.deltaNulls[d] {
-			continue
+	out := make([]uint64, (baseRows+len(m.deltaVals)+63)/64)
+	bw := m.base.Eval(op, v, nil).Words()
+	dw := m.dead.Words()[:len(bw)]
+	for i, w := range bw {
+		out[i] = w &^ dw[i]
+	}
+	// Append row d is output bit baseRows+d: delta word k lands in output
+	// words at+k and at+k+1, shifted by sh.
+	at, sh := baseRows/64, uint(baseRows%64)
+	lo, span, neg := interval(op, v)
+	for k := 0; k*64 < len(m.deltaVals); k++ {
+		var word uint64
+		for j, dv := range m.deltaVals[k*64 : min(k*64+64, len(m.deltaVals))] {
+			if (dv-lo <= span) != neg {
+				word |= 1 << uint(j)
+			}
 		}
-		if op.Matches(dv, v) {
-			out.Set(baseRows + d)
+		word &^= m.deltaNulls[k] | m.deltaDead[k]
+		out[at+k] |= word << sh
+		if hi := word >> (64 - sh); hi != 0 { // 0 when sh is 0
+			out[at+k+1] |= hi
 		}
 	}
-	return out
+	res, err := bitvec.FromWords(baseRows+len(m.deltaVals), out)
+	if err != nil {
+		panic(err) // out has exactly the words the row count needs
+	}
+	return res
+}
+
+// interval turns (op, v) into one unsigned interval test: a value a
+// matches iff (a-lo <= span) != neg. Ne is the complement of Eq, and an
+// empty predicate (< 0, > max) is the complement of every value.
+func interval(op core.Op, v uint64) (lo, span uint64, neg bool) {
+	const all = ^uint64(0)
+	switch op {
+	case core.Lt:
+		if v == 0 {
+			return 0, all, true
+		}
+		return 0, v - 1, false
+	case core.Le:
+		return 0, v, false
+	case core.Gt:
+		if v == all {
+			return 0, all, true
+		}
+		return v + 1, all - v - 1, false
+	case core.Ge:
+		return v, all - v, false
+	case core.Eq:
+		return v, 0, false
+	case core.Ne:
+		return v, 0, true
+	default:
+		panic("mutable: invalid op")
+	}
 }
 
 // Value returns the value at a row and whether the row is live and
@@ -202,7 +274,7 @@ func (m *Index) Value(row int) (uint64, bool) {
 		return m.base.Value(row)
 	default:
 		d := row - baseRows
-		if m.deltaDead[d] || m.deltaNulls[d] {
+		if m.deltaDead.get(d) || m.deltaNulls.get(d) {
 			return 0, false
 		}
 		return m.deltaVals[d], true
@@ -211,33 +283,60 @@ func (m *Index) Value(row int) (uint64, bool) {
 
 // Compact folds tombstones and the append segment into a freshly built
 // base index. Row ids are renumbered densely (tombstoned rows vanish).
+// Live base values are decoded a 64-row word at a time from the base's
+// component bitmaps (core.Index.DecodeWord), with tombstoned rows dropped
+// by word masks, and each live append row is copied once. Before the
+// rebuild that is O(rows/64) word operations per stored bitmap plus one
+// copy per live row; no base row is probed on its own.
 func (m *Index) Compact() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var vals []uint64
-	var nulls []bool
-	anyNull := false
-	for r := 0; r < m.base.Rows(); r++ {
-		if m.dead.Get(r) {
-			continue
+	var c collector
+	c.vals = make([]uint64, 0, m.base.Rows()-m.dead.Count()+m.deltaLive)
+	baseRows := m.base.Rows()
+	var dec [64]uint64
+	for w, dead := range m.dead.Words() {
+		live := ^dead
+		if n := baseRows - w*64; n < 64 {
+			live &= 1<<uint(n) - 1
 		}
-		v, ok := m.base.Value(r)
-		vals = append(vals, v)
-		nulls = append(nulls, !ok)
-		anyNull = anyNull || !ok
+		nn := m.base.DecodeWord(w, live, &dec)
+		c.add(live, nn, dec[:])
 	}
-	for d, dv := range m.deltaVals {
-		if m.deltaDead[d] {
-			continue
+	for k, dead := range m.deltaDead {
+		live := ^dead
+		if n := len(m.deltaVals) - k*64; n < 64 {
+			live &= 1<<uint(n) - 1
 		}
-		vals = append(vals, dv)
-		nulls = append(nulls, m.deltaNulls[d])
-		anyNull = anyNull || m.deltaNulls[d]
+		c.add(live, ^m.deltaNulls[k], m.deltaVals[k*64:])
 	}
-	if !anyNull {
-		nulls = nil
+	return m.rebuild(c.vals, c.nulls)
+}
+
+// collector gathers Compact's live rows in row order.
+type collector struct {
+	vals  []uint64
+	nulls []bool // nil until the first null row
+}
+
+// add appends the rows of one 64-row word that live selects: row k is
+// vals[k] when nn has bit k, else null.
+func (c *collector) add(live, nn uint64, vals []uint64) {
+	for ; live != 0; live &= live - 1 {
+		k := bits.TrailingZeros64(live)
+		null := nn&(1<<uint(k)) == 0
+		if null && c.nulls == nil {
+			c.nulls = make([]bool, len(c.vals), cap(c.vals))
+		}
+		if c.nulls != nil {
+			c.nulls = append(c.nulls, null)
+		}
+		if null {
+			c.vals = append(c.vals, 0)
+		} else {
+			c.vals = append(c.vals, vals[k])
+		}
 	}
-	return m.rebuild(vals, nulls)
 }
 
 // Base returns the current immutable base index (for storage, statistics,

@@ -238,3 +238,124 @@ func TestMutableConcurrent(t *testing.T) {
 		t.Fatal("delta not empty after compact")
 	}
 }
+
+// check compares every Value and every Eval at constants 0, card-1 and
+// card against the model.
+func (md *model) check(t *testing.T, stage string, m *Index, card uint64) {
+	t.Helper()
+	if m.Rows() != len(md.vals) || m.Live() != md.live() {
+		t.Fatalf("%s: rows %d live %d, model %d and %d", stage, m.Rows(), m.Live(), len(md.vals), md.live())
+	}
+	for r := range md.vals {
+		v, ok := m.Value(r)
+		wantOK := !md.dead[r] && !md.null[r]
+		if ok != wantOK || (ok && v != md.vals[r]) {
+			t.Fatalf("%s: Value(%d) = %d,%v; model %d dead=%v null=%v", stage, r, v, ok, md.vals[r], md.dead[r], md.null[r])
+		}
+	}
+	for _, op := range core.AllOps {
+		for _, c := range []uint64{0, card - 1, card} {
+			got, want := m.Eval(op, c), md.eval(op, c)
+			if got.Len() != len(want) {
+				t.Fatalf("%s: A %s %d: %d rows, model %d", stage, op, c, got.Len(), len(want))
+			}
+			for r := range want {
+				if got.Get(r) != want[r] {
+					t.Fatalf("%s: A %s %d row %d: got %v want %v", stage, op, c, r, got.Get(r), want[r])
+				}
+			}
+		}
+	}
+}
+
+func (md *model) push(v uint64, null bool) {
+	md.vals = append(md.vals, v)
+	md.null = append(md.null, null)
+	md.dead = append(md.dead, false)
+}
+
+func (md *model) compact() {
+	keep := &model{}
+	for r := range md.vals {
+		if !md.dead[r] {
+			keep.push(md.vals[r], md.null[r])
+		}
+	}
+	*md = *keep
+}
+
+// TestWordBoundaries runs the word-wise Eval and Compact against the model
+// with base row counts around one and two words, so the append segment
+// starts mid-word and crosses word boundaries, with nulls in both parts,
+// deletes of the first and last base and append rows, and every encoding.
+func TestWordBoundaries(t *testing.T) {
+	const card = 12
+	r := rand.New(rand.NewSource(17))
+	for _, enc := range []core.Encoding{core.EqualityEncoded, core.RangeEncoded, core.IntervalEncoded} {
+		for _, base := range []core.Base{{12}, {3, 4}, {2, 2, 3}} {
+			for _, n := range []int{63, 64, 65, 127} {
+				md := &model{}
+				for i := 0; i < n; i++ {
+					md.push(uint64(r.Intn(card)), i%7 == 3)
+				}
+				ix, err := core.Build(md.vals, card, base, enc, &core.BuildOptions{Nulls: md.null})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := FromIndex(ix)
+				stage := func(s string) string { return enc.String() + "/" + base.String() + "/" + s }
+				del := func(row int) {
+					t.Helper()
+					if err := m.Delete(row); err != nil {
+						t.Fatal(err)
+					}
+					md.dead[row] = true
+				}
+				for round := 0; round < 2; round++ {
+					rows := len(md.vals)
+					del(0)
+					del(rows - 1)
+					for i := 0; i < 70; i++ {
+						if i%5 == 2 {
+							m.AppendNull()
+							md.push(0, true)
+							continue
+						}
+						v := uint64(r.Intn(card))
+						if _, err := m.Append(v); err != nil {
+							t.Fatal(err)
+						}
+						md.push(v, false)
+					}
+					del(rows)                     // first append row
+					del(rows + 33)                // one in the middle
+					del(len(md.vals) - 1)         // last append row
+					del(r.Intn(len(md.vals) - 1)) // and one anywhere
+					md.check(t, stage("before compact"), m, card)
+					if err := m.Compact(); err != nil {
+						t.Fatal(err)
+					}
+					md.compact()
+					md.check(t, stage("after compact"), m, card)
+				}
+			}
+		}
+	}
+}
+
+// TestInterval checks the unsigned interval form of each operator against
+// Op.Matches, at the ends of the value range too.
+func TestInterval(t *testing.T) {
+	const top = ^uint64(0)
+	probe := []uint64{0, 1, 2, 5, 6, 7, top - 1, top}
+	for _, op := range core.AllOps {
+		for _, v := range probe {
+			lo, span, neg := interval(op, v)
+			for _, a := range probe {
+				if got := (a-lo <= span) != neg; got != op.Matches(a, v) {
+					t.Errorf("%d %s %d: interval says %v", a, op, v, got)
+				}
+			}
+		}
+	}
+}
