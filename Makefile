@@ -3,8 +3,8 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint lint-timings sarif race bixdebug scaling \
-	fuzz bench-smoke ci cover bench-baseline bench-compare
+.PHONY: all build vet test test-count2 lint lint-timings sarif race bixdebug \
+	scaling fuzz bench-smoke ci cover bench-baseline bench-compare
 
 all: build
 
@@ -19,6 +19,12 @@ vet:
 test:
 	$(GO) test ./...
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
+
+# Every test twice in one process: a test that reads process-wide state
+# it does not own (the telemetry registry, pprof labels, a memoizing
+# loader) passes once and fails on the repeat.
+test-count2:
+	$(GO) test -count=2 ./...
 
 # Full suite (all fourteen analyzers, including the interprocedural
 # hotalloc walk, the atomicfield/poolhygiene concurrency checks and the
@@ -94,8 +100,9 @@ bench-compare:
 	$(GO) run ./cmd/bixbench -suite advisor -rows 65536 -seed 1 -json /tmp/bixbench-advisor-new.json
 	$(GO) run ./cmd/bixbench -compare BENCH_advisor.json /tmp/bixbench-advisor-new.json
 
-# The full gate: build + vet + lint + race-enabled tests, same order as CI.
-# Equivalent to `go run ./cmd/bixlint -ci`.
+# The full gate: build + vet + lint + race-enabled tests, same order as CI
+# (`go run ./cmd/bixlint -ci`), then the bixdebug and repeated runs.
 ci:
 	$(GO) run ./cmd/bixlint -ci
 	$(MAKE) bixdebug
+	$(MAKE) test-count2

@@ -463,13 +463,16 @@ func SaveIndex(ix *Index, dir string, opts StoreOptions) (*Store, error) {
 // evaluation.
 func OpenIndex(dir string) (*Store, error) { return storage.Open(dir) }
 
-// CachedStore is a Store behind an LRU pool of decompressed bitmaps; pool
-// hits cost no I/O and are excluded from scan counts (a running version
-// of the paper's Section 10 buffering model).
+// CachedStore is a Store behind a static pool of decompressed bitmaps;
+// pool hits cost no I/O and are excluded from scan counts (a running
+// version of the paper's Section 10 buffering model).
 type CachedStore = storage.CachedStore
 
-// NewCachedStore wraps an open store with an LRU pool of up to capacity
-// bitmaps.
+// NewCachedStore wraps an open store with a pool of up to capacity
+// bitmaps, chosen and read once: Theorem 10.1's optimal assignment on a
+// range-encoded index, the lowest (component, slot) pairs otherwise. A
+// damaged pinned file fails it with the same corruption error a query
+// reading that file would return.
 func NewCachedStore(s *Store, capacity int) (*CachedStore, error) {
 	return storage.NewCached(s, capacity)
 }

@@ -45,7 +45,7 @@ func cmdServe(args []string) error {
 	var (
 		dir     = fs.String("dir", "", "index or table directory (required)")
 		addr    = fs.String("addr", ":8317", "listen address")
-		cache   = fs.Int("cache", 0, "bitmap cache capacity (0 = no cache; index mode only)")
+		cache   = fs.Int("cache", 0, "bitmaps held in memory, pinned at boot by the paper's Section 10 placement (0 = none; index mode only)")
 		slow    = fs.Duration("slow", 0, "log queries at or over this duration to stderr (0 = off)")
 		profOut = fs.String("profile", "", "write a whole-run profile on shutdown (cpu.out = CPU, heap.out/mem* = heap)")
 		wlPath  = fs.String("workload", "", "workload profile JSON: loaded at boot when present, saved on graceful shutdown")

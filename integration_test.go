@@ -36,7 +36,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 2. Persist in a compressed layout, reopen, wrap in an LRU pool.
+	// 2. Persist in a compressed layout, reopen, wrap in a bitmap pool.
 	dir := filepath.Join(t.TempDir(), "ix")
 	if _, err := SaveIndex(ix, dir, StoreOptions{Scheme: BitmapLevel, Compress: true}); err != nil {
 		t.Fatal(err)

@@ -62,7 +62,14 @@ func TestFactCacheContentInvalidation(t *testing.T) {
 	if err := os.WriteFile(file, src, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := fixtureLoader(t).LoadDir(dir, "bitmapindex/fixture/factcache_tmp")
+	// A loader of its own: the shared one memoizes by import path and
+	// would hand a repeated run (-count=2) the package it loaded from an
+	// earlier, since deleted, temp dir.
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkg, err := l.LoadDir(dir, "bitmapindex/fixture/factcache_tmp")
 	if err != nil {
 		t.Fatalf("load temp fixture: %v", err)
 	}

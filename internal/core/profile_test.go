@@ -75,9 +75,10 @@ func TestUntracedEvalRunsUnlabeled(t *testing.T) {
 	}
 }
 
-// TestSegmentedTraceAggregatesSegments is the satellite check for
-// per-segment skew visibility: the segments phase must record one call per
-// segment with coherent min/max/sum aggregates.
+// TestSegmentedTraceAggregatesSegments is the check for per-segment skew
+// visibility: the segments phase must record one call per segment with
+// coherent min/max/sum aggregates. Once the query returns, no goroutine
+// may still carry its trace ID, pool workers included.
 func TestSegmentedTraceAggregatesSegments(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	n := 3<<16 + 1 // several full segments plus a ragged tail at SegBits=12
@@ -115,5 +116,10 @@ func TestSegmentedTraceAggregatesSegments(t *testing.T) {
 	}
 	if rec.Duration < rec.Max {
 		t.Errorf("sum %v < max %v", rec.Duration, rec.Max)
+	}
+	for _, ql := range profile.ActiveQueryLabels() {
+		if ql.QueryID == tr.ID() {
+			t.Errorf("goroutine still labeled %+v after the query returned", ql)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,13 +72,19 @@ var segPool struct {
 	jobs chan func()
 }
 
+// segPoolStart starts the workers and returns once each has dropped the
+// pprof labels it inherited from the first segmented query's goroutine:
+// between jobs a worker belongs to no query.
 func segPoolStart() {
 	n := runtime.GOMAXPROCS(0)
 	segPool.jobs = make(chan func())
 	telemetry.SegmentWorkers.Set(int64(n))
+	var unlabeled sync.WaitGroup
+	unlabeled.Add(n)
 	for i := 0; i < n; i++ {
-		go segPoolWorker()
+		go segPoolWorker(&unlabeled)
 	}
+	unlabeled.Wait()
 }
 
 // segPoolWorker drains the shared job channel for the life of the
@@ -84,7 +92,9 @@ func segPoolStart() {
 // the range below intentionally has no shutdown signal.
 //
 //bix:daemon (process-wide segment worker pool, lives until exit)
-func segPoolWorker() {
+func segPoolWorker(unlabeled *sync.WaitGroup) {
+	pprof.SetGoroutineLabels(context.Background())
+	unlabeled.Done()
 	for fn := range segPool.jobs {
 		fn()
 	}

@@ -13,10 +13,10 @@ import (
 	"bitmapindex/internal/storage"
 )
 
-// runAblationCache runs Section 10's buffering model against a live LRU
-// bitmap pool over the on-disk store: steady-state scans per query as a
-// function of pool capacity, next to the eq. (5) prediction for the
-// optimal static assignment.
+// runAblationCache runs Section 10's buffering model against the served
+// bitmap pool over the on-disk store, which pins the optimal static
+// assignment: measured scans per query as a function of pool capacity,
+// next to the eq. (5) prediction for that assignment.
 func runAblationCache(cfg Config, w io.Writer) error {
 	rows := cfg.Rows
 	if cfg.Quick && rows > 10000 {
@@ -40,7 +40,7 @@ func runAblationCache(cfg Config, w io.Writer) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	section(w, "LRU bitmap pool vs eq.(5): base %v, C = %d, N = %d", base, card, rows)
+	section(w, "pinned bitmap pool vs eq.(5): base %v, C = %d, N = %d", base, card, rows)
 	t := newTable(w)
 	t.row("capacity", "measured_scans/q", "eq5_optimal", "hit_rate")
 	queries := 3000
@@ -53,19 +53,15 @@ func runAblationCache(cfg Config, w io.Writer) error {
 			return err
 		}
 		r := rand.New(rand.NewSource(cfg.Seed))
-		run := func(n int) float64 {
-			var met storage.Metrics
-			for k := 0; k < n; k++ {
-				op := core.AllOps[r.Intn(6)]
-				v := uint64(r.Intn(int(card)))
-				if _, err := cs.Eval(op, v, &met); err != nil {
-					panic(err)
-				}
+		var met storage.Metrics
+		for k := 0; k < queries; k++ {
+			op := core.AllOps[r.Intn(6)]
+			v := uint64(r.Intn(int(card)))
+			if _, err := cs.Eval(op, v, &met); err != nil {
+				return err
 			}
-			return float64(met.Stats.Scans) / float64(n)
 		}
-		run(queries / 5) // warm up
-		measured := run(queries)
+		measured := float64(met.Stats.Scans) / float64(queries)
 		model := buffer.Time(base, card, buffer.Optimal(base, card, m))
 		t.row(m, fmt.Sprintf("%.3f", measured), fmt.Sprintf("%.3f", model),
 			fmt.Sprintf("%.2f", cs.HitRate()))

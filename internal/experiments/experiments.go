@@ -65,7 +65,7 @@ func All() []Experiment {
 		{"ablation-wah", "extension", "WAH vs zlib bitmap compression", runAblationWAH},
 		{"ablation-interval", "extension", "Interval encoding vs range and equality", runAblationInterval},
 		{"ablation-agg", "extension", "Bit-sliced SUM vs record scan", runAblationAgg},
-		{"ablation-cache", "Section 10 live", "LRU bitmap pool vs the buffering model", runAblationCache},
+		{"ablation-cache", "Section 10 live", "pinned bitmap pool vs the buffering model", runAblationCache},
 		{"ablation-refine", "Section 8.2", "RefineIndex gain over the FindSmallestN seed", runAblationRefine},
 	}
 }

@@ -31,7 +31,7 @@ const (
 	LabelQueryID = "bix_query_id"
 	// LabelPhase carries the coarse execution phase: "eval" for the
 	// query's own goroutine, "segment" for pool workers combining
-	// segments on its behalf, "cache_fill" for pool-miss reads.
+	// segments on its behalf.
 	LabelPhase = "bix_phase"
 )
 

@@ -92,7 +92,7 @@ func TestCrossCodecResultsAndStatsAgree(t *testing.T) {
 }
 
 // TestCrossCodecEvaluatorsAgree routes a roaring-backed store through the
-// cached, segmented and batch evaluators and cross-checks each against
+// cached and segmented evaluators and cross-checks each against
 // serial dense evaluation: the codec plugs in behind the fetch seam, so
 // every evaluator must work unchanged.
 func TestCrossCodecEvaluatorsAgree(t *testing.T) {
@@ -111,10 +111,8 @@ func TestCrossCodecEvaluatorsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var queries []core.Query
 	for _, op := range []core.Op{core.Le, core.Eq, core.Gt} {
 		for v := uint64(0); v < card; v += 5 {
-			queries = append(queries, core.Query{Op: op, V: v})
 			want := ix.Eval(op, v, nil)
 			var m Metrics
 			got, err := cs.Eval(op, v, &m)
@@ -131,16 +129,6 @@ func TestCrossCodecEvaluatorsAgree(t *testing.T) {
 			if !seg.Equal(want) {
 				t.Fatalf("segmented roaring A %s %d differs", op, v)
 			}
-		}
-	}
-	var m Metrics
-	batch, err := cs.EvalBatch(queries, 3, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		if !batch[i].Equal(ix.Eval(q.Op, q.V, nil)) {
-			t.Fatalf("batch roaring A %s %d differs", q.Op, q.V)
 		}
 	}
 }

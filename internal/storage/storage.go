@@ -648,25 +648,39 @@ func (q *query) extract(matrix *bitvec.Vector, stride, col int) *bitvec.Vector {
 
 // Eval evaluates (A op v) against the on-disk index, accounting physical
 // costs into m (which may be nil).
-func (s *Store) Eval(op core.Op, v uint64, m *Metrics) (res *bitvec.Vector, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if se, ok := r.(storageErr); ok {
-				res, err = nil, se.err
-				return
-			}
-			panic(r)
-		}
-	}()
-	telemetry.StorageQueriesTotal.Inc()
+func (s *Store) Eval(op core.Op, v uint64, m *Metrics) (*bitvec.Vector, error) {
 	q := &query{s: s, m: m}
-	opt := &core.EvalOptions{Fetch: q.fetch}
+	return s.eval(op, v, m, &core.EvalOptions{Fetch: q.fetch})
+}
+
+// eval evaluates (A op v) with opt's bitmap wiring, accounting the query
+// into m (which may be nil). A read that fails inside a fetch becomes the
+// returned error.
+func (s *Store) eval(op core.Op, v uint64, m *Metrics, opt *core.EvalOptions) (res *bitvec.Vector, err error) {
+	telemetry.StorageQueriesTotal.Inc()
 	if m != nil {
 		m.Queries++
 		opt.Stats = &m.Stats
 		opt.Trace = m.Trace
 	}
-	return s.shell.Eval(op, v, opt), nil
+	err = catch(func() { res = s.shell.Eval(op, v, opt) })
+	return res, err
+}
+
+// catch runs fn and returns the error of a read that failed inside it: a
+// fetch cannot return an error, so query.file panics with a storageErr.
+func catch(fn func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			se, ok := r.(storageErr)
+			if !ok {
+				panic(r)
+			}
+			err = se.err
+		}
+	}()
+	fn()
+	return nil
 }
 
 // ErrNotFound reports a missing index directory.

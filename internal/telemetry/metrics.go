@@ -48,17 +48,13 @@ var (
 	StorageExtractNSTotal = Default().Counter("bix_storage_extract_ns_total",
 		"Nanoseconds spent extracting columns from row-major files.")
 
-	// LRU bitmap pool (storage.CachedStore).
+	// Served static bitmap pool (storage.CachedStore).
 	CacheHitsTotal = Default().Counter("bix_cache_hits_total",
-		"Bitmap reads served from the LRU pool.")
+		"Bitmap reads served from the pinned bitmap pool.")
 	CacheMissesTotal = Default().Counter("bix_cache_misses_total",
-		"Bitmap reads that missed the LRU pool.")
-	CacheEvictionsTotal = Default().Counter("bix_cache_evictions_total",
-		"Bitmaps evicted from the LRU pool.")
+		"Bitmap reads that missed the pinned bitmap pool.")
 	CacheResident = Default().Gauge("bix_cache_resident_bitmaps",
-		"Bitmaps currently resident in the LRU pool.")
-	CacheFillNSTotal = Default().Counter("bix_cache_fill_ns_total",
-		"Nanoseconds spent reading bitmaps into the LRU pool on misses.")
+		"Bitmaps pinned by the most recently opened bitmap pool.")
 
 	// Static buffer assignments (internal/buffer).
 	BufferHitsTotal = Default().Counter("bix_buffer_hits_total",

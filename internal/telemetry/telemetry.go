@@ -8,7 +8,7 @@
 // The paper's two cost measures — bitmap scans (I/O) and bitmap operations
 // (CPU) — are collected by core.Stats and storage.Metrics per call; those
 // structs keep their APIs but also feed the process-wide Default registry
-// here, so every layer (core evaluators, on-disk stores, the LRU pool, the
+// here, so every layer (core evaluators, on-disk stores, the bitmap pool, the
 // buffer model and the engine's query plans) reports into one coherent
 // surface. The well-known metric set lives in metrics.go and is documented
 // in DESIGN.md.
