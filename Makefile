@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-count2 lint lint-timings sarif race bixdebug \
+.PHONY: all build vet test test-count2 lint sarif race bixdebug \
 	scaling fuzz bench-smoke ci cover bench-baseline bench-compare
 
 all: build
@@ -29,15 +29,11 @@ test-count2:
 # Full suite (all fourteen analyzers, including the interprocedural
 # hotalloc walk, the atomicfield/poolhygiene concurrency checks and the
 # goroutinelife/chanprotocol/ctxflow/closeown lifecycle checks), asserted
-# against an empty baseline exactly as CI does.
+# against an empty baseline exactly as CI does, with per-analyzer wall
+# time on stderr.
 lint:
 	@: > /tmp/bixlint-empty.baseline
-	$(GO) run ./cmd/bixlint -baseline /tmp/bixlint-empty.baseline ./...
-
-# The same run with per-analyzer wall time on stderr: where a slow lint
-# pass is spending its budget.
-lint-timings:
-	$(GO) run ./cmd/bixlint -timings ./...
+	$(GO) run ./cmd/bixlint -timings -baseline /tmp/bixlint-empty.baseline ./...
 
 sarif:
 	$(GO) run ./cmd/bixlint -format sarif ./... > bixlint.sarif
@@ -100,9 +96,6 @@ bench-compare:
 	$(GO) run ./cmd/bixbench -suite advisor -rows 65536 -seed 1 -json /tmp/bixbench-advisor-new.json
 	$(GO) run ./cmd/bixbench -compare BENCH_advisor.json /tmp/bixbench-advisor-new.json
 
-# The full gate: build + vet + lint + race-enabled tests, same order as CI
-# (`go run ./cmd/bixlint -ci`), then the bixdebug and repeated runs.
-ci:
-	$(GO) run ./cmd/bixlint -ci
-	$(MAKE) bixdebug
-	$(MAKE) test-count2
+# The full gate, in CI's order: build, vet, race-enabled tests, repeated
+# tests, lint, then the bixdebug assertions.
+ci: build vet race test-count2 lint bixdebug

@@ -6,10 +6,9 @@
 // integrity (lockheld, lockorder, unlockpath, gocapture, atomicfield,
 // poolhygiene) and lifecycle discipline (goroutinelife, chanprotocol,
 // ctxflow, closeown), all built on a CFG/dataflow engine and per-function
-// summaries. Packages are analyzed on a bounded worker pool in dependency
-// order; output is byte-identical at any worker count. It is built
+// summaries. It analyzes the loaded packages in one serial pass, is built
 // entirely on the standard library and needs no tools outside the Go
-// distribution.
+// distribution. Build, vet and the tests are separate steps (`make ci`).
 //
 // Usage:
 //
@@ -21,16 +20,12 @@
 //	bixlint -format sarif ./...       emit SARIF 2.1.0 on stdout
 //	bixlint -baseline lint.baseline ./...
 //	bixlint -write-baseline lint.baseline ./...
-//	bixlint -factcache off ./...      disable the call-graph fact cache
-//	bixlint -workers 1 ./...          force the serial analysis path
 //	bixlint -timings ./...            report per-analyzer wall time on stderr
-//	bixlint -vet ./...                also run `go vet`
-//	bixlint -ci                       build + vet + lint + race-enabled tests
 //	bixlint -list                     print the analyzer suite and exit
 //
-// Exit status: 0 when clean, 1 when any analyzer (or, with -vet/-ci, any
-// delegated tool) reports a finding, 2 when the module fails to load or
-// type-check, or on a usage error (unknown format or analyzer name).
+// Exit status: 0 when clean, 1 when any analyzer reports a finding, 2 when
+// the module fails to load or type-check, or on a usage error (unknown
+// format or analyzer name).
 package main
 
 import (
@@ -38,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"time"
@@ -54,12 +48,7 @@ func main() {
 	flag.StringVar(&opts.writeBaseline, "write-baseline", "", "write current findings to this baseline file and exit 0")
 	flag.StringVar(&opts.only, "only", "", "comma-separated analyzer names to run exclusively")
 	flag.StringVar(&opts.skip, "skip", "", "comma-separated analyzer names to leave out")
-	flag.StringVar(&opts.factCache, "factcache", "auto",
-		"call-graph fact cache: auto (user cache dir), off, or an explicit file path")
-	flag.IntVar(&opts.workers, "workers", 0, "analysis worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	flag.BoolVar(&opts.timings, "timings", false, "report per-analyzer wall time on stderr")
-	flag.BoolVar(&opts.vet, "vet", false, "also run `go vet` on the same patterns")
-	flag.BoolVar(&opts.ci, "ci", false, "run the full local gate: go build, go vet, bixlint, go test -race")
 	flag.Parse()
 	os.Exit(run(opts, flag.Args(), os.Stdout, os.Stderr))
 }
@@ -71,30 +60,7 @@ type options struct {
 	writeBaseline string
 	only          string
 	skip          string
-	factCache     string
-	workers       int
 	timings       bool
-	vet           bool
-	ci            bool
-}
-
-// cachePath resolves the -factcache flag to a file path, or "" when the
-// cache is disabled. "auto" places it under the user cache dir; when that
-// is unavailable the cache is silently skipped — it is an accelerator,
-// never required.
-func cachePath(flagVal string) string {
-	switch flagVal {
-	case "off", "":
-		return ""
-	case "auto":
-		dir, err := os.UserCacheDir()
-		if err != nil {
-			return ""
-		}
-		return filepath.Join(dir, "bixlint", "facts.json")
-	default:
-		return flagVal
-	}
 }
 
 func run(opts options, patterns []string, stdout, stderr io.Writer) int {
@@ -118,21 +84,6 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	if opts.ci {
-		// Build and vet gate the lint: there is no point type-checking a
-		// module that does not compile.
-		if code := runTool(stderr, "go", "build", "./..."); code != 0 {
-			return code
-		}
-		if code := runTool(stderr, "go", "vet", "./..."); code != 0 {
-			return code
-		}
-	} else if opts.vet {
-		if code := runTool(stderr, append([]string{"go", "vet"}, patterns...)...); code != 0 {
-			return code
-		}
-	}
-
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		fmt.Fprintln(stderr, "bixlint:", err)
@@ -150,8 +101,6 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	batch := analysis.NewBatch(pkgs)
-	batch.CachePath = cachePath(opts.factCache)
-	batch.Workers = opts.workers
 	findings := analysis.RunBatch(batch, selected)
 	root, _ := os.Getwd()
 	if opts.timings {
@@ -215,32 +164,6 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) int {
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "bixlint: %d finding(s)\n", len(findings))
 		return 1
-	}
-
-	if opts.ci {
-		// The race detector is the dynamic backstop for everything the
-		// concurrency analyzers approximate statically.
-		if code := runTool(stderr, "go", "test", "-race", "./..."); code != 0 {
-			return code
-		}
-		fmt.Fprintln(stderr, "bixlint: ci gate clean (build, vet, lint, race)")
-	}
-	return 0
-}
-
-// runTool shells out to a delegated tool (go build/vet/test), mapping
-// any failure onto the findings exit code.
-func runTool(stderr io.Writer, args ...string) int {
-	fmt.Fprintln(stderr, "bixlint: running", strings.Join(args, " "))
-	cmd := exec.Command(args[0], args[1:]...)
-	cmd.Stdout = stderr
-	cmd.Stderr = stderr
-	if err := cmd.Run(); err != nil {
-		if _, ok := err.(*exec.ExitError); ok {
-			return 1
-		}
-		fmt.Fprintln(stderr, "bixlint:", err)
-		return 2
 	}
 	return 0
 }

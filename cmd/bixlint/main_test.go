@@ -56,7 +56,7 @@ func TestOnlyRestrictsSuite(t *testing.T) {
 	// SARIF declares one rule per selected analyzer, so the rule list is a
 	// direct observation of what -only selected.
 	var out, errw bytes.Buffer
-	code := run(options{format: "sarif", only: "tailmask,errcheck-io", factCache: "off"},
+	code := run(options{format: "sarif", only: "tailmask,errcheck-io"},
 		[]string{"../../internal/bitvec"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("run exited %d, want 0 (stderr: %s)", code, errw.String())
@@ -84,18 +84,6 @@ func TestOnlyRestrictsSuite(t *testing.T) {
 	}
 	if len(ids) != 2 || ids[0] != "tailmask" || ids[1] != "errcheck-io" {
 		t.Errorf("SARIF rules = %v, want [tailmask errcheck-io]", ids)
-	}
-}
-
-func TestCachePathResolution(t *testing.T) {
-	if got := cachePath("off"); got != "" {
-		t.Errorf("cachePath(off) = %q, want empty", got)
-	}
-	if got := cachePath("/tmp/explicit.json"); got != "/tmp/explicit.json" {
-		t.Errorf("cachePath(explicit) = %q", got)
-	}
-	if got := cachePath("auto"); got != "" && !strings.HasSuffix(got, "facts.json") {
-		t.Errorf("cachePath(auto) = %q, want .../bixlint/facts.json or empty", got)
 	}
 }
 

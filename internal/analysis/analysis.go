@@ -33,11 +33,9 @@
 // Interprocedural analyses (hotalloc's transitive walk, lockorder's
 // acquisition summaries, poolhygiene's Put-forwarding, goroutinelife's
 // spawn walk) share one module-wide call graph with SCC-condensed
-// bottom-up fact summaries (callgraph.go), optionally persisted across
-// runs in a content-hash keyed fact cache (factcache.go). RunBatch
-// analyzes packages on a bounded worker pool in dependency order after a
-// serial prepare phase builds the shared indexes (runner.go); output is
-// byte-identical at any worker count.
+// bottom-up fact summaries (callgraph.go). RunBatch is one serial pass: a
+// prepare phase builds the shared indexes (runner.go), then every
+// analyzer runs over every package in load order.
 //
 // Run `go run ./cmd/bixlint ./...` to apply every analyzer to the module.
 package analysis
@@ -47,10 +45,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -76,17 +72,6 @@ type Pass struct {
 type Batch struct {
 	Pkgs []*Package
 
-	// CachePath, when non-empty, points the call-graph layer at a
-	// persistent fact cache (factcache.go). Set it before the first pass
-	// runs; cacheHits/cacheMisses count package-level cache outcomes.
-	CachePath   string
-	cacheHits   int
-	cacheMisses int
-
-	// Workers bounds the parallel analysis pool. Zero means GOMAXPROCS;
-	// one forces the serial path. Output is identical either way.
-	Workers int
-
 	declsOnce bool
 	decls     map[*types.Func]*ast.FuncDecl
 	declPkg   map[*types.Func]*Package
@@ -101,12 +86,11 @@ type Batch struct {
 	lifeDone       bool                  // goroutinelife findings computed
 	lifeFindings   []lifeFinding
 
-	// prepared flips after the serial prepare phase; from then on every
-	// lazily built index above is read-only (runner.go relies on this).
+	// prepared flips after the prepare phase; from then on every lazily
+	// built index above is read-only (runner.go relies on this).
 	prepared bool
 
-	timingsMu sync.Mutex
-	timings   map[string]time.Duration
+	timings map[string]time.Duration
 }
 
 // NewBatch indexes a package set for module-wide analyses.
@@ -153,8 +137,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // reportAt records a finding at an already-resolved position — the form
-// the interprocedural layer uses, since cached facts carry
-// token.Position values rather than live token.Pos offsets.
+// the interprocedural layer uses, since call-graph facts carry
+// token.Position values rather than token.Pos offsets.
 func (p *Pass) reportAt(pos token.Position, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Pos:      pos,
@@ -229,42 +213,19 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	return RunBatch(NewBatch(pkgs), analyzers)
 }
 
-// RunBatch is Run over a caller-constructed Batch, which is how bixlint
-// threads the fact-cache path and the worker count in. A serial prepare
-// phase builds every shared index the selected analyzers read; the
-// per-package passes then run on a bounded worker pool in dependency
-// order, each (package, analyzer) pair writing its own findings cell.
-// Concatenating the cells in the serial loop's nested order before the
-// final sort makes the output byte-identical at any worker count.
+// RunBatch is Run over a caller-constructed Batch, so the caller can read
+// the run's Timings afterwards. A prepare phase builds every shared index
+// the selected analyzers read; then each analyzer runs over each package,
+// in load order.
 func RunBatch(batch *Batch, analyzers []*Analyzer) []Finding {
 	batch.prepare(analyzers)
-	cells := make([][]Finding, len(batch.Pkgs)*len(analyzers))
-	runPkg := func(i int) {
-		pkg := batch.Pkgs[i]
-		for j, a := range analyzers {
+	var findings []Finding
+	for _, pkg := range batch.Pkgs {
+		for _, a := range analyzers {
 			start := time.Now()
-			a.Run(&Pass{Analyzer: a, Pkg: pkg, Batch: batch,
-				findings: &cells[i*len(analyzers)+j]})
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, Batch: batch, findings: &findings})
 			batch.noteTiming(a.Name, time.Since(start))
 		}
-	}
-	workers := batch.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(batch.Pkgs) {
-		workers = len(batch.Pkgs)
-	}
-	if workers <= 1 {
-		for i := range batch.Pkgs {
-			runPkg(i)
-		}
-	} else {
-		scheduleParallel(batch, workers, runPkg)
-	}
-	var findings []Finding
-	for _, cell := range cells {
-		findings = append(findings, cell...)
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]

@@ -23,11 +23,6 @@ import (
 // resolve and simply contribute no edge. Edges record how the callee runs
 // (call, defer, go, or referenced from a closure) so each client can pick
 // the traversal that matches its semantics.
-//
-// Extracted facts and edges are cheap to recompute but are also
-// serializable: factcache.go persists them keyed by a content hash of the
-// package (and its module-internal imports), so repeated `-ci` runs skip
-// the extraction walk for unchanged packages.
 
 // edgeKind says how a callee runs relative to its caller.
 type edgeKind int
@@ -39,33 +34,31 @@ const (
 	edgeRef                   // called from inside a function literal, or referenced as a value
 )
 
-// callEdge is one resolved call site. Fields are exported for the fact
-// cache's JSON encoding; Pos is a token.Position (not token.Pos) so cached
-// edges stay meaningful across runs.
+// callEdge is one resolved call site.
 type callEdge struct {
-	Callee string         `json:"c"`
-	Kind   edgeKind       `json:"k"`
-	Pos    token.Position `json:"p"`
+	Callee string
+	Kind   edgeKind
+	Pos    token.Position
 }
 
 // allocSite is one allocation-inducing construct. What is a message
 // fragment ("calls append", "builds a slice literal") phrased so both the
 // direct and the transitive hotalloc diagnostics can embed it verbatim.
 type allocSite struct {
-	Pos  token.Position `json:"p"`
-	What string         `json:"w"`
+	Pos  token.Position
+	What string
 }
 
 // funcFacts is the per-function summary extracted in one AST walk:
 // everything the interprocedural analyzers need to reason about a callee
 // without revisiting its body.
 type funcFacts struct {
-	Allocs        []allocSite `json:"allocs,omitempty"`
-	Acquires      []string    `json:"acquires,omitempty"` // mutex keys locked anywhere in the body
-	Releases      []string    `json:"releases,omitempty"` // mutex keys unlocked anywhere in the body
-	PoolGets      []string    `json:"pool_gets,omitempty"`
-	PoolPuts      []string    `json:"pool_puts,omitempty"`
-	PoolPutParams []int       `json:"pool_put_params,omitempty"` // parameter indices that reach a Put
+	Allocs        []allocSite
+	Acquires      []string // mutex keys locked anywhere in the body
+	Releases      []string // mutex keys unlocked anywhere in the body
+	PoolGets      []string
+	PoolPuts      []string
+	PoolPutParams []int // parameter indices that reach a Put
 }
 
 // cgNode is one module function in the call graph.
@@ -98,7 +91,7 @@ type callGraph struct {
 }
 
 // batchGraph builds (once per Batch) the module call graph and its
-// summaries, consulting the fact cache when the Batch has one configured.
+// summaries.
 func batchGraph(b *Batch) *callGraph {
 	if b.graph != nil {
 		return b.graph
@@ -109,29 +102,7 @@ func batchGraph(b *Batch) *callGraph {
 		allocates:     make(map[string]bool),
 	}
 	b.graph = g
-
-	var cache *factCache
-	hashes := make(map[string]string)
-	if b.CachePath != "" {
-		cache = openFactCache(b.CachePath)
-		h := newBatchHasher(b)
-		for _, pkg := range b.Pkgs {
-			hashes[pkg.Path] = h.hash(pkg)
-		}
-	}
-
 	for _, pkg := range b.Pkgs {
-		var cached map[string]cachedFunc
-		hash := hashes[pkg.Path]
-		if cache != nil && hash != "" {
-			if c, ok := cache.lookup(pkg.Path, hash); ok {
-				cached = c
-				b.cacheHits++
-			} else {
-				b.cacheMisses++
-			}
-		}
-		fresh := make(map[string]cachedFunc)
 		for _, decl := range funcDecls(pkg) {
 			fn, ok := pkg.Info.Defs[decl.Name].(*types.Func)
 			if !ok {
@@ -146,19 +117,8 @@ func batchGraph(b *Batch) *callGraph {
 				hot:     hasDirective(decl.Doc, "hotpath"),
 				allocOK: hasDirective(decl.Doc, "allocok"),
 			}
-			if cf, ok := cached[n.key]; ok {
-				n.edges, n.facts = cf.Edges, cf.Facts
-			} else {
-				n.edges, n.facts = extractFunc(pkg, decl)
-				fresh[n.key] = cachedFunc{Edges: n.edges, Facts: n.facts}
-			}
-			if n.facts == nil {
-				n.facts = &funcFacts{}
-			}
+			n.edges, n.facts = extractFunc(pkg, decl)
 			g.nodes[n.key] = n
-		}
-		if cache != nil && cached == nil && hash != "" {
-			cache.store(pkg.Path, hash, fresh)
 		}
 	}
 	for k := range g.nodes {
@@ -166,9 +126,6 @@ func batchGraph(b *Batch) *callGraph {
 	}
 	sort.Strings(g.keys)
 	g.buildSummaries()
-	if cache != nil {
-		_ = cache.save() // best-effort: a failed save only costs the next run time
-	}
 	return g
 }
 

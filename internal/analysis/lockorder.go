@@ -155,8 +155,7 @@ func lockTransferKey(info *types.Info, n ast.Node, s StringSet) StringSet {
 // function, straight off the call graph's bottom-up summaries
 // (callgraph.go), which compute the full fixpoint through mutual
 // recursion; functions outside the module (no graph node) have an empty
-// summary. The lookup is two map reads, so there is no memo — which also
-// keeps it write-free for the parallel runner.
+// summary. The lookup is two map reads, so there is no memo.
 func lockSummary(b *Batch, fn *types.Func) StringSet {
 	if n := batchGraph(b).node(fn); n != nil {
 		if s, ok := b.graph.transAcquires[n.key]; ok {

@@ -70,57 +70,6 @@ func TestOutputByteStable(t *testing.T) {
 	}
 }
 
-// TestParallelByteIdentical: the parallel runner must produce the exact
-// finding sequence of the serial path — same positions, same messages,
-// same order — for the full suite and for -only/-skip subsets. This is
-// the contract that lets -workers default on without perturbing CI
-// diffs, baselines, or SARIF output.
-func TestParallelByteIdentical(t *testing.T) {
-	load := func() []*Package {
-		return []*Package{
-			loadFixture(t, "unlockpath_bad"),
-			loadFixture(t, "lockorder_bad"),
-			loadFixture(t, "gocapture_bad"),
-			loadFixture(t, "hotpath_multi/helper"),
-			loadFixture(t, "hotpath_multi"),
-			loadFixture(t, "goroutinelife_bad"),
-			loadFixture(t, "chanprotocol_bad"),
-			loadFixture(t, "closeown_bad"),
-		}
-	}
-	subsets := []struct {
-		name       string
-		only, skip string
-	}{
-		{"full-suite", "", ""},
-		{"only-lifecycle", "goroutinelife,chanprotocol,closeown", ""},
-		{"skip-interprocedural", "", "hotalloc,lockorder,goroutinelife"},
-	}
-	for _, sub := range subsets {
-		t.Run(sub.name, func(t *testing.T) {
-			analyzers, err := Select(sub.only, sub.skip)
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(workers int) []byte {
-				batch := NewBatch(load())
-				batch.Workers = workers
-				return renderText(RunBatch(batch, analyzers))
-			}
-			serial := run(1)
-			if len(serial) == 0 && sub.name == "full-suite" {
-				t.Fatal("bad fixtures produced no findings")
-			}
-			for _, workers := range []int{2, 4, 8} {
-				if parallel := run(workers); !bytes.Equal(serial, parallel) {
-					t.Errorf("workers=%d output differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
-						workers, serial, parallel)
-				}
-			}
-		})
-	}
-}
-
 // TestTimingsCoverSuite: after a run, every selected analyzer (plus the
 // prepare phase) has a wall-time entry — the -timings contract.
 func TestTimingsCoverSuite(t *testing.T) {

@@ -3,45 +3,31 @@ package analysis
 import (
 	"go/types"
 	"sort"
-	"sync"
 	"time"
 )
 
-// The parallel runner. RunBatch analyzes packages on a bounded worker
-// pool in module-internal dependency order. Correctness rests on a strict
-// phase split:
-//
-//   - prepare (serial, once): every lazily built module-wide index that a
-//     selected analyzer touches — the declaration map, the call graph and
-//     its summaries (through the fact cache when configured), hotalloc's
-//     findings, the atomicfield index, the lockorder acquisition graph,
-//     tailmask's slice-parameter summaries, the channel index and
-//     goroutinelife's findings, closeown's parameter summaries — is
-//     forced up front.
-//   - run (parallel): passes only read Batch state. Each (package,
-//     analyzer) pair appends into its own findings cell, and the cells
-//     are concatenated in the exact nested order the serial loop used, so
-//     the pre-sort sequence — and therefore the output — is byte-identical
-//     to a Workers=1 run.
-//
-// Dependency order means a package is analyzed only after every batch
-// package it imports; Go forbids import cycles, so the schedule always
-// drains.
+// The runner's phase split. prepare builds, once and in a fixed order,
+// every lazily built module-wide index that a selected analyzer touches:
+// the declaration map, the call graph and its summaries, hotalloc's
+// findings, the atomicfield index, the lockorder acquisition graph,
+// tailmask's slice-parameter summaries, the channel index and
+// goroutinelife's findings, and closeown's parameter summaries. The passes
+// then only read Batch state. The order matters for tailmask: summaries
+// of recursive cycles are a fixpoint from below, so their results depend
+// on which function is summarized first, and prepare fixes that order to
+// declaration order rather than the order tailmask's passes ask in.
 
 // Timing is one analyzer's accumulated wall time across the run, plus the
-// synthetic "(prepare)" entry for the serial index-building phase.
+// synthetic "(prepare)" entry for the index-building phase.
 type Timing struct {
 	Name  string
 	Total time.Duration
 }
 
 // Timings returns per-analyzer accumulated wall time, largest first.
-// Parallel passes overlap, so analyzer entries can sum to more than the
-// run's wall clock — they answer "where would effort on speeding up an
-// analyzer pay off", not "what did the run cost".
+// Package loading and type-checking happen before the Batch exists and
+// are not included.
 func (b *Batch) Timings() []Timing {
-	b.timingsMu.Lock()
-	defer b.timingsMu.Unlock()
 	out := make([]Timing, 0, len(b.timings))
 	for name, d := range b.timings {
 		out = append(out, Timing{Name: name, Total: d})
@@ -56,16 +42,14 @@ func (b *Batch) Timings() []Timing {
 }
 
 func (b *Batch) noteTiming(name string, d time.Duration) {
-	b.timingsMu.Lock()
 	if b.timings == nil {
 		b.timings = make(map[string]time.Duration)
 	}
 	b.timings[name] += d
-	b.timingsMu.Unlock()
 }
 
-// prepare forces, serially, every shared index the selected analyzers
-// will read, so the parallel passes never write Batch state.
+// prepare forces every shared index the selected analyzers will read, so
+// the passes never write Batch state.
 func (b *Batch) prepare(analyzers []*Analyzer) {
 	if b.prepared {
 		return
@@ -111,62 +95,4 @@ func (b *Batch) prepare(analyzers []*Analyzer) {
 	}
 	b.prepared = true
 	b.noteTiming("(prepare)", time.Since(start))
-}
-
-// scheduleParallel runs run(i) for every package index on `workers`
-// goroutines, releasing a package only when its module-internal imports
-// within the batch have finished.
-func scheduleParallel(b *Batch, workers int, run func(int)) {
-	n := len(b.Pkgs)
-	byPath := make(map[string]int, n)
-	for i, p := range b.Pkgs {
-		byPath[p.Path] = i
-	}
-	waiting := make([]int, n)
-	dependents := make([][]int, n)
-	for i, p := range b.Pkgs {
-		if p.Types == nil {
-			continue
-		}
-		for _, imp := range p.Types.Imports() {
-			if j, ok := byPath[imp.Path()]; ok && j != i {
-				waiting[i]++
-				dependents[j] = append(dependents[j], i)
-			}
-		}
-	}
-	ready := make(chan int, n) // buffered: finish never blocks
-	for i := 0; i < n; i++ {
-		if waiting[i] == 0 {
-			ready <- i
-		}
-	}
-	var mu sync.Mutex
-	var done sync.WaitGroup
-	done.Add(n)
-	finish := func(i int) {
-		mu.Lock()
-		for _, d := range dependents[i] {
-			waiting[d]--
-			if waiting[d] == 0 {
-				ready <- d
-			}
-		}
-		mu.Unlock()
-		done.Done()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ready {
-				run(i)
-				finish(i)
-			}
-		}()
-	}
-	done.Wait()  // every package analyzed
-	close(ready) // release the workers' range loops
-	wg.Wait()    // workers drained
 }

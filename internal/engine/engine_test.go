@@ -331,3 +331,68 @@ func TestExplain(t *testing.T) {
 		t.Fatalf("Explain should mark index plans unavailable:\n%s", out)
 	}
 }
+
+// TestExplainNamesAutoPlan: the plan Explain says Auto picks is the plan
+// Select(preds, Auto) runs, on relations with every index, with no RID
+// index, with no bitmap index and with no index at all.
+func TestExplainNamesAutoPlan(t *testing.T) {
+	full := buildRelation(t, 2000, 21)
+	partial := func(rids, bitmaps bool) *Relation {
+		rel := NewRelation("partial")
+		for _, name := range []string{"quantity", "price", "region"} {
+			src, _ := full.Column(name)
+			vals := make([]int64, full.Rows())
+			for i, rank := range src.Ranks() {
+				vals[i] = src.Dict().Value(rank)
+			}
+			c, err := rel.AddInt64(name, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rids {
+				c.BuildRIDIndex()
+			}
+			if bitmaps {
+				if err := c.BuildBitmapIndex(src.BitmapIndex().Base(), core.RangeEncoded); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return rel
+	}
+	rels := map[string]*Relation{
+		"all-indexes": full,
+		"no-rid":      partial(false, true),
+		"no-bitmap":   partial(true, false),
+		"no-index":    partial(false, false),
+	}
+	queries := [][]Pred{
+		{{Col: "quantity", Op: core.Eq, Val: 7}},
+		{{Col: "quantity", Op: core.Le, Val: 40}},
+		{{Col: "price", Op: core.Lt, Val: 10}, {Col: "region", Op: core.Eq, Val: 3}},
+		{{Col: "quantity", Op: core.Gt, Val: 45}, {Col: "region", Op: core.Ne, Val: 0}},
+		{{Col: "quantity", Op: core.Eq, Val: 999}},
+	}
+	picked := make(map[Method]bool)
+	for name, rel := range rels {
+		for qi, preds := range queries {
+			out := rel.Explain(preds)
+			_, line, ok := strings.Cut(out, "-> auto picks ")
+			if !ok {
+				t.Fatalf("%s query %d: Explain names no pick:\n%s", name, qi, out)
+			}
+			line, _, _ = strings.Cut(line, "\n")
+			_, c, err := rel.Select(preds, Auto)
+			if err != nil {
+				t.Fatalf("%s query %d: %v", name, qi, err)
+			}
+			if line != c.Method.String() {
+				t.Errorf("%s query %d: Explain picks %s, Select(Auto) ran %v:\n%s", name, qi, line, c.Method, out)
+			}
+			picked[c.Method] = true
+		}
+	}
+	if len(picked) != 4 {
+		t.Errorf("Auto picked only %v; the query set should reach all four plans", picked)
+	}
+}

@@ -528,23 +528,30 @@ func (r *Relation) EstimateBytes(preds []Pred, m Method) (int64, error) {
 // phase.
 func (r *Relation) pickPlan(preds []Pred, tr *telemetry.Trace) (Method, error) {
 	sp := tr.Start(telemetry.PhasePlan)
-	best := Method(0)
-	bestBytes := int64(math.MaxInt64)
-	found := false
-	for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge} {
-		e, err := r.EstimateBytes(preds, m)
-		if err != nil {
-			continue
-		}
-		if e < bestBytes {
-			best, bestBytes, found = m, e, true
-		}
-	}
+	best, ok := r.cheapestPlan(preds, nil)
 	sp.End()
-	if !found {
+	if !ok {
 		return 0, fmt.Errorf("engine: no executable plan")
 	}
 	return best, nil
+}
+
+// cheapestPlan estimates the four executable plans in Method order and
+// returns the one with the fewest estimated bytes, the earlier plan on a
+// tie; ok is false when no plan's indexes exist. each, when non-nil, sees
+// every estimate, including the error of a plan that cannot run.
+func (r *Relation) cheapestPlan(preds []Pred, each func(Method, int64, error)) (best Method, ok bool) {
+	var bestBytes int64
+	for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge} {
+		e, err := r.EstimateBytes(preds, m)
+		if each != nil {
+			each(m, e, err)
+		}
+		if err == nil && (!ok || e < bestBytes) {
+			best, bestBytes, ok = m, e, true
+		}
+	}
+	return best, ok
 }
 
 // ridStats returns the matching-row count and index bytes for a predicate
@@ -569,20 +576,14 @@ func (r *Relation) ridStats(c *Column, p Pred) (nRows, idxBytes int64) {
 func (r *Relation) Explain(preds []Pred) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "select %v from %s (%d rows)\n", preds, r.Name, r.Rows())
-	best := Method(0)
-	bestBytes := int64(math.MaxInt64)
-	for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge} {
-		e, err := r.EstimateBytes(preds, m)
+	best, ok := r.cheapestPlan(preds, func(m Method, e int64, err error) {
 		if err != nil {
 			fmt.Fprintf(&sb, "  %-16s unavailable: %v\n", m, err)
-			continue
+		} else {
+			fmt.Fprintf(&sb, "  %-16s ~%d bytes\n", m, e)
 		}
-		fmt.Fprintf(&sb, "  %-16s ~%d bytes\n", m, e)
-		if e < bestBytes {
-			best, bestBytes = m, e
-		}
-	}
-	if bestBytes < int64(math.MaxInt64) {
+	})
+	if ok {
 		fmt.Fprintf(&sb, "  -> auto picks %v\n", best)
 	} else {
 		sb.WriteString("  -> no executable plan\n")
