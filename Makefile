@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzInflateVector -fuzztime=10s ./internal/storage
 	$(GO) test -fuzz=FuzzOpenMeta -fuzztime=10s ./internal/storage
 	$(GO) test -fuzz=FuzzProfileDecode -fuzztime=10s ./internal/workload
+	$(GO) test -fuzz=FuzzDecodeTable -fuzztime=10s ./internal/catalog
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=10s ./cmd/bixstore
 
 # Benchmark smoke: every Go benchmark once, so they keep compiling and

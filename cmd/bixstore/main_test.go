@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -89,6 +90,28 @@ func TestCSVAndWhere(t *testing.T) {
 	}
 	if err := cmdWhere([]string{"-dir", tblDir, "-q", "region != 0"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCSVReportsPermutation: csv -reorder prints the sort key, by
+// ascending cardinality, and the packed permutation's bytes on disk
+// (500 rows at 9 bits each fill 71 words).
+func TestCSVReportsPermutation(t *testing.T) {
+	dir := t.TempDir()
+	csvPath := filepath.Join(dir, "t.csv")
+	rows := []string{"quantity,price,region"}
+	for i := 0; i < 500; i++ {
+		rows = append(rows, fmt.Sprintf("%d,%d,%d", i%50+1, (i%300)*5, i%8))
+	}
+	if err := os.WriteFile(csvPath, []byte(strings.Join(rows, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runCSV(&out, []string{"-in", csvPath, "-dir", filepath.Join(dir, "tbl"), "-z", "-reorder", "lex"}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "row permutation  lex by region, quantity, price (568 bytes on disk)"; !strings.Contains(out.String(), want) {
+		t.Errorf("csv output lacks %q:\n%s", want, out.String())
 	}
 }
 

@@ -125,7 +125,22 @@ func cmdServe(args []string) error {
 		}
 		return werr
 	}
-	return serveLoop(&http.Server{Handler: handler}, ln, onShutdown)
+	return serveLoop(newHTTPServer(handler), ln, onShutdown)
+}
+
+// newHTTPServer bounds what one client can hold: the time to send the
+// request headers and the request, the time an idle keep-alive
+// connection stays open, and the header size. WriteTimeout outlasts a
+// default 30 s /debug/pprof/profile capture.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+		MaxHeaderBytes:    64 << 10,
+	}
 }
 
 // loadWorkload replays a previously saved profile into the accumulator so

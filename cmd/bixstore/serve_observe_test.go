@@ -89,7 +89,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	profileWrites := 0
 	done := make(chan error, 1)
 	go func() {
-		done <- serveLoop(&http.Server{Handler: srv.mux()}, ln,
+		done <- serveLoop(newHTTPServer(srv.mux()), ln,
 			func() error { profileWrites++; return nil })
 	}()
 
@@ -127,6 +127,31 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	if profileWrites != 1 {
 		t.Errorf("shutdown profile hook ran %d times, want 1", profileWrites)
+	}
+}
+
+// TestHTTPServerBounded pins the server's limits: every timeout is set,
+// the write timeout outlasts a default 30 s CPU profile capture, and
+// headers are capped at 64 KiB.
+func TestHTTPServerBounded(t *testing.T) {
+	s := newHTTPServer(http.NotFoundHandler())
+	if s.Handler == nil {
+		t.Error("handler not set")
+	}
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": s.ReadHeaderTimeout,
+		"ReadTimeout":       s.ReadTimeout,
+		"IdleTimeout":       s.IdleTimeout,
+	} {
+		if d <= 0 {
+			t.Errorf("%s = %v, want a bound", name, d)
+		}
+	}
+	if s.WriteTimeout <= 30*time.Second {
+		t.Errorf("WriteTimeout = %v, want longer than a 30 s profile", s.WriteTimeout)
+	}
+	if s.MaxHeaderBytes != 64<<10 {
+		t.Errorf("MaxHeaderBytes = %d, want 64 KiB", s.MaxHeaderBytes)
 	}
 }
 

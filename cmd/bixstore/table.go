@@ -18,7 +18,10 @@ import (
 
 // cmdCSV loads a CSV file (header row + integer cells) into a catalog of
 // per-column bitmap indexes.
-func cmdCSV(args []string) error {
+func cmdCSV(args []string) error { return runCSV(os.Stdout, args) }
+
+// runCSV is cmdCSV writing to w, so tests can inspect the output.
+func runCSV(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("csv", flag.ExitOnError)
 	var (
 		in     = fs.String("in", "", "CSV file with a header row and integer cells (required)")
@@ -63,15 +66,19 @@ func cmdCSV(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("indexed table %s: %d rows, %d attributes\n", tbl.Name(), tbl.Rows(), len(tbl.Attributes()))
+	fmt.Fprintf(w, "indexed table %s: %d rows, %d attributes\n", tbl.Name(), tbl.Rows(), len(tbl.Attributes()))
 	for _, name := range tbl.Attributes() {
 		a, err := tbl.Attr(name)
 		if err != nil {
 			return err
 		}
 		ix := a.Store().Index()
-		fmt.Printf("  %-16s C=%-6d %s (%d bytes on disk)\n", name, a.Dict().Card(),
+		fmt.Fprintf(w, "  %-16s C=%-6d %s (%d bytes on disk)\n", name, a.Dict().Card(),
 			bitmapindex.Describe(ix.Base(), ix.Encoding(), ix.Cardinality()), a.Store().ValueBytes())
+	}
+	if key := tbl.SortKey(); key != nil {
+		fmt.Fprintf(w, "  %-16s %s by %s (%d bytes on disk)\n", "row permutation", tbl.Reorder(),
+			strings.Join(key, ", "), tbl.PermutationBytes())
 	}
 	return nil
 }

@@ -8,16 +8,21 @@
 // Layout:
 //
 //	dir/table.json   descriptor: rows, attribute list, dictionaries
+//	dir/perm.bin     row permutation, only when rows were reordered
 //	dir/<attr>/      one storage.Save output per attribute
 package catalog
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"bitmapindex/internal/bitvec"
@@ -32,6 +37,10 @@ import (
 const (
 	tableFile = "table.json"
 	permFile  = "perm.bin"
+	// tableVersion is the descriptor version Create writes. Version 1
+	// stored the permutation at 64 bits per entry and sorted rows in
+	// column order; Open reads both.
+	tableVersion = 2
 )
 
 // tableMeta is the serialized descriptor.
@@ -42,11 +51,16 @@ type tableMeta struct {
 	Attrs   []attrMeta `json:"attributes"`
 	// Reorder names the row sort applied before bitmap construction
 	// ("none", "lex", "gray"). When not "none", perm.bin holds the row
-	// permutation (8 bytes little-endian per row, perm[newPos] = origRow)
-	// and PermChecksum its CRC-32, so stored bitmaps — built over sorted
-	// rows — can be mapped back to original row ids at query time.
-	Reorder      string `json:"reorder,omitempty"`
-	PermChecksum uint32 `json:"perm_checksum,omitempty"`
+	// permutation perm[newPos] = origRow, packed by packPerm at
+	// permWidth bits per entry, and PermChecksum its CRC-32, so stored
+	// bitmaps — built over sorted rows — can be mapped back to original
+	// row ids at query time.
+	Reorder string `json:"reorder,omitempty"`
+	// SortKey names the attributes the rows were sorted by, most
+	// significant first. A version-1 descriptor has none: its rows were
+	// sorted in column order.
+	SortKey      []string `json:"sort_key,omitempty"`
+	PermChecksum uint32   `json:"perm_checksum,omitempty"`
 }
 
 type attrMeta struct {
@@ -66,10 +80,11 @@ type Options struct {
 	BaseFor func(card uint64) (core.Base, error)
 	// Encoding for every attribute index; default RangeEncoded.
 	Encoding core.Encoding
-	// Reorder sorts rows by their attribute-rank tuples (in column order)
-	// before building the bitmaps, multiplying run-length compression
-	// (arXiv:0901.3751). Query maps its result back to original row ids;
-	// Count needs no map-back.
+	// Reorder sorts rows by their attribute-rank tuples before building
+	// the bitmaps, multiplying run-length compression (arXiv:0901.3751).
+	// The tuple lists the attributes by ascending dictionary cardinality,
+	// ties in column order (see sortKey). Query maps its result back to
+	// original row ids; Count needs no map-back.
 	Reorder reorder.Order
 }
 
@@ -114,26 +129,15 @@ func Create(dir string, rel *engine.Relation, opts Options) (*Table, error) {
 	if baseFor == nil {
 		baseFor = design.Knee
 	}
-	meta := tableMeta{Version: 1, Name: rel.Name, Rows: rel.Rows(), Reorder: opts.Reorder.String()}
+	meta := tableMeta{Version: tableVersion, Name: rel.Name, Rows: rel.Rows(), Reorder: opts.Reorder.String()}
 	var perm []int
 	if opts.Reorder != reorder.None {
-		rankCols := make([][]uint64, 0, len(rel.ColumnNames()))
-		for _, name := range rel.ColumnNames() {
-			col, err := rel.Column(name)
-			if err != nil {
-				return nil, err
-			}
-			rankCols = append(rankCols, col.Ranks())
+		key, rankCols, err := sortKey(rel)
+		if err != nil {
+			return nil, err
 		}
 		perm = reorder.Permutation(opts.Reorder, rankCols)
-		pb := make([]byte, 8*len(perm))
-		for i, p := range perm {
-			binary.LittleEndian.PutUint64(pb[8*i:], uint64(p))
-		}
-		meta.PermChecksum = crc32.ChecksumIEEE(pb)
-		if err := os.WriteFile(filepath.Join(dir, permFile), pb, 0o644); err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
-		}
+		meta.SortKey = key
 	}
 	for _, name := range rel.ColumnNames() {
 		col, err := rel.Column(name)
@@ -158,14 +162,176 @@ func Create(dir string, rel *engine.Relation, opts Options) (*Table, error) {
 		}
 		meta.Attrs = append(meta.Attrs, attrMeta{Name: name, Dir: sub, Dict: col.Dict().Values()})
 	}
-	mj, err := json.MarshalIndent(meta, "", "  ")
+	mj, pb, err := encodeTable(meta, perm)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: %w", err)
+	}
+	if perm != nil {
+		if err := os.WriteFile(filepath.Join(dir, permFile), pb, 0o644); err != nil {
+			return nil, fmt.Errorf("catalog: %w", err)
+		}
 	}
 	if err := os.WriteFile(filepath.Join(dir, tableFile), mj, 0o644); err != nil {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
 	return Open(dir)
+}
+
+// sortKey orders the relation's columns by ascending dictionary
+// cardinality, ties in column order, and returns their names and rank
+// columns in that order. A leading low-cardinality attribute cuts the
+// rows into few long runs that each later attribute subdivides, so the
+// bitmaps of every attribute compress better than under column order
+// (histogram-aware sorting, arXiv:0808.2083).
+func sortKey(rel *engine.Relation) ([]string, [][]uint64, error) {
+	names := rel.ColumnNames()
+	cols := make([]*engine.Column, len(names))
+	for i, name := range names {
+		col, err := rel.Column(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		cols[i] = col
+	}
+	sort.SliceStable(cols, func(i, j int) bool { return cols[i].Card() < cols[j].Card() })
+	ranks := make([][]uint64, len(cols))
+	for i, col := range cols {
+		names[i], ranks[i] = col.Name, col.Ranks()
+	}
+	return names, ranks, nil
+}
+
+// permWidth returns the bits per perm.bin entry: 64 in version 1, and
+// from version 2 on the fewest that hold every row id below rows.
+func permWidth(version, rows int) int {
+	if version == 1 {
+		return 64
+	}
+	return max(1, bits.Len(uint(rows-1)))
+}
+
+// packedBytes returns the size of rows entries packed at w bits.
+func packedBytes(rows, w int) int { return 8 * ((rows*w + 63) / 64) }
+
+// packPerm packs perm at w bits per entry into little-endian uint64
+// words, entry i at bits [i·w, (i+1)·w) of the stream. The padding bits
+// above the last entry are zero.
+func packPerm(perm []int, w int) []byte {
+	words := make([]uint64, packedBytes(len(perm), w)/8)
+	for i, p := range perm {
+		k, s := i*w/64, i*w%64
+		words[k] |= uint64(p) << s
+		if s+w > 64 {
+			words[k+1] |= uint64(p) >> (64 - s)
+		}
+	}
+	out := make([]byte, 0, 8*len(words))
+	for _, x := range words {
+		out = binary.LittleEndian.AppendUint64(out, x)
+	}
+	return out
+}
+
+// unpackPerm reverses packPerm for rows entries of w bits. It rejects a
+// buffer of any other length or with a padding bit set; whether the
+// entries form a permutation is reorder.Validate's check.
+func unpackPerm(pb []byte, rows, w int) ([]int, error) {
+	// Every entry takes at least one bit, so rows·w cannot overflow once
+	// rows fits in the buffer's bits.
+	if rows > 8*len(pb) || len(pb) != packedBytes(rows, w) {
+		return nil, corrupt("%s holds %d bytes, not %d entries of %d bits", permFile, len(pb), rows, w)
+	}
+	word := func(k int) uint64 { return binary.LittleEndian.Uint64(pb[8*k:]) }
+	mask := ^uint64(0) >> (64 - w)
+	perm := make([]int, rows)
+	for i := range perm {
+		k, s := i*w/64, i*w%64
+		x := word(k) >> s
+		if s+w > 64 {
+			x |= word(k+1) << (64 - s)
+		}
+		perm[i] = int(x & mask)
+	}
+	if tail := rows * w % 64; tail != 0 && word(len(pb)/8-1)>>tail != 0 {
+		return nil, corrupt("%s has non-zero padding bits", permFile)
+	}
+	return perm, nil
+}
+
+// encodeTable serializes a descriptor and, for a reordered table, its
+// permutation at the descriptor version's width; it sets PermChecksum.
+// decodeTable inverts it.
+func encodeTable(meta tableMeta, perm []int) (tableJSON, permBin []byte, err error) {
+	if perm != nil {
+		permBin = packPerm(perm, permWidth(meta.Version, meta.Rows))
+		meta.PermChecksum = crc32.ChecksumIEEE(permBin)
+	}
+	tableJSON, err = json.MarshalIndent(meta, "", "  ")
+	return tableJSON, permBin, err
+}
+
+// decodeTable parses and checks a descriptor and its permutation file
+// (nil when there is none). It reads no files, so the trust boundary of
+// Open can be fuzzed on its own. The permutation is nil when rows were
+// not reordered. Every error wraps storage.ErrCorrupt.
+func decodeTable(tableJSON, permBin []byte) (tableMeta, []int, error) {
+	var meta tableMeta
+	if err := json.Unmarshal(tableJSON, &meta); err != nil {
+		return meta, nil, corrupt("bad %s: %v", tableFile, err)
+	}
+	if meta.Version != 1 && meta.Version != tableVersion {
+		return meta, nil, corrupt("%s version %d, want 1 or %d", tableFile, meta.Version, tableVersion)
+	}
+	if meta.Rows < 1 {
+		return meta, nil, corrupt("%s has %d rows", tableFile, meta.Rows)
+	}
+	names := make(map[string]bool, len(meta.Attrs))
+	for _, am := range meta.Attrs {
+		if names[am.Name] {
+			return meta, nil, corrupt("%s repeats attribute %q", tableFile, am.Name)
+		}
+		names[am.Name] = true
+	}
+	ord, err := reorder.ParseOrder(meta.Reorder)
+	if err != nil {
+		return meta, nil, corrupt("%v", err)
+	}
+	if ord == reorder.None || meta.Version == 1 {
+		if meta.SortKey != nil {
+			return meta, nil, corrupt("%s has a sort key but no version-%d sort", tableFile, tableVersion)
+		}
+	} else if len(meta.SortKey) != len(meta.Attrs) {
+		return meta, nil, corrupt("%s sort key has %d attributes, table %d", tableFile, len(meta.SortKey), len(meta.Attrs))
+	} else {
+		for _, name := range meta.SortKey {
+			if !names[name] {
+				return meta, nil, corrupt("%s sort key names %q twice or not at all", tableFile, name)
+			}
+			delete(names, name)
+		}
+	}
+	if ord == reorder.None {
+		return meta, nil, nil
+	}
+	if permBin == nil {
+		return meta, nil, corrupt("%s is missing", permFile)
+	}
+	if got := crc32.ChecksumIEEE(permBin); got != meta.PermChecksum {
+		return meta, nil, corrupt("%s crc %08x, want %08x", permFile, got, meta.PermChecksum)
+	}
+	perm, err := unpackPerm(permBin, meta.Rows, permWidth(meta.Version, meta.Rows))
+	if err != nil {
+		return meta, nil, err
+	}
+	if err := reorder.Validate(perm, meta.Rows); err != nil {
+		return meta, nil, corrupt("%s: %v", permFile, err)
+	}
+	return meta, perm, nil
+}
+
+// corrupt reports a table file that does not hold what Create wrote.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("catalog: %w: %s", storage.ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
 // Open loads a table created by Create.
@@ -174,46 +340,27 @@ func Open(dir string) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
-	var meta tableMeta
-	if err := json.Unmarshal(mj, &meta); err != nil {
-		return nil, fmt.Errorf("catalog: bad %s: %w", tableFile, err)
-	}
-	t := &Table{dir: dir, meta: meta, attrs: make(map[string]*Attr, len(meta.Attrs))}
-	if ord, err := reorder.ParseOrder(meta.Reorder); err != nil {
+	pb, err := os.ReadFile(filepath.Join(dir, permFile))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("catalog: %w", err)
-	} else if ord != reorder.None {
-		pb, err := os.ReadFile(filepath.Join(dir, permFile))
-		if err != nil {
-			return nil, fmt.Errorf("catalog: %w", err)
-		}
-		if got := crc32.ChecksumIEEE(pb); got != meta.PermChecksum {
-			return nil, fmt.Errorf("catalog: %s checksum mismatch (crc %08x, want %08x)",
-				permFile, got, meta.PermChecksum)
-		}
-		if len(pb) != 8*meta.Rows {
-			return nil, fmt.Errorf("catalog: %s holds %d bytes, want %d", permFile, len(pb), 8*meta.Rows)
-		}
-		perm := make([]int, meta.Rows)
-		for i := range perm {
-			perm[i] = int(binary.LittleEndian.Uint64(pb[8*i:]))
-		}
-		if err := reorder.Validate(perm, meta.Rows); err != nil {
-			return nil, fmt.Errorf("catalog: %s: %w", permFile, err)
-		}
-		t.perm = perm
 	}
+	meta, perm, err := decodeTable(mj, pb)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{dir: dir, meta: meta, perm: perm, attrs: make(map[string]*Attr, len(meta.Attrs))}
 	for _, am := range meta.Attrs {
 		dict, err := engine.DictFromValues(am.Dict)
 		if err != nil {
-			return nil, fmt.Errorf("catalog: attribute %q: %w", am.Name, err)
+			return nil, corrupt("attribute %q: %v", am.Name, err)
 		}
 		st, err := storage.Open(filepath.Join(dir, am.Dir))
 		if err != nil {
 			return nil, fmt.Errorf("catalog: attribute %q: %w", am.Name, err)
 		}
-		if st.Index().Rows() != meta.Rows {
-			return nil, fmt.Errorf("catalog: attribute %q has %d rows, table has %d",
-				am.Name, st.Index().Rows(), meta.Rows)
+		if ix := st.Index(); ix.Rows() != meta.Rows || ix.Cardinality() != dict.Card() {
+			return nil, corrupt("attribute %q index has %d rows of %d values, table %d rows of %d",
+				am.Name, ix.Rows(), ix.Cardinality(), meta.Rows, dict.Card())
 		}
 		t.attrs[am.Name] = &Attr{Name: am.Name, dict: dict, store: st}
 	}
@@ -243,6 +390,27 @@ func (t *Table) Reorder() reorder.Order {
 // must map them through this (reorder.MapBack) to reach original row
 // ids; Table.Query does so automatically.
 func (t *Table) Permutation() []int { return t.perm }
+
+// PermutationBytes returns the size of the permutation on disk, 0 when
+// rows were not reordered.
+func (t *Table) PermutationBytes() int {
+	if t.perm == nil {
+		return 0
+	}
+	return packedBytes(t.meta.Rows, permWidth(t.meta.Version, t.meta.Rows))
+}
+
+// SortKey returns the attributes the rows were sorted by, most
+// significant first, or nil when rows were not reordered.
+func (t *Table) SortKey() []string {
+	switch {
+	case t.perm == nil:
+		return nil
+	case t.meta.SortKey == nil: // version 1: column order
+		return t.Attributes()
+	}
+	return append([]string(nil), t.meta.SortKey...)
+}
 
 // Attributes returns the attribute names in creation order.
 func (t *Table) Attributes() []string {

@@ -345,10 +345,14 @@ func paretoMin(all []Point) []Point {
 // Knee returns the paper's approximate characterization of the knee of the
 // space-time tradeoff (Section 7): the most time-efficient 2-component
 // space-optimal index (Theorem 7.1). For cardinalities of at most 4 the
-// tradeoff has a single point and the 1-component index is returned.
+// tradeoff has a single point and the 1-component index is returned; a
+// single-valued attribute gets the smallest valid base, <2>.
 func Knee(card uint64) (core.Base, error) {
-	if card < 2 {
-		return nil, fmt.Errorf("design: cardinality must be >= 2, got %d", card)
+	if card == 0 {
+		return nil, fmt.Errorf("design: cardinality must be >= 1, got 0")
+	}
+	if card == 1 {
+		return core.SingleComponent(2), nil
 	}
 	if MaxComponents(card) < 2 {
 		return core.SingleComponent(card), nil

@@ -16,8 +16,10 @@
 // The sort produces a permutation, not a new table: Permutation returns
 // perm with perm[newPos] = originalRow, Apply reorders any column by it,
 // and MapBack translates a result bitmap over reordered rows back to
-// original row ids. The catalog persists the permutation next to the
-// indexes so queries keep answering in the table's original row space.
+// original row ids. The catalog passes the columns most significant
+// first, by ascending cardinality, and persists the permutation next to
+// the indexes, bit-packed at ⌈log2 rows⌉ bits per row, so queries keep
+// answering in the table's original row space.
 package reorder
 
 import (

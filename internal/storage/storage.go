@@ -688,8 +688,9 @@ var ErrNotFound = errors.New("storage: index not found")
 
 // ErrCorrupt reports a stored file whose contents no longer match the
 // checksum recorded at save time, fail to decode, or decode to a length
-// other than the descriptor's.
-var ErrCorrupt = errors.New("storage: checksum mismatch")
+// other than the descriptor's. The catalog wraps it for a damaged table
+// descriptor or row permutation.
+var ErrCorrupt = errors.New("storage: corrupt file")
 
 // Exists reports whether dir contains a saved index.
 func Exists(dir string) bool {
