@@ -407,8 +407,7 @@ const (
 )
 
 // NewWorkloadAccumulator builds an accumulator over a fixed attribute
-// set, registering the attribute-labeled bix_attr_* metric families in
-// the default telemetry registry.
+// set.
 func NewWorkloadAccumulator(attrs []WorkloadAttrInfo) *WorkloadAccumulator {
 	return workload.New(attrs)
 }

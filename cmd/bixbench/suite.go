@@ -111,9 +111,10 @@ func evalSuite(name string, ix *core.Index) suiteResult {
 // costModelMeanTimeError is the documented acceptance bound for the live
 // time model: the mean relative error of predicted vs measured evaluation
 // time across the suite sweep must stay below it. The bound is generous —
-// per-query times at this scale are tens of microseconds and the EWMA
-// ns-per-scan calibration tracks averages, not per-query scheduler noise —
-// but it catches the model losing the plot (being off by multiples).
+// per-query times at this scale are tens of microseconds, and the
+// ns-per-scan calibration (a median of recent samples) tracks the typical
+// query, not per-query scheduler noise — but it catches the model losing
+// the plot (being off by multiples).
 const costModelMeanTimeError = 1.5
 
 // costModelAgg accumulates the cost-model accuracy check that runs
@@ -121,9 +122,7 @@ const costModelMeanTimeError = 1.5
 // engine.AnalyzeIndexQuery, so predicted scans are compared to measured
 // scans per query (they must match exactly — the
 // paper's digit-level model counts the very fetches the evaluator
-// performs) and the time model's EWMA calibration is exercised. The
-// analyzed queries also feed the bix_cost_model_error_* histograms, which
-// a -metrics scrape exposes live.
+// performs) and the time model's calibration is exercised.
 type costModelAgg struct {
 	queries    int
 	mismatches int

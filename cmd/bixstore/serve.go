@@ -13,7 +13,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,7 +24,6 @@ import (
 	"bitmapindex/internal/engine"
 	"bitmapindex/internal/flight"
 	"bitmapindex/internal/profile"
-	"bitmapindex/internal/telemetry"
 	"bitmapindex/internal/workload"
 )
 
@@ -89,12 +87,6 @@ func cmdServe(args []string) error {
 		}
 		handler = srv.mux()
 	}
-
-	// Feed runtime health (heap, GC pauses, goroutines, scheduler latency)
-	// into the registry for the whole lifetime of the server.
-	sampler := profile.NewSampler(nil, time.Second)
-	sampler.Start()
-	defer sampler.Stop()
 
 	// Whole-run profile: CPU runs boot-to-shutdown, heap snapshots at
 	// shutdown. Either way the file is complete only on graceful exit.
@@ -261,19 +253,10 @@ func (s *queryServer) mux() *http.ServeMux {
 	return mux
 }
 
-// addCommonRoutes mounts the endpoints both serve modes share: metrics
-// (with the uptime gauge refreshed per scrape), health probes, the
-// runtime snapshot and the pprof family.
+// addCommonRoutes mounts the endpoints both serve modes share: metrics,
+// health probes, the runtime snapshot and the pprof family.
 func addCommonRoutes(mux *http.ServeMux) {
-	registerBuildInfo()
-	start := time.Now()
-	uptime := telemetry.Default().Gauge("bix_uptime_seconds",
-		"Seconds since the server started.")
-	metrics := bitmapindex.MetricsHandler()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		uptime.Set(int64(time.Since(start).Seconds()))
-		metrics.ServeHTTP(w, r)
-	})
+	mux.Handle("/metrics", bitmapindex.MetricsHandler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -291,20 +274,6 @@ func addCommonRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
-}
-
-// registerBuildInfo publishes the constant-valued bix_build_info gauge:
-// value 1, labels carrying the Go version the binary was built with and
-// the compiled-in codec set. Grafana-style dashboards join it against the
-// other series to show what build is running.
-//
-//bix:attrlabel (one series per process; the label value is the build's Go version)
-func registerBuildInfo() {
-	telemetry.Default().Gauge("bix_build_info",
-		"Build information; constant 1, details in the labels.",
-		telemetry.Label{Name: "goversion", Value: runtime.Version()},
-		telemetry.Label{Name: "codecs", Value: "raw,zlib,wah,roaring"},
-	).Set(1)
 }
 
 // serveWorkload returns a handler for GET /debug/workload: the

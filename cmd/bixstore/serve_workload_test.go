@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -43,8 +44,8 @@ func serveGet(t *testing.T, mux *http.ServeMux, path string) (int, string) {
 	return rec.Code, rec.Body.String()
 }
 
-// TestServeHealthAndBuildInfo: both probes answer ok, and /metrics carries
-// the build-info and uptime gauges.
+// TestServeHealthAndBuildInfo: both probes answer ok, /metrics answers, and
+// /debug/runtime names the Go version the binary was built with.
 func TestServeHealthAndBuildInfo(t *testing.T) {
 	st, err := bitmapindex.OpenIndex(buildTestIndex(t))
 	if err != nil {
@@ -60,15 +61,21 @@ func TestServeHealthAndBuildInfo(t *testing.T) {
 			t.Errorf("%s = %d %q, want 200 ok", path, code, body)
 		}
 	}
-	code, body := serveGet(t, mux, "/metrics")
-	if code != 200 {
+	if code, _ := serveGet(t, mux, "/metrics"); code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
-	if !strings.Contains(body, `bix_build_info{`) || !strings.Contains(body, "goversion=") {
-		t.Errorf("/metrics missing labeled bix_build_info:\n%.400s", body)
+	code, body := serveGet(t, mux, "/debug/runtime")
+	if code != 200 {
+		t.Fatalf("/debug/runtime = %d", code)
 	}
-	if !strings.Contains(body, "bix_uptime_seconds") {
-		t.Errorf("/metrics missing bix_uptime_seconds:\n%.400s", body)
+	var rt struct {
+		GoVersion string `json:"go_version"`
+	}
+	if err := json.Unmarshal([]byte(body), &rt); err != nil {
+		t.Fatalf("bad /debug/runtime JSON: %v", err)
+	}
+	if rt.GoVersion != runtime.Version() {
+		t.Errorf("/debug/runtime go_version = %q, want %q", rt.GoVersion, runtime.Version())
 	}
 }
 

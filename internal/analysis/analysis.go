@@ -21,11 +21,6 @@
 //	//bix:daemon (reason)  the function is an audited process-lifetime
 //	                       goroutine body or spawner; goroutinelife and
 //	                       chanprotocol's shutdown-case rule stop here
-//	//bix:attrlabel (reason) the function is an audited bounded-cardinality
-//	                       seam: metric registrations inside it may carry
-//	                       dynamic label values (telemetry-labels requires
-//	                       this for the bix_attr_* families and trusts no
-//	                       other dynamic labels)
 //
 // and through `// guarded by <mu>` comments on struct fields (lockheld,
 // gocapture, atomicfield).

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
 	"regexp"
 	"strings"
@@ -19,22 +18,13 @@ import (
 // constant metric name matching ^bix_[a-z0-9_]+$, and every label argument
 // must be a Label literal whose fields are compile-time constants. Dynamic
 // label needs are served by pre-registering one metric per known value
-// (see internal/engine's per-plan counters).
-//
-// The one audited exception is the attribute-labeled bix_attr_* families:
-// their label values are catalog attribute names — bounded by the schema,
-// not by query traffic — which are only known at run time. A function
-// whose doc comment carries `//bix:attrlabel (reason)` declares itself the
-// bounded-cardinality seam: inside it, dynamic label values are permitted.
-// The directive cuts both ways — registering a bix_attr_* metric anywhere
-// outside an attrlabel function is reported, so the only place the
-// attribute families can grow is the audited constructor, and label values
-// there can never be query constants or other user input.
+// (see internal/engine's per-plan counters). There is no exception: a
+// per-attribute or per-build number belongs in a /debug page, not in a
+// label.
 //
 // Names must also agree with the metric kind, Prometheus-style: a Counter
-// is cumulative and must end in _total (the bix_runtime_* family feeds
-// counters by deltas exactly so this holds), while a Gauge or Histogram is
-// a point-in-time value or a distribution and must not carry the _total
+// is cumulative and must end in _total, while a Gauge or Histogram is a
+// point-in-time value or a distribution and must not carry the _total
 // suffix.
 var TelemetryLabels = &Analyzer{
 	Name: "telemetry-labels",
@@ -47,23 +37,6 @@ var metricNameRE = regexp.MustCompile(`^bix_[a-z0-9_]+$`)
 func runTelemetryLabels(pass *Pass) {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		// Body ranges of the file's //bix:attrlabel functions: metric
-		// registrations positioned inside one are the audited seam.
-		type span struct{ lo, hi token.Pos }
-		var audited []span
-		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Body != nil && hasDirective(fn.Doc, "attrlabel") {
-				audited = append(audited, span{fn.Body.Pos(), fn.Body.End()})
-			}
-		}
-		inAttrLabel := func(p token.Pos) bool {
-			for _, s := range audited {
-				if s.lo <= p && p < s.hi {
-					return true
-				}
-			}
-			return false
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -86,13 +59,13 @@ func runTelemetryLabels(pass *Pass) {
 			if !ok || sig.Recv() == nil || !sig.Variadic() {
 				return true
 			}
-			checkMetricCall(pass, call, sig, sel.Sel.Name, inAttrLabel(call.Pos()))
+			checkMetricCall(pass, call, sig, sel.Sel.Name)
 			return true
 		})
 	}
 }
 
-func checkMetricCall(pass *Pass, call *ast.CallExpr, sig *types.Signature, kind string, inAttrLabel bool) {
+func checkMetricCall(pass *Pass, call *ast.CallExpr, sig *types.Signature, kind string) {
 	info := pass.Pkg.Info
 	if len(call.Args) == 0 {
 		return
@@ -114,16 +87,7 @@ func checkMetricCall(pass *Pass, call *ast.CallExpr, sig *types.Signature, kind 
 				pass.Reportf(call.Args[0].Pos(),
 					"%s %q must not end in _total (the suffix marks cumulative counters)", strings.ToLower(kind), name)
 			}
-			if strings.HasPrefix(name, "bix_attr_") && !inAttrLabel {
-				pass.Reportf(call.Args[0].Pos(),
-					"attribute-labeled metric %q may only be registered inside a //bix:attrlabel function (label values must derive from catalog attribute names, never query input)", name)
-			}
 		}
-	}
-	// Inside an audited //bix:attrlabel function dynamic label values are
-	// the point; the constant-field checks below do not apply.
-	if inAttrLabel {
-		return
 	}
 	// Labels: the variadic tail. Spreading a slice hides the values.
 	if call.Ellipsis.IsValid() {

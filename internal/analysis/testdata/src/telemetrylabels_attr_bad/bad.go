@@ -1,28 +1,25 @@
-// Package attrbad registers attribute-labeled metrics outside the
-// audited //bix:attrlabel seam.
+// Package attrbad registers attribute-labeled metrics with run-time label
+// values. No doc-comment directive exempts a function from the
+// constant-label rule, so each one is reported.
 package attrbad
 
 import "bitmapindex/internal/telemetry"
 
-// RegisterAttr registers a bix_attr_* family without the directive: even
-// with a constant label value the family belongs in the audited seam.
-func RegisterAttr() {
-	telemetry.Default().Counter("bix_attr_fixture_total", "Attr family outside the seam.", // want "attrlabel"
-		telemetry.Label{Name: "attr", Value: "region"})
-}
-
-// RegisterDynamic has the dynamic-label bug the directive exists to
-// audit, without the directive: both findings fire.
+// RegisterDynamic labels a family with a run-time attribute name.
 func RegisterDynamic(attr string) {
-	telemetry.Default().Counter("bix_attr_fixture_q_total", "Dynamic label outside the seam.", // want "attrlabel"
+	telemetry.Default().Counter("bix_attr_fixture_q_total", "Dynamic label.",
 		telemetry.Label{Name: "attr", Value: attr}) // want "constant"
 }
 
-// wrongDirective is not the attrlabel directive: the prefix must not
-// match.
+// NewCounters claims to be a bounded-cardinality seam; the claim is not a
+// directive the analyzer knows.
 //
-//bix:attrlabelish (not the directive)
-func WrongDirective(attr string) {
-	telemetry.Default().Gauge("bix_attr_fixture_depth", "Misspelled directive.", // want "attrlabel"
-		telemetry.Label{Name: "attr", Value: attr}) // want "constant"
+//bix:attrlabel (label values are catalog attribute names)
+func NewCounters(reg *telemetry.Registry, attrs []string) []*telemetry.Counter {
+	var out []*telemetry.Counter
+	for _, a := range attrs {
+		out = append(out, reg.Counter("bix_attr_fixture_total", "Queries by attribute.",
+			telemetry.Label{Name: "attr", Value: a})) // want "constant"
+	}
+	return out
 }

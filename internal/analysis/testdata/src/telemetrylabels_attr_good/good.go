@@ -1,38 +1,16 @@
-// Package attrgood registers attribute-labeled metrics the audited way:
-// inside a //bix:attrlabel constructor whose label values come from a
-// fixed schema-derived set.
+// Package attrgood registers attribute-labeled metrics the only way
+// telemetry-labels accepts: one pre-registered metric per known
+// attribute, each with a constant label value. A bix_attr_* name needs no
+// directive and gets no exemption.
 package attrgood
 
 import "bitmapindex/internal/telemetry"
 
-// Counters holds the pre-registered per-attribute counters.
-type Counters struct {
-	Queries []*telemetry.Counter
+var byAttr = [...]*telemetry.Counter{
+	telemetry.Default().Counter("bix_attr_fixture_good_total", "Queries by attribute.",
+		telemetry.Label{Name: "attr", Value: "region"}),
+	telemetry.Default().Counter("bix_attr_fixture_good_total", "Queries by attribute.",
+		telemetry.Label{Name: "attr", Value: "qty"}),
 }
 
-// NewCounters is the audited bounded-cardinality seam: attrs is a catalog
-// attribute list, fixed at construction.
-//
-//bix:attrlabel (label values are catalog attribute names; the set is fixed at construction)
-func NewCounters(reg *telemetry.Registry, attrs []string) *Counters {
-	c := &Counters{}
-	for _, a := range attrs {
-		c.Queries = append(c.Queries, reg.Counter("bix_attr_fixture_good_total",
-			"Queries by attribute.", telemetry.Label{Name: "attr", Value: a}))
-	}
-	return c
-}
-
-// BuildInfo shows the other sanctioned use: a run-time-derived but
-// bounded label value (one series per process).
-//
-//bix:attrlabel (one series; the label value is the build's Go version)
-func BuildInfo(reg *telemetry.Registry, version string) *telemetry.Gauge {
-	return reg.Gauge("bix_fixture_build_info", "Build information.",
-		telemetry.Label{Name: "goversion", Value: version})
-}
-
-// ConstantElsewhere: ordinary constant-label registrations outside the
-// seam stay fine.
-var served = telemetry.Default().Counter("bix_fixture_served_total", "Requests served.",
-	telemetry.Label{Name: "proto", Value: "http"})
+func Touch(attr int) { byAttr[attr%len(byAttr)].Inc() }

@@ -21,7 +21,6 @@ import (
 
 	"bitmapindex/internal/core"
 	"bitmapindex/internal/cost"
-	"bitmapindex/internal/telemetry"
 )
 
 // Assignment holds the number of buffered bitmaps per component,
@@ -133,18 +132,15 @@ func (h *HitStats) HitRate() float64 {
 }
 
 // CountingFor is For with hit accounting: every consultation is counted
-// into h and mirrored to the telemetry registry's bix_buffer_hits_total /
-// bix_buffer_misses_total.
+// into h.
 func (a Assignment) CountingFor(h *HitStats) func(comp, slot int) bool {
 	resident := a.For()
 	return func(comp, slot int) bool {
 		if resident(comp, slot) {
 			h.hits.Add(1)
-			telemetry.BufferHitsTotal.Inc()
 			return true
 		}
 		h.misses.Add(1)
-		telemetry.BufferMissesTotal.Inc()
 		return false
 	}
 }

@@ -78,7 +78,6 @@ var segPool struct {
 func segPoolStart() {
 	n := runtime.GOMAXPROCS(0)
 	segPool.jobs = make(chan func())
-	telemetry.SegmentWorkers.Set(int64(n))
 	var unlabeled sync.WaitGroup
 	unlabeled.Add(n)
 	for i := 0; i < n; i++ {
@@ -167,12 +166,10 @@ func putSegRegs(rs *segRegSet) {
 // SegmentedEval evaluates (A op v) exactly like Eval — same result, Stats
 // and Fetch contract — but combines segments on up to cfg.Workers
 // goroutines: the caller plus helpers from a process-wide pool. The
-// fetched bitmaps are only read concurrently. Each call counts once in
-// bix_segment_eval_total and, like Eval, publishes its cost to the
-// telemetry registry.
+// fetched bitmaps are only read concurrently. Like Eval, it publishes
+// its cost to the telemetry registry.
 func (ix *Index) SegmentedEval(op Op, v uint64, opt *EvalOptions, cfg SegConfig) *bitvec.Vector {
 	return ix.instrumented(opt, func(o *EvalOptions) *bitvec.Vector {
-		telemetry.SegmentEvalTotal.Inc()
 		res, _ := ix.run(ix.compile(op, v), o, cfg.normalized(), telemetry.PhaseSegments)
 		return res
 	})

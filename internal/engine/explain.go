@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,8 +20,8 @@ import (
 //
 // ModelApplies reports whether the executed plan exercised the bitmap cost
 // model at all: only the bitmap-merge plan (and direct index evaluations)
-// read stored bitmaps, so scan/time errors are recorded — both into the
-// report and into the bix_cost_model_error_* histograms — only then.
+// read stored bitmaps, so scan/time errors are recorded and the time
+// calibration fed only then.
 // TimeError is -1 when the time model was not yet calibrated (the first
 // analyzed query seeds the calibration; see predictNS).
 type PlanReport struct {
@@ -73,44 +74,53 @@ type PredReport struct {
 	MeasuredNS     int64   `json:"measured_ns,omitempty"`
 }
 
-// calibration is the live ns-per-scan estimate behind the time model: an
-// exponentially weighted moving average over analyzed executions, shared
-// process-wide so every ExplainAnalyze refines it. Predictions are made
-// with the value as of before the analyzed query updates it, so reported
-// time errors are out-of-sample.
+// calibration is the live ns-per-scan estimate behind the time model:
+// the median of the last calibrationWindow analyzed executions' ns/scan,
+// shared process-wide so every ExplainAnalyze refines it. A median, not a
+// moving average: one descheduled query would inflate an average, and the
+// predictions after it would overshoot by orders of magnitude. Predictions
+// are made with the value as of before the analyzed query updates it, so
+// reported time errors are out-of-sample.
 var calibration struct {
-	mu        sync.Mutex
-	nsPerScan float64 // 0 until the first analyzed query with scans
+	mu      sync.Mutex
+	samples [calibrationWindow]float64 // ring of the most recent ns/scan
+	fed     int                        // samples ever fed; 0 means uncalibrated
 }
 
-const calibrationAlpha = 0.2
+const calibrationWindow = 15
 
 // predictNS returns the predicted evaluation time for scans bitmap scans,
 // or 0 when uncalibrated.
 func predictNS(scans int) float64 {
 	calibration.mu.Lock()
-	defer calibration.mu.Unlock()
-	return calibration.nsPerScan * float64(scans)
+	window := calibration.samples
+	n := min(calibration.fed, calibrationWindow)
+	calibration.mu.Unlock()
+	if n == 0 {
+		return 0
+	}
+	w := window[:n]
+	slices.Sort(w)
+	median := w[n/2]
+	if n%2 == 0 {
+		median = (w[n/2-1] + w[n/2]) / 2
+	}
+	return median * float64(scans)
 }
 
-// calibrate folds one measured (scans, elapsed) pair into the EWMA.
+// calibrate adds one measured (scans, elapsed) pair to the window.
 func calibrate(scans int, ns int64) {
 	if scans <= 0 || ns <= 0 {
 		return
 	}
-	sample := float64(ns) / float64(scans)
 	calibration.mu.Lock()
-	if calibration.nsPerScan == 0 {
-		calibration.nsPerScan = sample
-	} else {
-		calibration.nsPerScan = (1-calibrationAlpha)*calibration.nsPerScan +
-			calibrationAlpha*sample
-	}
+	calibration.samples[calibration.fed%calibrationWindow] = float64(ns) / float64(scans)
+	calibration.fed++
 	calibration.mu.Unlock()
 }
 
 // relErr is |predicted - measured| / max(measured, 1), the error measure
-// of the bix_cost_model_error_* histograms.
+// of PlanReport's ScansError and TimeError.
 func relErr(predicted, measured float64) float64 {
 	denom := measured
 	if denom < 1 {
@@ -123,9 +133,8 @@ func relErr(predicted, measured float64) float64 {
 // resolves as usual) and returns a PlanReport comparing the paper's cost
 // model against the measured execution. When the executed plan is the
 // bitmap merge, predicted scans are exact (the digit-level model counts
-// the very bitmaps each predicate's compiled program reads), and
-// scan/time errors are also observed into the bix_cost_model_error_*
-// histograms with the query's trace ID as exemplar. opt may be nil; a
+// the very bitmaps each predicate's compiled program reads), and the
+// measured time feeds the calibration. opt may be nil; a
 // profiled trace is created when opt carries none, so the report's phase
 // breakdown includes per-phase allocation deltas.
 func (r *Relation) ExplainAnalyze(preds []Pred, m Method, opt *SelectOptions) (*PlanReport, error) {
@@ -208,7 +217,6 @@ func (r *Relation) ExplainAnalyze(preds []Pred, m Method, opt *SelectOptions) (*
 			rep.PredictedNS = pred
 			rep.TimeError = relErr(pred, float64(evalNS))
 		}
-		recordModelError(rep, o.Trace)
 		calibrate(rep.MeasuredScans, evalNS)
 	}
 	return rep, nil
@@ -218,9 +226,8 @@ func (r *Relation) ExplainAnalyze(preds []Pred, m Method, opt *SelectOptions) (*
 // evaluation — the path bixstore's /query endpoint takes, where one stored
 // index answers one predicate without a relation or plan choice. st and
 // elapsed are the evaluation's measured stats and wall time; plan names
-// the evaluator (e.g. a storage Describe string). The
-// same model-error histograms and time calibration are fed as for
-// ExplainAnalyze.
+// the evaluator (e.g. a storage Describe string). The time calibration
+// is fed as for ExplainAnalyze.
 func AnalyzeIndexQuery(query, plan string, base core.Base, enc core.Encoding, card uint64,
 	op core.Op, v uint64, st core.Stats, elapsed time.Duration, tr *telemetry.Trace) *PlanReport {
 	predicted := cost.ScansFor(base, enc, card, op, v)
@@ -254,16 +261,6 @@ func AnalyzeIndexQuery(query, plan string, base core.Base, enc core.Encoding, ca
 		rep.PredictedNS = pred
 		rep.TimeError = relErr(pred, float64(elapsed.Nanoseconds()))
 	}
-	recordModelError(rep, tr)
 	calibrate(st.Scans, elapsed.Nanoseconds())
 	return rep
-}
-
-// recordModelError publishes a report's model errors to the registry so
-// drift shows up on /metrics, tagging the bucket with the query's trace ID.
-func recordModelError(rep *PlanReport, tr *telemetry.Trace) {
-	telemetry.CostModelErrorScans.ObserveExemplar(rep.ScansError, tr.ID())
-	if rep.TimeError >= 0 {
-		telemetry.CostModelErrorTime.ObserveExemplar(rep.TimeError, tr.ID())
-	}
 }

@@ -23,7 +23,7 @@ func TestExplainAnalyzeExactScans(t *testing.T) {
 		{{Col: "quantity", Op: core.Eq, Val: 7}, {Col: "price", Op: core.Le, Val: 4000}, {Col: "region", Op: core.Ge, Val: 2}},
 		{{Col: "quantity", Op: core.Eq, Val: 999}}, // absent constant -> trivial none
 	}
-	before := telemetry.CostModelErrorScans.Count()
+	before, fedScans := calibrationFed(), 0
 	for qi, preds := range queries {
 		rep, err := rel.ExplainAnalyze(preds, BitmapMerge, nil)
 		if err != nil {
@@ -48,6 +48,9 @@ func TestExplainAnalyzeExactScans(t *testing.T) {
 				t.Errorf("query %d pred %d: design fields = %+v", qi, i, node)
 			}
 		}
+		if rep.MeasuredScans > 0 {
+			fedScans++
+		}
 		// Cross-check the reported actuals against a plain Select.
 		_, c, err := rel.Select(preds, BitmapMerge)
 		if err != nil {
@@ -58,9 +61,16 @@ func TestExplainAnalyzeExactScans(t *testing.T) {
 				qi, rep.Rows, rep.MeasuredScans, c.Rows, c.Stats.Scans)
 		}
 	}
-	if got := telemetry.CostModelErrorScans.Count() - before; got != int64(len(queries)) {
-		t.Errorf("scan-error histogram grew by %d, want %d", got, len(queries))
+	if got := calibrationFed() - before; got != fedScans {
+		t.Errorf("time calibration took %d samples, want one per scanning bitmap plan (%d)", got, fedScans)
 	}
+}
+
+// calibrationFed returns how many samples the time calibration has taken.
+func calibrationFed() int {
+	calibration.mu.Lock()
+	defer calibration.mu.Unlock()
+	return calibration.fed
 }
 
 // TestExplainAnalyzeTrivialPredicate pins the degenerate-constant paths:
@@ -95,7 +105,7 @@ func TestExplainAnalyzeTrivialPredicate(t *testing.T) {
 }
 
 // TestExplainAnalyzeTimeCalibration checks the live time model: after one
-// analyzed query seeds the ns-per-scan EWMA, subsequent reports carry a
+// analyzed query seeds the ns-per-scan window, subsequent reports carry a
 // prediction and a non-negative out-of-sample error.
 func TestExplainAnalyzeTimeCalibration(t *testing.T) {
 	rel := buildRelation(t, 2000, 5)
@@ -112,11 +122,42 @@ func TestExplainAnalyzeTimeCalibration(t *testing.T) {
 	}
 }
 
+// TestCalibrationIgnoresOutlier pins the median window: one sample a
+// thousand times too slow (a descheduled query) moves no prediction, and
+// once the window has rolled past it the outlier is gone entirely.
+func TestCalibrationIgnoresOutlier(t *testing.T) {
+	calibration.mu.Lock()
+	saved := calibration.samples
+	savedFed := calibration.fed
+	calibration.fed = 0
+	calibration.mu.Unlock()
+	t.Cleanup(func() {
+		calibration.mu.Lock()
+		calibration.samples, calibration.fed = saved, savedFed
+		calibration.mu.Unlock()
+	})
+
+	if got := predictNS(4); got != 0 {
+		t.Fatalf("uncalibrated prediction = %v, want 0", got)
+	}
+	for i := 0; i < calibrationWindow-1; i++ {
+		calibrate(2, 200) // 100 ns/scan
+	}
+	calibrate(2, 200_000) // one outlier: 100 µs/scan
+	if got := predictNS(4); got != 400 {
+		t.Fatalf("prediction after one outlier = %v, want 400", got)
+	}
+	calibrate(1, 300)
+	if got := predictNS(4); got != 400 {
+		t.Fatalf("prediction = %v, want 400 (median of the window)", got)
+	}
+}
+
 // TestExplainAnalyzeNonBitmapPlan checks plans that never read a stored
 // bitmap do not claim (or pollute) model accuracy.
 func TestExplainAnalyzeNonBitmapPlan(t *testing.T) {
 	rel := buildRelation(t, 500, 7)
-	before := telemetry.CostModelErrorScans.Count()
+	before := calibrationFed()
 	rep, err := rel.ExplainAnalyze([]Pred{{Col: "quantity", Op: core.Le, Val: 10}}, FullScan, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +171,8 @@ func TestExplainAnalyzeNonBitmapPlan(t *testing.T) {
 	if rep.MeasuredScans != 0 {
 		t.Errorf("fullscan measured %d scans", rep.MeasuredScans)
 	}
-	if telemetry.CostModelErrorScans.Count() != before {
-		t.Error("non-bitmap plan recorded model error")
+	if calibrationFed() != before {
+		t.Error("non-bitmap plan fed the time calibration")
 	}
 }
 

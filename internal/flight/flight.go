@@ -131,11 +131,6 @@ var defaultRecorder = New(DefaultCapacity)
 // handlers record into it and /debug/queries reads it.
 func Default() *Recorder { return defaultRecorder }
 
-// recordsTotal counts records accepted by any recorder, the liveness
-// signal that the flight recorder really sees 100% of queries.
-var recordsTotal = telemetry.Default().Counter("bix_flight_records_total",
-	"Query executions captured by the flight recorder.")
-
 // Add records one completed query. rec's Seq and Phases fields are
 // ignored (Seq is assigned from the cursor; phases are snapshotted from
 // tr into the slot's fixed buffer). An AllocBytes or AllocObjects left at
@@ -174,7 +169,6 @@ func (r *Recorder) Add(rec *Record, tr *telemetry.Trace) {
 	}
 	total := int64(s.rec.Total)
 	s.mu.Unlock()
-	recordsTotal.Inc()
 	if total > r.outMin.Load() {
 		r.addOutlier(s, seq)
 	}

@@ -7,10 +7,19 @@ import (
 	"runtime/metrics"
 )
 
+// Runtime metric names read from runtime/metrics. All exist since Go
+// 1.22; a name the runtime does not recognize yields KindBad and reads as
+// zero, so the handler degrades instead of panicking on toolchain drift.
+const (
+	rmHeapBytes   = "/memory/classes/heap/objects:bytes"
+	rmHeapObjects = "/gc/heap/objects:objects"
+	rmGCCycles    = "/gc/cycles/total:gc-cycles"
+	rmAllocBytes  = "/gc/heap/allocs:bytes"
+)
+
 // RuntimeStatus is the /debug/runtime JSON body: a point-in-time runtime
-// snapshot plus the queries currently labeled on live goroutines. It is
-// read fresh per request (not from the sampler), so it works even when no
-// Sampler is running.
+// snapshot plus the queries currently labeled on live goroutines, read
+// fresh per request.
 type RuntimeStatus struct {
 	GoVersion     string       `json:"go_version"`
 	GOMAXPROCS    int          `json:"gomaxprocs"`

@@ -1,9 +1,8 @@
 // Package profile is the stdlib-only resource-profiling layer: pprof
-// labels that attribute CPU samples to individual queries, a sampler that
-// feeds runtime health (heap, GC pauses, goroutines, scheduler latency)
-// into the telemetry registry as bix_runtime_* series, whole-process
+// labels that attribute CPU samples to individual queries, whole-process
 // CPU/heap profile capture for the CLIs, and an HTTP handler exposing a
-// point-in-time runtime snapshot at /debug/runtime.
+// point-in-time runtime snapshot (heap, objects, goroutines, GC cycles,
+// bytes allocated) at /debug/runtime, read fresh on each request.
 //
 // The package deliberately builds only on runtime/pprof and
 // runtime/metrics. Attribution granularity follows from that: pprof

@@ -2,15 +2,10 @@ package profile
 
 import (
 	"encoding/json"
-	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
-
-	"bitmapindex/internal/telemetry"
 )
 
 // TestDoLabelsVisible checks the labels Do installs are observable on the
@@ -49,93 +44,6 @@ func TestDoEmptyIDRunsUnlabeled(t *testing.T) {
 	})
 	if !ran {
 		t.Fatal("fn did not run")
-	}
-}
-
-// TestSamplerPublishes runs two passes (the first only primes deltas) and
-// checks the gauges carry live runtime values into the registry.
-func TestSamplerPublishes(t *testing.T) {
-	reg := telemetry.New()
-	s := NewSampler(reg, time.Hour)
-	s.SampleOnce()
-	// Allocate between passes so the delta counters have something to see.
-	sink := make([][]byte, 0, 256)
-	for i := 0; i < 256; i++ {
-		sink = append(sink, make([]byte, 8192))
-	}
-	runtime.KeepAlive(sink)
-	s.SampleOnce()
-
-	snap := reg.Snapshot()
-	if g := snap.Gauges["bix_runtime_heap_bytes"]; g <= 0 {
-		t.Errorf("heap bytes gauge = %d, want > 0", g)
-	}
-	if g := snap.Gauges["bix_runtime_goroutines"]; g <= 0 {
-		t.Errorf("goroutines gauge = %d, want > 0", g)
-	}
-	if g := snap.Gauges["bix_runtime_heap_objects"]; g <= 0 {
-		t.Errorf("heap objects gauge = %d, want > 0", g)
-	}
-	// The runtime flushes per-P alloc stats lazily, so the delta may trail
-	// the true total slightly; half the allocated volume is a safe floor.
-	if c := snap.Counters["bix_runtime_alloc_bytes_total"]; c < 128*8192 {
-		t.Errorf("alloc bytes counter = %d, want >= %d", c, 128*8192)
-	}
-	// GC histograms are present (possibly empty if no GC ran between the
-	// two passes — only check registration, not counts).
-	if _, ok := snap.Histograms["bix_runtime_gc_pause_seconds"]; !ok {
-		t.Error("gc pause histogram not registered")
-	}
-	if _, ok := snap.Histograms["bix_runtime_sched_latency_seconds"]; !ok {
-		t.Error("sched latency histogram not registered")
-	}
-}
-
-// TestSamplerReplaysGCPauses forces GC cycles between passes and checks
-// the pause histogram accumulates observations via bucket-delta replay.
-func TestSamplerReplaysGCPauses(t *testing.T) {
-	reg := telemetry.New()
-	s := NewSampler(reg, time.Hour)
-	s.SampleOnce()
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-	}
-	s.SampleOnce()
-	snap := reg.Snapshot()
-	if h := snap.Histograms["bix_runtime_gc_pause_seconds"]; h.Count < 3 {
-		t.Errorf("gc pause observations = %d, want >= 3 after 3 forced GCs", h.Count)
-	}
-	if c := snap.Counters["bix_runtime_gc_cycles_total"]; c < 3 {
-		t.Errorf("gc cycles counter = %d, want >= 3", c)
-	}
-}
-
-func TestSamplerStartStop(t *testing.T) {
-	reg := telemetry.New()
-	s := NewSampler(reg, time.Millisecond)
-	s.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for reg.Snapshot().Gauges["bix_runtime_goroutines"] <= 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sampler loop never published")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	s.Stop() // idempotent
-}
-
-func TestBucketValue(t *testing.T) {
-	inf := math.Inf(1)
-	bounds := []float64{math.Inf(-1), 1, 3, inf}
-	if v := bucketValue(bounds, 0); v != 1 {
-		t.Errorf("(-Inf,1] value = %v, want 1", v)
-	}
-	if v := bucketValue(bounds, 1); v != 2 {
-		t.Errorf("[1,3) value = %v, want midpoint 2", v)
-	}
-	if v := bucketValue(bounds, 2); v != 3 {
-		t.Errorf("[3,+Inf) value = %v, want 3", v)
 	}
 }
 

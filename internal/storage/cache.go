@@ -7,7 +7,6 @@ import (
 	"bitmapindex/internal/bitvec"
 	"bitmapindex/internal/buffer"
 	"bitmapindex/internal/core"
-	"bitmapindex/internal/telemetry"
 )
 
 // CachedStore is a Store with a static pool of decompressed bitmaps: the
@@ -49,7 +48,6 @@ func NewCached(s *Store, capacity int) (*CachedStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	telemetry.CacheResident.Set(int64(c.resident))
 	return c, nil
 }
 
@@ -95,21 +93,19 @@ func (c *CachedStore) Resident() int { return c.resident }
 
 // options wires the pool into one query: pinned bitmaps are buffered and
 // served from memory, the rest read through q. Fetch counts each read as
-// a hit or a miss, in the pool's counters, the registry and m.
+// a hit or a miss, in the pool's counters and m.
 func (c *CachedStore) options(q *query, m *Metrics) *core.EvalOptions {
 	return &core.EvalOptions{
 		Buffered: func(comp, slot int) bool { return c.pinned[comp][slot] != nil },
 		Fetch: func(comp, slot int) *bitvec.Vector {
 			if v := c.pinned[comp][slot]; v != nil {
 				c.hits.Add(1)
-				telemetry.CacheHitsTotal.Inc()
 				if m != nil {
 					m.CacheHits++
 				}
 				return v
 			}
 			c.misses.Add(1)
-			telemetry.CacheMissesTotal.Inc()
 			if m != nil {
 				m.CacheMisses++
 			}

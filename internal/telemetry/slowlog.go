@@ -20,9 +20,9 @@ type SlowEntry struct {
 }
 
 // SlowLog retains (and optionally writes) queries whose total evaluation
-// time meets a threshold. It keeps the most recent entries in a ring and
-// feeds SlowQueriesTotal. Safe for concurrent use, including concurrent
-// Observe calls sharing one io.Writer.
+// time meets a threshold. It keeps the most recent entries in a ring.
+// Safe for concurrent use, including concurrent Observe calls sharing one
+// io.Writer.
 type SlowLog struct {
 	threshold time.Duration
 	w         io.Writer // may be nil: retain only; writes guarded by mu
@@ -64,7 +64,6 @@ func (l *SlowLog) ObserveWithPlan(query, plan string, t *Trace) bool {
 	if total < l.threshold {
 		return false
 	}
-	SlowQueriesTotal.Inc()
 	e := SlowEntry{Query: query, TraceID: t.ID(), Plan: plan, Total: total, Phases: t.Phases()}
 	l.mu.Lock()
 	l.ring[l.next] = e

@@ -6,12 +6,12 @@
 // log.
 //
 // The paper's two cost measures — bitmap scans (I/O) and bitmap operations
-// (CPU) — are collected by core.Stats and storage.Metrics per call; those
-// structs keep their APIs but also feed the process-wide Default registry
-// here, so every layer (core evaluators, on-disk stores, the bitmap pool, the
-// buffer model and the engine's query plans) reports into one coherent
-// surface. The well-known metric set lives in metrics.go and is documented
-// in DESIGN.md.
+// (CPU) — are collected by core.Stats per call; the core evaluator also
+// publishes them, with query counts and latency, to the process-wide
+// Default registry, and the engine adds the plan it ran. Other per-query
+// costs (storage.Metrics) stay with the query and are not mirrored here.
+// The well-known metric set lives in metrics.go and is documented in
+// DESIGN.md.
 //
 // All registry mutations are lock-free atomic operations; creating or
 // looking up a metric takes a mutex. A Trace is owned by one query but is

@@ -2,12 +2,10 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"bitmapindex/internal/core"
 	"bitmapindex/internal/cost"
 	"bitmapindex/internal/design"
-	"bitmapindex/internal/telemetry"
 )
 
 // AttrDesign describes one attribute's current physical design, as
@@ -72,23 +70,12 @@ type Report struct {
 	Attrs []AttrAdvice `json:"attributes"`
 }
 
-// Advisor-level metrics: set on every Advise call so a scrape shows the
-// live drift and the price of the current design gap. Gauges are integer
-// valued, so the unit-less drift exports as parts per million and the
-// expected-scan gap in milliscans per query.
-var (
-	advisorRuns = telemetry.Default().Counter("bix_advisor_runs_total",
-		"Advisor evaluations.")
-	advisorDrift = telemetry.Default().Gauge("bix_advisor_drift_ppm",
-		"Workload drift from the uniform assumption (total variation distance, parts per million).")
-	advisorGain = telemetry.Default().Gauge("bix_advisor_gain_milliscans",
-		"Expected scans per query saved by the recommended design, in thousandths of a scan.")
-)
-
 // Advise prices the catalog's current design against the weighted
 // optimum under the observed profile, holding the disk budget fixed at
 // the space the current design already uses. The profile may be empty
 // (uniform advice) but must validate against the designs' attribute set.
+// Advise is a pure function of its arguments; /debug/advisor serves its
+// report.
 func Advise(table string, designs []AttrDesign, p Profile) (*Report, error) {
 	if len(designs) == 0 {
 		return nil, fmt.Errorf("workload: no attribute designs to advise on")
@@ -146,9 +133,6 @@ func Advise(table string, designs []AttrDesign, p Profile) (*Report, error) {
 		rep.Attrs = append(rep.Attrs, adv)
 	}
 	rep.Gain = rep.CurrentTime - rep.RecommendedTime
-	advisorRuns.Inc()
-	advisorDrift.Set(int64(math.Round(rep.Drift * 1e6)))
-	advisorGain.Set(int64(math.Round(rep.Gain * 1e3)))
 	return rep, nil
 }
 

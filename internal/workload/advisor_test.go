@@ -2,12 +2,12 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"bitmapindex/internal/core"
 	"bitmapindex/internal/cost"
 	"bitmapindex/internal/design"
-	"bitmapindex/internal/telemetry"
 )
 
 // uniformDesigns builds the designs AllocateBudget would choose at the
@@ -160,8 +160,9 @@ func TestAdviseErrors(t *testing.T) {
 	}
 }
 
-// TestAdviseMetrics: each run updates the drift/gain gauges in the
-// default registry (integer ppm / milliscans).
+// TestAdviseMetrics: the report's drift is the profile's, its gain is the
+// current minus the recommended expected time, and Advise is pure: the
+// same inputs give the same report.
 func TestAdviseMetrics(t *testing.T) {
 	cards := []uint64{90, 25, 12}
 	designs := uniformDesigns(t, cards, 6)
@@ -173,15 +174,18 @@ func TestAdviseMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := telemetry.Default().Snapshot()
-	if got := snap.Gauges["bix_advisor_drift_ppm"]; got != int64(math.Round(rep.Drift*1e6)) {
-		t.Errorf("bix_advisor_drift_ppm = %d, want %d", got, int64(math.Round(rep.Drift*1e6)))
+	if want := skewedProfile(attrs, 0, 80, 10).Drift(); rep.Drift != want || rep.Drift <= 0 {
+		t.Errorf("drift = %v, want the profile's %v (> 0)", rep.Drift, want)
 	}
-	if got := snap.Gauges["bix_advisor_gain_milliscans"]; got != int64(math.Round(rep.Gain*1e3)) {
-		t.Errorf("bix_advisor_gain_milliscans = %d, want %d", got, int64(math.Round(rep.Gain*1e3)))
+	if want := rep.CurrentTime - rep.RecommendedTime; rep.Gain != want {
+		t.Errorf("gain = %v, want current - recommended = %v", rep.Gain, want)
 	}
-	if snap.Counters["bix_advisor_runs_total"] == 0 {
-		t.Error("bix_advisor_runs_total not incremented")
+	again, err := Advise("t", designs, skewedProfile(attrs, 0, 80, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, rep) {
+		t.Errorf("Advise is not pure:\nfirst  %+v\nsecond %+v", rep, again)
 	}
 }
 

@@ -10,11 +10,9 @@
 // The accumulator is fed by catalog.Table's Query and Count (one event
 // per predicate) and by bixstore serve's index-mode /query handler, from
 // the numbers of the query's one flight record. The attribute set is
-// fixed at construction (it comes from the catalog), so the accumulator — and the
-// attribute-labeled bix_attr_* metric families it pre-registers — have
-// statically bounded cardinality: events for unknown attributes are
-// counted in bix_workload_dropped_total and otherwise ignored, never
-// registered.
+// fixed at construction (it comes from the catalog), so the accumulator
+// has statically bounded size: events for unknown attributes are
+// ignored, never registered. /debug/workload serves its snapshots.
 //
 // Steady-state updates are a handful of atomic adds on pre-resolved
 // counters: no locks, no allocation (enforced by an AllocsPerRun test and
@@ -25,7 +23,6 @@ import (
 	"sync/atomic"
 
 	"bitmapindex/internal/core"
-	"bitmapindex/internal/telemetry"
 )
 
 // OpClass buckets operators the way the cost model prices them.
@@ -43,7 +40,7 @@ const (
 	numClasses
 )
 
-// String returns the class's metric label value.
+// String returns the class's name.
 func (c OpClass) String() string {
 	switch c {
 	case EqClass:
@@ -92,8 +89,7 @@ type Event struct {
 	CacheMisses int
 }
 
-// attrState is one attribute's accounting: internal atomics for cheap
-// snapshots plus the pre-registered attribute-labeled counters.
+// attrState is one attribute's accounting: atomics for cheap snapshots.
 type attrState struct {
 	name string
 	card uint64
@@ -106,19 +102,7 @@ type attrState struct {
 	cacheMisses atomic.Int64
 	sel         [HistBuckets]atomic.Int64
 	pos         [HistBuckets]atomic.Int64
-
-	queriesC [numClasses]*telemetry.Counter
-	scansC   *telemetry.Counter
-	bytesC   *telemetry.Counter
-	latencyC *telemetry.Counter
-	hitsC    *telemetry.Counter
-	missesC  *telemetry.Counter
 }
-
-// droppedTotal counts events for attributes outside the registered set —
-// the safety valve that keeps the metric surface bounded.
-var droppedTotal = telemetry.Default().Counter("bix_workload_dropped_total",
-	"Workload events dropped because their attribute is not in the accumulator's set.")
 
 // AttrInfo names one attribute of the accumulator's fixed set.
 type AttrInfo struct {
@@ -133,45 +117,14 @@ type Accumulator struct {
 	byName map[string]int
 }
 
-// New builds an accumulator over the catalog's attribute set, registering
-// the bix_attr_* metric families in the default telemetry registry.
+// New builds an accumulator over the catalog's attribute set.
 func New(attrs []AttrInfo) *Accumulator {
-	return NewWithRegistry(telemetry.Default(), attrs)
-}
-
-// NewWithRegistry is New against a specific registry (tests isolate their
-// metric state this way).
-//
-// The attribute label values are not compile-time constants, which the
-// telemetry-labels analyzer normally rejects: this constructor is the
-// audited bounded-cardinality seam — labels derive only from the attrs
-// parameter, whose entries come from a catalog descriptor, never from
-// query text — and carries the directive saying so.
-//
-//bix:attrlabel (label values are catalog attribute names; the set is fixed at construction)
-func NewWithRegistry(reg *telemetry.Registry, attrs []AttrInfo) *Accumulator {
 	a := &Accumulator{byName: make(map[string]int, len(attrs))}
 	for _, ai := range attrs {
 		if _, dup := a.byName[ai.Name]; dup {
 			continue
 		}
 		st := &attrState{name: ai.Name, card: ai.Card}
-		attr := telemetry.Label{Name: "attr", Value: ai.Name}
-		for c := OpClass(0); c < numClasses; c++ {
-			st.queriesC[c] = reg.Counter("bix_attr_queries_total",
-				"Predicate evaluations, by attribute and operator class.",
-				attr, telemetry.Label{Name: "class", Value: c.String()})
-		}
-		st.scansC = reg.Counter("bix_attr_scans_total",
-			"Stored bitmaps read, by attribute.", attr)
-		st.bytesC = reg.Counter("bix_attr_bytes_read_total",
-			"On-disk bytes read, by attribute.", attr)
-		st.latencyC = reg.Counter("bix_attr_latency_ns_total",
-			"Nanoseconds spent evaluating predicates, by attribute.", attr)
-		st.hitsC = reg.Counter("bix_attr_cache_hits_total",
-			"Bitmap pool hits, by attribute.", attr)
-		st.missesC = reg.Counter("bix_attr_cache_misses_total",
-			"Bitmap pool misses, by attribute.", attr)
 		a.byName[ai.Name] = len(a.attrs)
 		a.attrs = append(a.attrs, st)
 	}
@@ -188,14 +141,13 @@ func (a *Accumulator) Attrs() []AttrInfo {
 }
 
 // Observe records one predicate evaluation. Events for attributes outside
-// the registered set are dropped (and counted). The steady-state path is
+// the registered set are dropped. The steady-state path is
 // allocation-free.
 //
 //bix:hotpath
 func (a *Accumulator) Observe(e Event) {
 	i, ok := a.byName[e.Attr]
 	if !ok {
-		droppedTotal.Inc()
 		return
 	}
 	st := a.attrs[i]
@@ -204,26 +156,20 @@ func (a *Accumulator) Observe(e Event) {
 		cls = RangeClass
 	}
 	st.queries[cls].Add(1)
-	st.queriesC[cls].Inc()
 	if e.Scans != 0 {
 		st.scans.Add(int64(e.Scans))
-		st.scansC.Add(int64(e.Scans))
 	}
 	if e.Bytes != 0 {
 		st.bytes.Add(e.Bytes)
-		st.bytesC.Add(e.Bytes)
 	}
 	if e.NS != 0 {
 		st.latencyNS.Add(e.NS)
-		st.latencyC.Add(e.NS)
 	}
 	if e.CacheHits != 0 {
 		st.cacheHits.Add(int64(e.CacheHits))
-		st.hitsC.Add(int64(e.CacheHits))
 	}
 	if e.CacheMisses != 0 {
 		st.cacheMisses.Add(int64(e.CacheMisses))
-		st.missesC.Add(int64(e.CacheMisses))
 	}
 	card := e.Card
 	if card == 0 {
@@ -292,19 +238,11 @@ func (a *Accumulator) AddProfile(p Profile) error {
 		st.queries[EqClass].Add(ap.Eq)
 		st.queries[RangeClass].Add(ap.Range)
 		st.queries[IntervalClass].Add(ap.Interval)
-		st.queriesC[EqClass].Add(ap.Eq)
-		st.queriesC[RangeClass].Add(ap.Range)
-		st.queriesC[IntervalClass].Add(ap.Interval)
 		st.scans.Add(ap.Scans)
-		st.scansC.Add(ap.Scans)
 		st.bytes.Add(ap.BytesRead)
-		st.bytesC.Add(ap.BytesRead)
 		st.latencyNS.Add(ap.LatencyNS)
-		st.latencyC.Add(ap.LatencyNS)
 		st.cacheHits.Add(ap.CacheHits)
-		st.hitsC.Add(ap.CacheHits)
 		st.cacheMisses.Add(ap.CacheMisses)
-		st.missesC.Add(ap.CacheMisses)
 		for b := 0; b < HistBuckets && b < len(ap.Selectivity); b++ {
 			st.sel[b].Add(ap.Selectivity[b])
 		}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"bitmapindex/internal/core"
-	"bitmapindex/internal/telemetry"
 )
 
 func testAttrs() []AttrInfo {
@@ -20,7 +19,7 @@ func testAttrs() []AttrInfo {
 }
 
 func TestObserveAndSnapshot(t *testing.T) {
-	a := NewWithRegistry(telemetry.New(), testAttrs())
+	a := New(testAttrs())
 	a.Observe(Event{Attr: "region", Class: EqClass, Value: 45, Matches: 10, Rows: 100,
 		Scans: 3, Bytes: 1024, NS: 5000, CacheHits: 2, CacheMisses: 1})
 	a.Observe(Event{Attr: "region", Class: RangeClass, Value: 89, Matches: -1, Scans: 5})
@@ -70,14 +69,13 @@ func sum(h []int64) int64 {
 }
 
 func TestObserveUnknownAttrDropped(t *testing.T) {
-	a := NewWithRegistry(telemetry.New(), testAttrs())
-	before := droppedTotal.Value()
+	a := New(testAttrs())
 	a.Observe(Event{Attr: "user_input_constant", Class: EqClass})
-	if got := droppedTotal.Value(); got != before+1 {
-		t.Errorf("droppedTotal = %d, want %d", got, before+1)
-	}
 	if a.Snapshot().TotalQueries() != 0 {
 		t.Error("dropped event leaked into the snapshot")
+	}
+	if got := a.Attrs(); !reflect.DeepEqual(got, testAttrs()) {
+		t.Errorf("dropped event changed the attribute set: %v", got)
 	}
 }
 
@@ -97,7 +95,7 @@ func TestClassOf(t *testing.T) {
 // TestObserveAllocFree pins the steady-state promise: once the attribute
 // set is registered, recording an event allocates nothing.
 func TestObserveAllocFree(t *testing.T) {
-	a := NewWithRegistry(telemetry.New(), testAttrs())
+	a := New(testAttrs())
 	e := Event{Attr: "status", Class: RangeClass, Value: 12, Matches: 40, Rows: 100,
 		Scans: 4, Bytes: 512, NS: 900, CacheHits: 1}
 	if allocs := testing.AllocsPerRun(1000, func() { a.Observe(e) }); allocs != 0 {
@@ -105,36 +103,15 @@ func TestObserveAllocFree(t *testing.T) {
 	}
 }
 
-func TestAttrMetricsExported(t *testing.T) {
-	reg := telemetry.New()
-	a := NewWithRegistry(reg, testAttrs())
-	a.Observe(Event{Attr: "region", Class: EqClass, Scans: 7, Bytes: 100})
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`bix_attr_queries_total{attr="region",class="eq"} 1`,
-		`bix_attr_scans_total{attr="region"} 7`,
-		`bix_attr_bytes_read_total{attr="region"} 100`,
-		`bix_attr_queries_total{attr="tier",class="interval"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-}
-
 func TestDuplicateAttrsCollapsed(t *testing.T) {
-	a := NewWithRegistry(telemetry.New(), []AttrInfo{{Name: "x", Card: 4}, {Name: "x", Card: 9}})
+	a := New([]AttrInfo{{Name: "x", Card: 4}, {Name: "x", Card: 9}})
 	if got := a.Attrs(); len(got) != 1 || got[0].Card != 4 {
 		t.Errorf("Attrs() = %v, want one entry with card 4", got)
 	}
 }
 
 func TestProfileRoundTrip(t *testing.T) {
-	a := NewWithRegistry(telemetry.New(), testAttrs())
+	a := New(testAttrs())
 	for i := 0; i < 17; i++ {
 		a.Observe(Event{Attr: "region", Class: RangeClass, Value: uint64(i * 5),
 			Matches: i, Rows: 20, Scans: 2, Bytes: 64, NS: 10})
@@ -161,12 +138,11 @@ func TestProfileRoundTrip(t *testing.T) {
 // TestAddProfileRestart checks the serve restart path: replaying a saved
 // snapshot makes the accumulator resume where the previous run stopped.
 func TestAddProfileRestart(t *testing.T) {
-	reg := telemetry.New()
-	a := NewWithRegistry(reg, testAttrs())
+	a := New(testAttrs())
 	a.Observe(Event{Attr: "region", Class: EqClass, Value: 1, Matches: -1, Scans: 2})
 	saved := a.Snapshot()
 
-	b := NewWithRegistry(telemetry.New(), testAttrs())
+	b := New(testAttrs())
 	if err := b.AddProfile(saved); err != nil {
 		t.Fatal(err)
 	}
@@ -201,20 +177,20 @@ func TestValidateRejects(t *testing.T) {
 		{"future version", func(p *Profile) { p.Version = ProfileVersion + 1 }},
 	}
 	for _, c := range cases {
-		p := NewWithRegistry(telemetry.New(), attrs).Snapshot()
+		p := New(attrs).Snapshot()
 		c.mut(&p)
 		if err := p.Validate(attrs); err == nil {
 			t.Errorf("%s: Validate accepted it", c.name)
 		}
 	}
-	p := NewWithRegistry(telemetry.New(), attrs).Snapshot()
+	p := New(attrs).Snapshot()
 	if err := p.Validate(attrs); err != nil {
 		t.Errorf("clean profile rejected: %v", err)
 	}
 }
 
 func TestMergeAndOverflow(t *testing.T) {
-	a := NewWithRegistry(telemetry.New(), testAttrs())
+	a := New(testAttrs())
 	a.Observe(Event{Attr: "region", Class: EqClass, Value: 1, Matches: 1, Rows: 2})
 	p, q := a.Snapshot(), a.Snapshot()
 	if err := p.Merge(q); err != nil {
@@ -241,7 +217,7 @@ func TestMergeAndOverflow(t *testing.T) {
 // goroutines while snapshotting; run under -race this is the data-race
 // gate, and the final snapshot must account for every event exactly once.
 func TestConcurrentObserveSnapshot(t *testing.T) {
-	a := NewWithRegistry(telemetry.New(), testAttrs())
+	a := New(testAttrs())
 	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -283,7 +259,7 @@ func TestConcurrentObserveSnapshot(t *testing.T) {
 }
 
 func FuzzProfileDecode(f *testing.F) {
-	a := NewWithRegistry(telemetry.New(), testAttrs())
+	a := New(testAttrs())
 	a.Observe(Event{Attr: "region", Class: RangeClass, Value: 10, Matches: 5, Rows: 10})
 	good, err := a.Snapshot().marshal()
 	if err != nil {
