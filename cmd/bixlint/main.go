@@ -2,10 +2,9 @@
 // analyzers for the bitvec tail-mask invariant (now alias-aware),
 // interprocedural allocation-free hot paths (//bix:hotpath propagates
 // through the module call graph; //bix:allocok bounds the audit), dropped
-// I/O errors, telemetry naming and label cardinality, concurrency
-// integrity (lockheld, lockorder, unlockpath, gocapture, atomicfield,
-// poolhygiene) and lifecycle discipline (goroutinelife, chanprotocol,
-// ctxflow, closeown), all built on a CFG/dataflow engine and per-function
+// I/O errors, telemetry naming and label cardinality, and concurrency
+// integrity (lockheld, lockorder, unlockpath, atomicfield, poolhygiene):
+// nine analyzers, all built on a CFG/dataflow engine and per-function
 // summaries. It analyzes the loaded packages in one serial pass, is built
 // entirely on the standard library and needs no tools outside the Go
 // distribution. Build, vet and the tests are separate steps (`make ci`).

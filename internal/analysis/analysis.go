@@ -4,7 +4,7 @@
 // bitvec tail-mask contract, allocation-free hot paths, checked storage
 // errors, bounded metric label cardinality and lock discipline — are
 // exactly the kind of rules that decay silently under refactoring unless a
-// tool re-checks them on every change.
+// tool re-checks them on every change. The suite is nine analyzers (All).
 //
 // Analyzers communicate with the code they check through a small directive
 // grammar in doc comments:
@@ -18,19 +18,16 @@
 //	//bix:lockheld         every caller holds the mutex (checked by lockheld)
 //	//bix:unlockok (reason) the function intentionally returns with a lock
 //	                       held (checked by unlockpath)
-//	//bix:daemon (reason)  the function is an audited process-lifetime
-//	                       goroutine body or spawner; goroutinelife and
-//	                       chanprotocol's shutdown-case rule stop here
 //
 // and through `// guarded by <mu>` comments on struct fields (lockheld,
-// gocapture, atomicfield).
+// atomicfield).
 //
 // Interprocedural analyses (hotalloc's transitive walk, lockorder's
-// acquisition summaries, poolhygiene's Put-forwarding, goroutinelife's
-// spawn walk) share one module-wide call graph with SCC-condensed
-// bottom-up fact summaries (callgraph.go). RunBatch is one serial pass: a
-// prepare phase builds the shared indexes (runner.go), then every
-// analyzer runs over every package in load order.
+// acquisition summaries, poolhygiene's Put-forwarding) share one
+// module-wide call graph with SCC-condensed bottom-up fact summaries
+// (callgraph.go). RunBatch is one serial pass: a prepare phase builds the
+// shared indexes (runner.go), then every analyzer runs over every package
+// in load order.
 //
 // Run `go run ./cmd/bixlint ./...` to apply every analyzer to the module.
 package analysis
@@ -76,10 +73,6 @@ type Batch struct {
 	sliceParams    map[*types.Func]*sliceParamSummary // tailmask memo
 	lockGraph      []lockOrderEdge                    // module acquisition graph
 	lockGraphBuilt bool
-	chanIndex      *chanIndex            // module channel usage (chanindex.go)
-	closeIndex     map[*types.Func][]int // closeown: params each helper closes
-	lifeDone       bool                  // goroutinelife findings computed
-	lifeFindings   []lifeFinding
 
 	// prepared flips after the prepare phase; from then on every lazily
 	// built index above is read-only (runner.go relies on this).
@@ -142,15 +135,13 @@ func (p *Pass) reportAt(pos token.Position, format string, args ...any) {
 	})
 }
 
-// All is the complete analyzer suite, in the order bixlint runs it: the
-// five flow-sensitive rewrites of the original rules, the three
-// concurrency analyzers built on the CFG/dataflow layer, the two v3
-// analyzers built on the module call graph and the may-facts engine
-// (atomicfield, poolhygiene), and the four v4 lifecycle analyzers
-// (goroutinelife, chanprotocol, ctxflow, closeown).
+// All is the complete analyzer suite, nine analyzers in the order bixlint
+// runs them: the five flow-sensitive rewrites of the original rules, the
+// two further concurrency analyzers built on the CFG/dataflow layer
+// (lockorder, unlockpath), and the two built on the module call graph and
+// the may-facts engine (atomicfield, poolhygiene).
 var All = []*Analyzer{TailMask, HotAlloc, ErrcheckIO, TelemetryLabels, LockHeld,
-	LockOrder, UnlockPath, GoCapture, AtomicField, PoolHygiene,
-	GoroutineLife, ChanProtocol, CtxFlow, CloseOwn}
+	LockOrder, UnlockPath, AtomicField, PoolHygiene}
 
 // Select resolves -only/-skip analyzer-selection expressions against the
 // full suite: comma-separated analyzer names, where an unknown name is an

@@ -140,22 +140,37 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{ErrcheckIO, []string{"errcheckio_bad", "errcheckio_good"}},
 		{TelemetryLabels, []string{"telemetrylabels_bad", "telemetrylabels_good",
 			"telemetrylabels_attr_bad", "telemetrylabels_attr_good"}},
-		{LockHeld, []string{"lockheld_bad", "lockheld_good", "lockheld_flow"}},
+		{LockHeld, []string{"lockheld_bad", "lockheld_good", "lockheld_flow",
+			"gocapture_bad", "gocapture_good"}},
 		{LockOrder, []string{"lockorder_bad", "lockorder_good"}},
 		{UnlockPath, []string{"unlockpath_bad", "unlockpath_good"}},
-		{GoCapture, []string{"gocapture_bad", "gocapture_good"}},
 		{AtomicField, []string{"atomicfield_bad", "atomicfield_good"}},
 		{PoolHygiene, []string{"poolhygiene_bad", "poolhygiene_good"}},
-		{GoroutineLife, []string{"goroutinelife_bad", "goroutinelife_good"}},
-		{ChanProtocol, []string{"chanprotocol_bad", "chanprotocol_good"}},
-		{CtxFlow, []string{"ctxflow_bad", "ctxflow_good"}},
-		{CloseOwn, []string{"closeown_bad", "closeown_good"}},
 	}
 	for _, c := range cases {
 		for _, fixture := range c.fixtures {
 			t.Run(c.analyzer.Name+"/"+fixture, func(t *testing.T) {
 				checkFixture(t, c.analyzer, fixture)
 			})
+		}
+	}
+}
+
+// TestSuiteMembership pins the analyzer suite: exactly these nine, in
+// bixlint's run order, and a retired name is an unknown analyzer.
+func TestSuiteMembership(t *testing.T) {
+	want := []string{"tailmask", "hotalloc", "errcheck-io", "telemetry-labels",
+		"lockheld", "lockorder", "unlockpath", "atomicfield", "poolhygiene"}
+	var got []string
+	for _, a := range All {
+		got = append(got, a.Name)
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("All = %v, want %v", got, want)
+	}
+	for _, retired := range []string{"goroutinelife", "chanprotocol", "ctxflow", "closeown", "gocapture"} {
+		if _, err := Select(retired, ""); err == nil || !strings.Contains(err.Error(), "unknown analyzer") {
+			t.Errorf("Select(%q, \"\") error = %v, want unknown analyzer", retired, err)
 		}
 	}
 }

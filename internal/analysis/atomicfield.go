@@ -28,8 +28,8 @@ import (
 //     the flight recorder's cursor/threshold and the telemetry registry.
 //
 // Rule 1 analyzes function bodies with the same must-held dataflow the
-// lock analyzers use; function literals are skipped (best-effort, like
-// gocapture's inherited-state rule, the race CI gate backstops them).
+// lock analyzers use; function literals are skipped (best-effort; the
+// race CI gate backstops them).
 var AtomicField = &Analyzer{
 	Name: "atomicfield",
 	Doc:  "a field accessed via sync/atomic anywhere must never be plainly read or written without a lock held",

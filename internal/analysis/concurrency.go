@@ -7,8 +7,8 @@ import (
 )
 
 // Shared machinery for the lock-discipline analyzers (lockheld,
-// unlockpath, lockorder, gocapture): classifying sync.Mutex/RWMutex call
-// sites and resolving the identity of the mutex they act on.
+// unlockpath, lockorder): classifying sync.Mutex/RWMutex call sites and
+// resolving the identity of the mutex they act on.
 
 type lockOp int
 

@@ -18,12 +18,12 @@ import (
 // cmd/bixbench). Assigning the error to _ is an explicit, visible decision
 // and is likewise allowed.
 //
-// Close is carved out entirely: closeown owns the whole Close discipline
-// (dropped Close errors and handles that never reach Close), so a bare
-// `f.Close()` is reported once, by closeown, not twice.
+// A Close method that returns an error is in scope whatever its package:
+// closing a written file is where a failed write surfaces, and this rule
+// found dropped close errors on the write paths of bixbench and bixstore.
 var ErrcheckIO = &Analyzer{
 	Name: "errcheck-io",
-	Doc:  "error results from os, io and internal/storage calls must not be dropped",
+	Doc:  "error results from os, io and internal/storage calls and from Close methods must not be dropped",
 	Run:  runErrcheckIO,
 }
 
@@ -62,14 +62,15 @@ func runErrcheckIO(pass *Pass) {
 			return
 		}
 		fn, ok := info.Uses[id].(*types.Func)
-		if !ok || !errcheckPkg(fn.Pkg()) {
+		if !ok {
 			return
-		}
-		if fn.Name() == "Close" {
-			return // closeown owns the Close discipline end to end
 		}
 		sig, ok := fn.Type().(*types.Signature)
 		if !ok || !returnsError(sig) {
+			return
+		}
+		isClose := fn.Name() == "Close" && sig.Recv() != nil
+		if !isClose && !errcheckPkg(fn.Pkg()) {
 			return
 		}
 		pass.Reportf(call.Pos(), "error from %s.%s is dropped%s; handle it or assign it to _",

@@ -24,10 +24,11 @@ import (
 // Function literals inherit the lock state at their definition point
 // (callbacks like bitvec's Ones visitor run synchronously under the
 // caller's locks), except literals launched by a go statement, which start
-// from an empty lock set and are checked by the gocapture analyzer
-// instead. Composite literals do not count as field accesses, so
-// constructors that build the struct before sharing it pass without
-// annotation.
+// from an empty lock set: whatever the launcher holds is released (or
+// contested) by the time the goroutine runs, so the goroutine must acquire
+// the guard inside its own body. Composite literals do not count as field
+// accesses, so constructors that build the struct before sharing it pass
+// without annotation.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc:  "fields marked `guarded by mu` need the mutex held at the access or a //bix:lockheld directive",
@@ -139,17 +140,12 @@ func (c *lockHeldChecker) checkBody(body *ast.BlockStmt, entry StringSet) {
 		}
 		s := in.(StringSet)
 		for _, n := range b.Nodes {
-			goTarget := map[*ast.FuncLit]bool{}
-			if g, ok := n.(*ast.GoStmt); ok {
-				if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
-					goTarget[lit] = true
-				}
-			}
 			for _, lit := range topFuncLits(n) {
-				if goTarget[lit] {
-					continue // empty entry set, reported by gocapture
+				held := s
+				if g, ok := n.(*ast.GoStmt); ok && g.Call.Fun == lit {
+					held = NewStringSet() // the launcher's locks do not cover it
 				}
-				lits = append(lits, litAt{lit, s})
+				lits = append(lits, litAt{lit, held})
 			}
 			for _, use := range guardedUses(info, c.guarded, n) {
 				if s[use.mu] {

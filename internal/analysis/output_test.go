@@ -23,7 +23,7 @@ func badFixtureFindings(t *testing.T) []Finding {
 		loadFixture(t, "hotpath_multi/helper"),
 		loadFixture(t, "hotpath_multi"),
 	}
-	findings := Run(pkgs, []*Analyzer{UnlockPath, LockOrder, GoCapture, HotAlloc})
+	findings := Run(pkgs, []*Analyzer{UnlockPath, LockOrder, LockHeld, HotAlloc})
 	if len(findings) == 0 {
 		t.Fatal("bad fixtures produced no findings")
 	}

@@ -9,13 +9,12 @@ import (
 // The runner's phase split. prepare builds, once and in a fixed order,
 // every lazily built module-wide index that a selected analyzer touches:
 // the declaration map, the call graph and its summaries, hotalloc's
-// findings, the atomicfield index, the lockorder acquisition graph,
-// tailmask's slice-parameter summaries, the channel index and
-// goroutinelife's findings, and closeown's parameter summaries. The passes
-// then only read Batch state. The order matters for tailmask: summaries
-// of recursive cycles are a fixpoint from below, so their results depend
-// on which function is summarized first, and prepare fixes that order to
-// declaration order rather than the order tailmask's passes ask in.
+// findings, the atomicfield index, the lockorder acquisition graph and
+// tailmask's slice-parameter summaries. The passes then only read Batch
+// state. The order matters for tailmask: summaries of recursive cycles are
+// a fixpoint from below, so their results depend on which function is
+// summarized first, and prepare fixes that order to declaration order
+// rather than the order tailmask's passes ask in.
 
 // Timing is one analyzer's accumulated wall time across the run, plus the
 // synthetic "(prepare)" entry for the index-building phase.
@@ -83,15 +82,6 @@ func (b *Batch) prepare(analyzers []*Analyzer) {
 				}
 			}
 		}
-	}
-	if sel["goroutinelife"] || sel["chanprotocol"] {
-		b.chanIndex = buildChanIndex(b)
-	}
-	if sel["goroutinelife"] {
-		batchLifeFindings(b)
-	}
-	if sel["closeown"] {
-		b.closeIndex = buildCloseIndex(b)
 	}
 	b.prepared = true
 	b.noteTiming("(prepare)", time.Since(start))

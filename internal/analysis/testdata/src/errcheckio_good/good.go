@@ -35,10 +35,3 @@ func DeferredCleanup(path string) ([]byte, error) {
 func OutOfScope() {
 	fmt.Println("fmt is not an I/O-bearing package for this rule")
 }
-
-// BareClose is no longer errcheck-io's concern: closeown owns the whole
-// Close discipline (dropped close errors and leaked handles), so the
-// bare statement is reported once, there, not twice.
-func BareClose(f *os.File) {
-	f.Close()
-}

@@ -89,8 +89,6 @@ func segPoolStart() {
 // segPoolWorker drains the shared job channel for the life of the
 // process. The pool is sized once to GOMAXPROCS and never torn down, so
 // the range below intentionally has no shutdown signal.
-//
-//bix:daemon (process-wide segment worker pool, lives until exit)
 func segPoolWorker(unlabeled *sync.WaitGroup) {
 	pprof.SetGoroutineLabels(context.Background())
 	unlabeled.Done()
