@@ -34,8 +34,8 @@ var wantAPI = []string{
 	"WithEncoding", "WithKneeBase", "WithNulls", "WithSpaceBudget",
 	"WithSpaceOptimalBase", "WithTimeOptimalBase",
 	// Observability surface (PR 1).
-	"BufferHitStats", "MetricsHandler", "NewQueryTrace", "NewSlowQueryLog",
-	"QueryPhase", "QueryTrace", "SlowQueryLog", "Telemetry",
+	"BufferHitStats", "MetricsHandler", "NewQueryTrace",
+	"QueryPhase", "QueryTrace", "Telemetry",
 	"TelemetryRegistry", "TelemetrySnapshot", "WriteMetrics",
 	// Segmented evaluation surface (PR 4).
 	"SegConfig", "DefaultSegBits",

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"bitmapindex/internal/bitvec"
 	"bitmapindex/internal/buffer"
@@ -478,13 +477,15 @@ func NewCachedStore(s *Store, capacity int) (*CachedStore, error) {
 
 // --- Observability (internal/telemetry) ---
 
-// Telemetry aliases: the process-wide metrics registry, per-query traces
-// and the slow-query log. Every evaluation — in-memory, on-disk, cached or
-// plan-level — feeds the default registry; traces are opt-in per query via
-// EvalOptions.Trace / StoreMetrics.Trace.
+// Telemetry aliases: the process-wide metrics registry and per-query
+// traces. Evaluation publishes nothing to the default registry: it counts
+// served queries, fed once per query by bixstore's query path, so a
+// library caller that wants the paper's cost measures reads them from the
+// Stats it passes in. Traces are opt-in per query via EvalOptions.Trace /
+// StoreMetrics.Trace.
 type (
-	// TelemetryRegistry is a named collection of atomic counters, gauges
-	// and fixed-bucket histograms with Prometheus and JSON exporters.
+	// TelemetryRegistry is a named collection of atomic counters and
+	// fixed-bucket histograms with Prometheus and JSON exporters.
 	TelemetryRegistry = telemetry.Registry
 	// TelemetrySnapshot is a point-in-time JSON-serializable registry view.
 	TelemetrySnapshot = telemetry.Snapshot
@@ -492,8 +493,6 @@ type (
 	QueryTrace = telemetry.Trace
 	// QueryPhase names one evaluation phase (fetch, bool_ops, ...).
 	QueryPhase = telemetry.Phase
-	// SlowQueryLog retains queries at or over a latency threshold.
-	SlowQueryLog = telemetry.SlowLog
 )
 
 // Telemetry returns the process-wide metrics registry. The metric names,
@@ -511,13 +510,6 @@ func MetricsHandler() http.Handler { return telemetry.Handler(telemetry.Default(
 
 // WriteMetrics dumps the default registry in Prometheus text format.
 func WriteMetrics(w io.Writer) error { return telemetry.Default().WritePrometheus(w) }
-
-// NewSlowQueryLog creates a slow-query log: observed traces at or over
-// threshold are retained (most recent keep entries) and written to w (one
-// line each) when w is non-nil.
-func NewSlowQueryLog(threshold time.Duration, w io.Writer, keep int) *SlowQueryLog {
-	return telemetry.NewSlowLog(threshold, w, keep)
-}
 
 // BufferHitStats counts buffer-assignment hits and misses during
 // evaluation; pass assignment.CountingFor(&stats) as EvalOptions.Buffered.

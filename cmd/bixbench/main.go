@@ -6,7 +6,7 @@
 //	bixbench -list
 //	bixbench -run fig8
 //	bixbench -all [-rows 200000] [-quick] [-o report.txt]
-//	bixbench -all -json bench.json [-metrics :8318]
+//	bixbench -all -json bench.json
 //	bixbench -scaling [-rows 16777216] [-segbits 18] [-workers 1,2,4] [-json scaling.json]
 //
 // -scaling benchmarks segmented (intra-query parallel) evaluation against
@@ -16,8 +16,6 @@
 // -json writes a machine-readable BENCH_*.json style summary next to the
 // text report: per-experiment wall times plus a query microbenchmark
 // (ops/sec, scans/query and a latency histogram with p50/p90/p99).
-// -metrics serves the telemetry registry at <addr>/metrics for the
-// duration of the run so long sweeps can be scraped live.
 package main
 
 import (
@@ -25,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"runtime"
 	"strconv"
@@ -49,7 +46,6 @@ type options struct {
 	CSV     bool
 	Out     string
 	JSON    string   // write a machine-readable summary here
-	Metrics string   // serve /metrics on this address while running
 	Scaling bool     // run the segmented-evaluation scaling benchmark
 	SegBits int      // segment width for -scaling (0 = library default)
 	Workers string   // comma-separated worker counts for -scaling
@@ -69,7 +65,6 @@ func main() {
 	flag.StringVar(&o.Out, "o", "", "write the report to a file instead of stdout")
 	flag.BoolVar(&o.CSV, "csv", false, "emit comma-separated rows (with #-comment headers) for plotting")
 	flag.StringVar(&o.JSON, "json", "", "write a machine-readable benchmark summary to this file")
-	flag.StringVar(&o.Metrics, "metrics", "", "serve the telemetry registry at this address (e.g. :8318) during the run")
 	flag.BoolVar(&o.Scaling, "scaling", false, "benchmark segmented (intra-query parallel) evaluation vs serial")
 	flag.IntVar(&o.SegBits, "segbits", 0, "segment width (log2 bits) for -scaling; 0 selects the library default")
 	flag.StringVar(&o.Workers, "workers", "1,2,4", "comma-separated worker counts for -scaling")
@@ -172,15 +167,6 @@ func realMain(o options) (err error) {
 			fmt.Printf("%-16s %-12s %s\n", e.ID, e.Paper, e.Title)
 		}
 		return nil
-	}
-	if o.Metrics != "" {
-		go func() {
-			mux := http.NewServeMux()
-			mux.Handle("/metrics", telemetry.Handler(telemetry.Default()))
-			if err := http.ListenAndServe(o.Metrics, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "bixbench: metrics server:", err)
-			}
-		}()
 	}
 	var w io.Writer = os.Stdout
 	if o.Out != "" {

@@ -17,13 +17,14 @@
 // runs conjunctive queries against them.
 //
 // query -metrics appends the per-phase query trace and a Prometheus-format
-// dump of the telemetry registry to the output; query -analyze prints the
-// structured EXPLAIN ANALYZE plan report instead (cost-model predictions
-// beside the measured actuals, as JSON). serve exposes the index
-// over HTTP: GET /query?q=<pred> evaluates a predicate and returns JSON
-// (including the trace), GET /metrics serves the registry in Prometheus
-// text format (?format=json for the JSON snapshot), and queries at or over
-// the -slow threshold are logged to stderr.
+// dump of the telemetry registry, which counts this one query, to the
+// output; query -analyze prints the structured EXPLAIN ANALYZE plan report
+// instead (cost-model predictions beside the measured actuals, as JSON).
+// serve exposes the index over HTTP: GET /query?q=<pred> evaluates a
+// predicate and returns JSON (including the trace), GET /metrics serves the
+// registry in Prometheus text format (?format=json for the JSON snapshot),
+// and queries at or over the -slow threshold are logged to stderr, one
+// line each.
 package main
 
 import (
@@ -39,6 +40,7 @@ import (
 	"bitmapindex"
 	"bitmapindex/internal/data"
 	"bitmapindex/internal/engine"
+	"bitmapindex/internal/flight"
 )
 
 func main() {
@@ -217,20 +219,18 @@ func runQuery(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	var m bitmapindex.StoreMetrics
-	switch {
-	case *analyze:
-		m.Trace = bitmapindex.NewQueryTrace(*q).Profile()
-	case *metrics:
-		m.Trace = bitmapindex.NewQueryTrace(*q)
+	m := bitmapindex.StoreMetrics{Trace: bitmapindex.NewQueryTrace(*q)}
+	if *analyze {
+		m.Trace.Profile()
 	}
 	res, err := st.Eval(op, v, &m)
 	if err != nil {
 		return err
 	}
 	count := popcount(res, m.Trace)
+	rec := flight.Record{Query: *q, Plan: "cli-query", Op: op.String(), Value: v, Rows: int64(count)}
+	elapsed := finishQuery(&rec, &m, nil)
 	if *analyze {
-		elapsed := m.Trace.Finish()
 		ix := st.Index()
 		rep := engine.AnalyzeIndexQuery(*q, st.Describe(), ix.Base(), ix.Encoding(),
 			ix.Cardinality(), op, v, m.Stats, elapsed, m.Trace)
@@ -248,7 +248,6 @@ func runQuery(w io.Writer, args []string) error {
 		}
 	}
 	if *metrics {
-		m.Trace.Finish()
 		fmt.Fprintln(w)
 		fmt.Fprint(w, m.Trace.String())
 		fmt.Fprintln(w)

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -24,6 +25,7 @@ import (
 	"bitmapindex/internal/engine"
 	"bitmapindex/internal/flight"
 	"bitmapindex/internal/profile"
+	"bitmapindex/internal/telemetry"
 	"bitmapindex/internal/workload"
 )
 
@@ -63,7 +65,7 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		ts.slow = newSlowLog(*slow, os.Stderr)
+		ts.slow = newSlowWriter(*slow, os.Stderr)
 		handler = ts.mux()
 		if *wlPath != "" {
 			path := *wlPath
@@ -176,13 +178,13 @@ func serveLoop(server *http.Server, ln net.Listener, writeProfile func() error) 
 }
 
 // queryServer evaluates predicates against one opened index, optionally
-// through a bitmap cache, and records slow queries.
+// through a bitmap cache, and logs slow queries.
 type queryServer struct {
 	eval func(op bitmapindex.Op, v uint64, m *bitmapindex.StoreMetrics) (*bitmapindex.Bitmap, error)
 	st   *bitmapindex.Store
 	desc string // one-line index-design summary (Store.Describe)
 	rows int
-	slow *bitmapindex.SlowQueryLog // nil when disabled
+	slow *slowWriter // nil when disabled
 	// wl accounts every /query against the index's single attribute
 	// ("value"); /debug/workload and /debug/advisor read it.
 	wl      *workload.Accumulator
@@ -208,36 +210,80 @@ func newQueryServer(st *bitmapindex.Store, cache int, slow time.Duration, slowW 
 		}
 		s.eval = cs.Eval
 	}
-	s.slow = newSlowLog(slow, slowW)
+	s.slow = newSlowWriter(slow, slowW)
 	return s, nil
 }
 
-// newSlowLog returns the -slow query log writing to w, or nil when the
+// slowWriter writes the -slow line of each query whose total reaches
+// threshold.
+type slowWriter struct {
+	threshold time.Duration
+	mu        sync.Mutex
+	w         io.Writer // guarded by mu
+}
+
+// newSlowWriter returns the -slow line writer on w, or nil when the
 // threshold is off (<= 0).
-func newSlowLog(threshold time.Duration, w io.Writer) *bitmapindex.SlowQueryLog {
+func newSlowWriter(threshold time.Duration, w io.Writer) *slowWriter {
 	if threshold <= 0 {
 		return nil
 	}
-	return bitmapindex.NewSlowQueryLog(threshold, w, 0)
+	return &slowWriter{threshold: threshold, w: w}
 }
 
-// finishQuery is the one place a served /query is recorded, in either
-// mode. It finishes m's trace once and lands exactly one flight record:
-// rec, whose Query, Plan, Op, Value and Rows the handler fills, completed
-// here with the trace's ID and total and m's cost counters. The slow log,
-// when enabled, gets the same trace under the plan summary slowPlan. The
-// returned total is the response's elapsed_ns.
-func finishQuery(rec *flight.Record, m *bitmapindex.StoreMetrics, slow *bitmapindex.SlowQueryLog, slowPlan string) time.Duration {
+// write logs rec, with the phase breakdown of its trace tr, when rec's
+// total reaches the threshold; a nil writer writes nothing. The line
+// carries the record's trace ID and plan tag, so it joins its flight
+// record and exemplar. The write holds mu: concurrent writes to a plain
+// writer race and interleave.
+func (l *slowWriter) write(rec *flight.Record, tr *telemetry.Trace) {
+	if l == nil || rec.Total < l.threshold {
+		return
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "slow query (%v >= %v): %s trace=%s plan=%s [",
+		rec.Total, l.threshold, rec.Query, rec.TraceID, rec.Plan)
+	for i, p := range tr.Phases() {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		fmt.Fprintf(&sb, "%s=%v", p.Phase, p.Duration)
+	}
+	sb.WriteString("]\n")
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, _ = io.WriteString(l.w, sb.String())
+}
+
+// finishQuery is the one place a query is accounted: both /query modes
+// and `bixstore query` end here. It finishes m's trace once and completes
+// rec, whose Query, Plan, Op, Value and Rows the caller fills, with the
+// trace's ID and total and m's cost counters. Every sink is fed from that
+// one record: the flight recorder, the telemetry registry and, when slow
+// is set, the slow line. The returned total is the response's elapsed_ns.
+func finishQuery(rec *flight.Record, m *bitmapindex.StoreMetrics, slow *slowWriter) time.Duration {
 	rec.TraceID, rec.Total = m.Trace.ID(), m.Trace.Finish()
 	rec.FilesRead, rec.BytesRead = m.FilesRead, m.BytesRead
 	rec.CacheHits, rec.CacheMisses = m.CacheHits, m.CacheMisses
 	st := m.Stats
 	rec.Scans, rec.Ands, rec.Ors, rec.Xors, rec.Nots = st.Scans, st.Ands, st.Ors, st.Xors, st.Nots
-	if slow != nil {
-		slow.ObserveWithPlan(rec.Query, slowPlan, m.Trace)
-	}
 	flight.Default().Add(rec, m.Trace)
+	publish(rec)
+	slow.write(rec, m.Trace)
 	return rec.Total
+}
+
+// publish adds one query's record to the telemetry registry: its scans
+// and operation counts, one query, and its total as latency with the
+// trace ID as the bucket's exemplar. It is the registry's one writer.
+func publish(rec *flight.Record) {
+	telemetry.QueriesTotal.Inc()
+	telemetry.ScansTotal.Add(int64(rec.Scans))
+	telemetry.AndsTotal.Add(int64(rec.Ands))
+	telemetry.OrsTotal.Add(int64(rec.Ors))
+	telemetry.XorsTotal.Add(int64(rec.Xors))
+	telemetry.NotsTotal.Add(int64(rec.Nots))
+	telemetry.QueryLatency.ObserveExemplar(rec.Total.Seconds(), rec.TraceID)
 }
 
 // mux routes /query, /metrics, the health probes, /debug/runtime,
@@ -375,7 +421,7 @@ func (s *queryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	matches := popcount(res, m.Trace)
 	rec := flight.Record{Query: q, Plan: "http-query", Op: op.String(), Value: v, Rows: int64(matches)}
-	elapsed := finishQuery(&rec, &m, s.slow, s.desc)
+	elapsed := finishQuery(&rec, &m, s.slow)
 	s.wl.Observe(workload.Event{
 		Attr: "value", Class: workload.ClassOf(op), Value: v,
 		Matches: matches, Rows: s.rows,

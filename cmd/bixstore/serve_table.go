@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 
-	"bitmapindex"
 	"bitmapindex/internal/catalog"
 	"bitmapindex/internal/flight"
 	"bitmapindex/internal/storage"
@@ -16,7 +15,7 @@ import (
 // and the design advisor exposed under /debug.
 type tableServer struct {
 	tbl  *catalog.Table
-	slow *bitmapindex.SlowQueryLog // nil when disabled
+	slow *slowWriter // nil when disabled
 }
 
 // newTableServer opens the table and, when wlPath names a saved profile,
@@ -88,7 +87,7 @@ func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := flight.Record{Query: q, Plan: "table-query", Rows: int64(matches)}
-	elapsed := finishQuery(&rec, &m, s.slow, rec.Plan)
+	elapsed := finishQuery(&rec, &m, s.slow)
 
 	resp := tableQueryResponse{
 		Query:     q,

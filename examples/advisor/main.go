@@ -54,7 +54,7 @@ func main() {
 	show("(B) exhaustive within M", exact)
 
 	// Build the constrained design and verify the analytic scan count
-	// against an instrumented sweep of real queries.
+	// against a measured sweep of real queries.
 	ix, err := bitmapindex.New(col.Values, card, bitmapindex.WithSpaceBudget(budget))
 	if err != nil {
 		log.Fatal(err)

@@ -220,7 +220,7 @@ func runLockOrder(pass *Pass) {
 }
 
 // shortLockName renders a mutex key for messages: the type-qualified tail
-// of the identity ("SlowLog.mu") rather than the full import path.
+// of the identity ("slowWriter.mu") rather than the full import path.
 func shortLockName(key string) string {
 	if i := strings.LastIndexByte(key, '/'); i >= 0 {
 		return key[i+1:]

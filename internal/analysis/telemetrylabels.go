@@ -14,18 +14,17 @@ import (
 // query string, a row count) creates one time series per distinct value —
 // unbounded registry growth on a long-lived server.
 //
-// The rule: every Registry.Counter/Gauge/Histogram call site must pass a
+// The rule: every Registry.Counter/Histogram call site must pass a
 // constant metric name matching ^bix_[a-z0-9_]+$, and every label argument
 // must be a Label literal whose fields are compile-time constants. Dynamic
 // label needs are served by pre-registering one metric per known value
-// (see internal/engine's per-plan counters). There is no exception: a
-// per-attribute or per-build number belongs in a /debug page, not in a
-// label.
+// (see bix_ops_total's per-kind counters in internal/telemetry). There is
+// no exception: a per-attribute or per-build number belongs in a /debug
+// page, not in a label.
 //
 // Names must also agree with the metric kind, Prometheus-style: a Counter
-// is cumulative and must end in _total, while a Gauge or Histogram is a
-// point-in-time value or a distribution and must not carry the _total
-// suffix.
+// is cumulative and must end in _total, while a Histogram is a
+// distribution and must not carry the _total suffix.
 var TelemetryLabels = &Analyzer{
 	Name: "telemetry-labels",
 	Doc:  "metric registrations need constant bix_* names and constant label values",
@@ -47,7 +46,7 @@ func runTelemetryLabels(pass *Pass) {
 				return true
 			}
 			switch sel.Sel.Name {
-			case "Counter", "Gauge", "Histogram":
+			case "Counter", "Histogram":
 			default:
 				return true
 			}
@@ -82,7 +81,7 @@ func checkMetricCall(pass *Pass, call *ast.CallExpr, sig *types.Signature, kind 
 					name, metricNameRE)
 			} else if isTotal := strings.HasSuffix(name, "_total"); kind == "Counter" && !isTotal {
 				pass.Reportf(call.Args[0].Pos(),
-					"counter %q must end in _total (cumulative metrics carry the suffix; use a Gauge for point-in-time values)", name)
+					"counter %q must end in _total (cumulative metrics carry the suffix)", name)
 			} else if kind != "Counter" && isTotal {
 				pass.Reportf(call.Args[0].Pos(),
 					"%s %q must not end in _total (the suffix marks cumulative counters)", strings.ToLower(kind), name)

@@ -11,7 +11,7 @@ func Register(queryText string) {
 }
 
 func Dynamic(name string) {
-	telemetry.Default().Gauge(name, "Dynamic name.") // want "compile-time constant"
+	telemetry.Default().Counter(name, "Dynamic name.") // want "compile-time constant"
 }
 
 func Spread(labels []telemetry.Label) {
@@ -24,7 +24,8 @@ func Variable(l telemetry.Label) {
 
 func KindSuffixes() {
 	telemetry.Default().Counter("bix_runtime_alloc_bytes", "Counter without suffix.") // want "_total"
-	telemetry.Default().Gauge("bix_runtime_heap_bytes_total", "Gauge with suffix.")   // want "must not end in _total"
-	telemetry.Default().Histogram("bix_profile_pause_total",                          // want "must not end in _total"
+	telemetry.Default().Histogram("bix_runtime_heap_bytes_total",                     // want "must not end in _total"
+		"Histogram with suffix.", telemetry.LatencyBuckets)
+	telemetry.Default().Histogram("bix_profile_pause_total", // want "must not end in _total"
 		"Histogram with suffix.", telemetry.LatencyBuckets)
 }

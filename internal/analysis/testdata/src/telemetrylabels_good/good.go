@@ -25,17 +25,17 @@ func Touch(kind int) {
 	lat.Observe(0.001)
 }
 
-// Runtime-profiling family: counters fed by deltas carry _total, the
-// point-in-time gauges and distributions do not.
+// Runtime-profiling family: counters fed by deltas carry _total,
+// distributions do not.
 var (
 	gcCycles = telemetry.Default().Counter("bix_runtime_gc_cycles_total", "Fixture GC cycles.")
-	heap     = telemetry.Default().Gauge("bix_runtime_heap_bytes", "Fixture heap bytes.")
+	heap     = telemetry.Default().Histogram("bix_runtime_heap_bytes", "Fixture heap bytes.", telemetry.LatencyBuckets)
 	pauses   = telemetry.Default().Histogram("bix_profile_gc_pause_seconds",
 		"Fixture pauses.", telemetry.LatencyBuckets)
 )
 
 func TouchRuntime() {
 	gcCycles.Inc()
-	heap.Set(1)
+	heap.Observe(1)
 	pauses.Observe(0.001)
 }

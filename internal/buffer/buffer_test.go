@@ -126,7 +126,7 @@ func TestBufferingImprovesMeasuredScans(t *testing.T) {
 			for _, op := range core.AllOps {
 				for v := uint64(0); v < card; v++ {
 					var st core.Stats
-					ix.EvalDirect(op, v, &core.EvalOptions{Stats: &st, Buffered: a.For()})
+					ix.Eval(op, v, &core.EvalOptions{Stats: &st, Buffered: a.For()})
 					scans += st.Scans
 				}
 			}
@@ -248,7 +248,7 @@ func TestCountingForHitAccounting(t *testing.T) {
 	for _, op := range core.AllOps {
 		for v := uint64(0); v < card; v++ {
 			var st core.Stats
-			ix.EvalDirect(op, v, &core.EvalOptions{Stats: &st, Buffered: pred})
+			ix.Eval(op, v, &core.EvalOptions{Stats: &st, Buffered: pred})
 			totalScans += st.Scans
 		}
 	}

@@ -101,7 +101,7 @@ func TestEvalAccountingPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eval := ix.EvalDirect
+		eval := ix.Eval
 		if c.eval == "range-naive" {
 			eval = ix.EvalRangeNaive
 		}

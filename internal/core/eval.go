@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"bitmapindex/internal/bitvec"
 	"bitmapindex/internal/invariant"
@@ -143,52 +142,33 @@ type EvalOptions struct {
 // equality- and interval-encoded indexes their own evaluators. v may be any
 // uint64; values >= Cardinality are handled by their natural semantics.
 //
-// Eval is EvalDirect plus instrumentation: every call also publishes its
-// scan and operation counts plus wall-clock latency to the process-wide
-// telemetry registry (telemetry.Default), so the paper's two cost measures
-// are observable without threading a Stats through every caller. The
-// query's flight record is written by whoever owns its trace, not here.
+// Eval runs under the query's pprof labels and publishes nothing: the
+// code that owns a query's trace accounts the whole query once (bixstore
+// serve's finishQuery feeds the flight recorder and the telemetry
+// registry).
 func (ix *Index) Eval(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	return ix.instrumented(opt, func(o *EvalOptions) *bitvec.Vector {
+	return labeled(opt, func() *bitvec.Vector {
 		p := ix.compile(op, v)
-		res, srcs := ix.runSerial(p, o)
+		res, srcs := ix.runSerial(p, opt)
 		if invariant.Enabled && ix.enc == RangeEncoded {
-			ix.naiveCrossCheck(op, v, p, srcs, o.Fetch, res)
+			ix.naiveCrossCheck(op, v, p, srcs, opt, res)
 		}
 		return res
 	})
 }
 
-// EvalDirect evaluates (A op v) exactly like Eval — same algorithm, result,
-// Stats and trace phases — but publishes nothing to the process-wide
-// telemetry registry. Cost probes and experiments that sweep thousands of
-// predicates use it so their evaluations stay out of the served query
-// metrics.
-func (ix *Index) EvalDirect(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	res, _ := ix.runSerial(ix.compile(op, v), opt)
-	return res
-}
-
-// instrumented runs eval under the query's pprof labels and publishes its
-// cost — the Stats delta and wall-clock time — to the telemetry registry.
-func (ix *Index) instrumented(opt *EvalOptions, eval func(o *EvalOptions) *bitvec.Vector) *bitvec.Vector {
-	var o EvalOptions
+// labeled runs eval under the pprof labels of opt's trace (phase "eval")
+// and, under bixdebug, checks the result's tail invariant.
+func labeled(opt *EvalOptions, eval func() *bitvec.Vector) *bitvec.Vector {
+	var id string
 	if opt != nil {
-		o = *opt
+		id = opt.Trace.ID()
 	}
-	var d Stats // this evaluation's cost alone
-	o.Stats = &d
-	t0 := time.Now()
 	var res *bitvec.Vector
-	profile.Do(o.Trace.ID(), "eval", func() { res = eval(&o) })
+	profile.Do(id, "eval", func() { res = eval() })
 	if invariant.Enabled {
 		invariant.TailZero(res.Words(), res.Len())
 	}
-	elapsed := time.Since(t0)
-	if opt != nil && opt.Stats != nil {
-		opt.Stats.Add(d)
-	}
-	telemetry.RecordEval(d.Scans, d.Ands, d.Ors, d.Xors, d.Nots, elapsed, o.Trace)
 	return res
 }
 
@@ -200,7 +180,7 @@ func (ix *Index) instrumented(opt *EvalOptions, eval func(o *EvalOptions) *bitve
 // that the B_EQ chain does not.) RangeEval reads the bitmaps RangeEval-Opt
 // already resolved from srcs, so fetch still runs at most once per
 // distinct bitmap of the query.
-func (ix *Index) naiveCrossCheck(op Op, v uint64, p *segProgram, srcs []*bitvec.Vector, fetch func(comp, slot int) *bitvec.Vector, res *bitvec.Vector) {
+func (ix *Index) naiveCrossCheck(op Op, v uint64, p *segProgram, srcs []*bitvec.Vector, opt *EvalOptions, res *bitvec.Vector) {
 	have := make(map[segRef]*bitvec.Vector, len(p.refs))
 	for i, rf := range p.refs {
 		have[rf] = srcs[i]
@@ -210,8 +190,8 @@ func (ix *Index) naiveCrossCheck(op Op, v uint64, p *segProgram, srcs []*bitvec.
 		if bv, ok := have[segRef{comp: comp, slot: slot}]; ok {
 			return bv
 		}
-		if fetch != nil {
-			return fetch(comp, slot)
+		if opt != nil && opt.Fetch != nil {
+			return opt.Fetch(comp, slot)
 		}
 		return ix.comps[comp][slot]
 	}})

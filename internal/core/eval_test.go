@@ -28,14 +28,12 @@ type evalFn func(ix *Index, op Op, v uint64, opt *EvalOptions) *bitvec.Vector
 func allEvaluators(enc Encoding) map[string]evalFn {
 	if enc == RangeEncoded {
 		return map[string]evalFn{
-			"RangeEvalOpt":   (*Index).EvalDirect,
+			"RangeEvalOpt":   (*Index).Eval,
 			"RangeEvalNaive": (*Index).EvalRangeNaive,
-			"Eval":           (*Index).Eval,
 		}
 	}
 	return map[string]evalFn{
-		"EqualityEval": (*Index).EvalDirect,
-		"Eval":         (*Index).Eval,
+		"EqualityEval": (*Index).Eval,
 	}
 }
 
@@ -115,7 +113,7 @@ func TestEvalAgreementProperty(t *testing.T) {
 			return false
 		}
 		want := referenceEval(vals, nil, op, v)
-		return ix.EvalDirect(op, v, nil).Equal(want) &&
+		return ix.Eval(op, v, nil).Equal(want) &&
 			ix.EvalRangeNaive(op, v, nil).Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -152,7 +150,7 @@ func TestOptNeverMoreScansThanNaive(t *testing.T) {
 		for _, op := range AllOps {
 			for v := uint64(0); v < card; v++ {
 				var so, sn Stats
-				ix.EvalDirect(op, v, &EvalOptions{Stats: &so})
+				ix.Eval(op, v, &EvalOptions{Stats: &so})
 				ix.EvalRangeNaive(op, v, &EvalOptions{Stats: &sn})
 				if so.Scans > sn.Scans {
 					t.Fatalf("base %v A %s %d: opt scans %d > naive %d", base, op, v, so.Scans, sn.Scans)
@@ -187,7 +185,7 @@ func TestScanBounds(t *testing.T) {
 		for _, op := range AllOps {
 			for v := uint64(0); v < card; v++ {
 				var so, sn Stats
-				ix.EvalDirect(op, v, &EvalOptions{Stats: &so})
+				ix.Eval(op, v, &EvalOptions{Stats: &so})
 				ix.EvalRangeNaive(op, v, &EvalOptions{Stats: &sn})
 				maxOpt := 2*n - 1
 				if !op.IsRange() {
@@ -218,7 +216,7 @@ func TestEqualityEvalScanBounds(t *testing.T) {
 		ix, _ := Build(vals, card, base, EqualityEncoded, nil)
 		for v := uint64(0); v < card; v++ {
 			var s Stats
-			ix.EvalDirect(Eq, v, &EvalOptions{Stats: &s})
+			ix.Eval(Eq, v, &EvalOptions{Stats: &s})
 			if s.Scans != base.N() {
 				t.Fatalf("base %v A = %d: scans %d, want %d", base, v, s.Scans, base.N())
 			}
@@ -230,7 +228,7 @@ func TestEqualityEvalScanBounds(t *testing.T) {
 		for _, op := range []Op{Lt, Le, Gt, Ge} {
 			for v := uint64(0); v < card; v++ {
 				var s Stats
-				ix.EvalDirect(op, v, &EvalOptions{Stats: &s})
+				ix.Eval(op, v, &EvalOptions{Stats: &s})
 				if s.Scans > budget {
 					t.Fatalf("base %v A %s %d: scans %d > budget %d", base, op, v, s.Scans, budget)
 				}
@@ -279,8 +277,8 @@ func TestBufferedScansNotCounted(t *testing.T) {
 	vals := []uint64{0, 5, 9, 3, 7, 2}
 	ix, _ := Build(vals, 10, Base{5, 2}, RangeEncoded, nil)
 	var unbuf, buf Stats
-	ix.EvalDirect(Le, 7, &EvalOptions{Stats: &unbuf})
-	ix.EvalDirect(Le, 7, &EvalOptions{
+	ix.Eval(Le, 7, &EvalOptions{Stats: &unbuf})
+	ix.Eval(Le, 7, &EvalOptions{
 		Stats:    &buf,
 		Buffered: func(comp, slot int) bool { return comp == 0 },
 	})
@@ -307,7 +305,7 @@ func TestFigure7Example(t *testing.T) {
 		t.Fatal(err)
 	}
 	var so, sn Stats
-	got := ix.EvalDirect(Le, 62, &EvalOptions{Stats: &so})
+	got := ix.Eval(Le, 62, &EvalOptions{Stats: &so})
 	naive := ix.EvalRangeNaive(Le, 62, &EvalOptions{Stats: &sn})
 	want := referenceEval(vals, nil, Le, 62)
 	if !got.Equal(want) || !naive.Equal(want) {
@@ -330,7 +328,7 @@ func BenchmarkEvalRangeOptLe(b *testing.B) {
 	ix, _ := Build(vals, 1000, Base{10, 10, 10}, RangeEncoded, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.EvalDirect(Le, uint64(i%1000), nil)
+		ix.Eval(Le, uint64(i%1000), nil)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestIntervalExhaustive(t *testing.T) {
 			}
 			for _, op := range AllOps {
 				for v := uint64(0); v < c.card+2; v++ {
-					got := ix.EvalDirect(op, v, nil)
+					got := ix.Eval(op, v, nil)
 					want := referenceEval(vals, nulls, op, v)
 					if !got.Equal(want) {
 						t.Fatalf("base %v nulls=%v: A %s %d\n got %s\nwant %s",
@@ -134,7 +134,7 @@ func TestIntervalScanBounds(t *testing.T) {
 		for _, op := range AllOps {
 			for v := uint64(0); v < card; v++ {
 				var st Stats
-				ix.EvalDirect(op, v, &EvalOptions{Stats: &st})
+				ix.Eval(op, v, &EvalOptions{Stats: &st})
 				max := 4 * base.N()
 				if !op.IsRange() {
 					max = 2 * base.N()

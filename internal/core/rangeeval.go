@@ -96,8 +96,7 @@ func (b *progBuilder) compileRangeEqChain(v uint64) segreg {
 // EvalRangeNaive evaluates (A op v) on a range-encoded index using
 // Algorithm RangeEval, the O'Neil-Quass evaluation strategy the paper
 // improves upon (Section 3, Figure 6 left). It is retained as the
-// experimental baseline for Table 1 and Figure 8. Like EvalDirect it
-// publishes nothing to the process-wide telemetry registry.
+// experimental baseline for Table 1 and Figure 8.
 func (ix *Index) EvalRangeNaive(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
 	ix.mustBe(RangeEncoded)
 	b := newProgBuilder(ix)

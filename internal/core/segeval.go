@@ -164,11 +164,11 @@ func putSegRegs(rs *segRegSet) {
 // SegmentedEval evaluates (A op v) exactly like Eval — same result, Stats
 // and Fetch contract — but combines segments on up to cfg.Workers
 // goroutines: the caller plus helpers from a process-wide pool. The
-// fetched bitmaps are only read concurrently. Like Eval, it publishes
-// its cost to the telemetry registry.
+// fetched bitmaps are only read concurrently. Like Eval, it runs under
+// the query's pprof labels and publishes nothing.
 func (ix *Index) SegmentedEval(op Op, v uint64, opt *EvalOptions, cfg SegConfig) *bitvec.Vector {
-	return ix.instrumented(opt, func(o *EvalOptions) *bitvec.Vector {
-		res, _ := ix.run(ix.compile(op, v), o, cfg.normalized(), telemetry.PhaseSegments)
+	return labeled(opt, func() *bitvec.Vector {
+		res, _ := ix.run(ix.compile(op, v), opt, cfg.normalized(), telemetry.PhaseSegments)
 		return res
 	})
 }
@@ -177,8 +177,8 @@ func (ix *Index) SegmentedEval(op Op, v uint64, opt *EvalOptions, cfg SegConfig)
 // default segment width.
 var serialConfig = SegConfig{SegBits: DefaultSegBits, Workers: 1}
 
-// runSerial runs p on the calling goroutine: the path of Eval, EvalDirect
-// and EvalRangeNaive. Segment combination time lands in the trace's
+// runSerial runs p on the calling goroutine: the path of Eval and
+// EvalRangeNaive. Segment combination time lands in the trace's
 // bool_ops phase.
 func (ix *Index) runSerial(p *segProgram, opt *EvalOptions) (res *bitvec.Vector, srcs []*bitvec.Vector) {
 	return ix.run(p, opt, serialConfig, telemetry.PhaseBoolOps)

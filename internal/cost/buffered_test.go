@@ -36,7 +36,7 @@ func TestSpaceInterval(t *testing.T) {
 }
 
 // TestScansRangeBufferedMatchesEvaluator: the buffered digit model must
-// agree with the instrumented evaluator for deterministic slot choices.
+// agree with the evaluator's counts for deterministic slot choices.
 func TestScansRangeBufferedMatchesEvaluator(t *testing.T) {
 	for _, base := range []core.Base{{9}, {4, 3}, {5, 2, 3}} {
 		card, _ := base.Product()
@@ -48,7 +48,7 @@ func TestScansRangeBufferedMatchesEvaluator(t *testing.T) {
 		for _, op := range core.AllOps {
 			for v := uint64(0); v < card+1; v++ {
 				var st core.Stats
-				ix.EvalDirect(op, v, &core.EvalOptions{Stats: &st, Buffered: buffered})
+				ix.Eval(op, v, &core.EvalOptions{Stats: &st, Buffered: buffered})
 				if want := ScansRangeBuffered(base, card, op, v, buffered); st.Scans != want {
 					t.Fatalf("base %v A %s %d: evaluator %d, model %d", base, op, v, st.Scans, want)
 				}
@@ -86,7 +86,7 @@ func TestExactTimeRangeBuffered(t *testing.T) {
 	}
 }
 
-// TestMeasuredTimeAgreesWithModels: the instrumented reference must equal
+// TestMeasuredTimeAgreesWithModels: the measured reference must equal
 // the digit-level models for the two modelled encodings, and be positive
 // and sane for interval encoding.
 func TestMeasuredTimeAgreesWithModels(t *testing.T) {

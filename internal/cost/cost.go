@@ -28,8 +28,8 @@
 //
 // ExactTime* functions compute the same expectations by exhaustive
 // enumeration of all 6C queries against a digit-level model of the
-// evaluators; the test suite verifies the model against the instrumented
-// evaluators and the closed forms against the enumeration.
+// evaluators; the test suite verifies the model against the counts of
+// the evaluators and the closed forms against the enumeration.
 package cost
 
 import (
@@ -352,7 +352,7 @@ func ExactTimeEquality(base core.Base, card uint64) float64 {
 }
 
 // ExactTime dispatches on encoding. Range and equality use their
-// digit-level models; interval encoding is measured on an instrumented
+// digit-level models; interval encoding is measured on a
 // one-row index (scan counts are data independent).
 func ExactTime(base core.Base, enc core.Encoding, card uint64) float64 {
 	switch enc {

@@ -69,7 +69,7 @@ func TestSpaceMatchesBuiltIndex(t *testing.T) {
 }
 
 // TestScansModelMatchesEvaluator is the keystone cross-check: the pure
-// digit-level scan model must agree with the instrumented evaluators on
+// digit-level scan model must agree with the evaluators' counts on
 // every query, for both encodings.
 func TestScansModelMatchesEvaluator(t *testing.T) {
 	bases := []core.Base{{9}, {3, 3}, {4, 3}, {2, 2, 2, 2}, {5, 2, 3}, {2, 7}, {12, 2}}
@@ -183,7 +183,7 @@ func TestBufferedMonotoneProperty(t *testing.T) {
 }
 
 // TestWorstCaseMatchesMeasured verifies Table 1: the analytic worst-case
-// totals equal the maximum over all queries of the instrumented counts, for
+// totals equal the maximum over all queries of the measured counts, for
 // null-free indexes whose bases have interior digits (b_i >= 3).
 func TestWorstCaseMatchesMeasured(t *testing.T) {
 	for _, base := range []core.Base{{5}, {4, 3}, {3, 3, 3}, {5, 4, 3, 3}} {
@@ -197,7 +197,7 @@ func TestWorstCaseMatchesMeasured(t *testing.T) {
 			var maxOptOps, maxOptScans, maxNaiveOps, maxNaiveScans int
 			for v := uint64(0); v < card; v++ {
 				var so, sn core.Stats
-				ix.EvalDirect(op, v, &core.EvalOptions{Stats: &so})
+				ix.Eval(op, v, &core.EvalOptions{Stats: &so})
 				ix.EvalRangeNaive(op, v, &core.EvalOptions{Stats: &sn})
 				if so.Ops() > maxOptOps {
 					maxOptOps = so.Ops()
@@ -253,7 +253,7 @@ func TestWorstCaseReductionClaims(t *testing.T) {
 }
 
 func TestExactTimeEqualityAgainstEvaluator(t *testing.T) {
-	// Average instrumented scans over all queries must equal the exact
+	// Average measured scans over all queries must equal the exact
 	// enumeration for equality encoding.
 	for _, base := range []core.Base{{9}, {3, 3}, {2, 2, 3}, {6, 4}} {
 		card, _ := base.Product()
@@ -265,7 +265,7 @@ func TestExactTimeEqualityAgainstEvaluator(t *testing.T) {
 		for _, op := range core.AllOps {
 			for v := uint64(0); v < card; v++ {
 				var st core.Stats
-				ix.EvalDirect(op, v, &core.EvalOptions{Stats: &st})
+				ix.Eval(op, v, &core.EvalOptions{Stats: &st})
 				total += st.Scans
 			}
 		}

@@ -11,7 +11,7 @@ import (
 // performs for the single predicate (A op v) on an index with the given
 // base, encoding and cardinality. For range and equality encodings it uses
 // the paper's digit-level models (which the test suite proves exact
-// against the instrumented evaluators); for any other encoding it measures
+// against the evaluators' own counts); for any other encoding it measures
 // the evaluator itself on a cached one-row index — exact too, because scan
 // counts depend only on the predicate shape, never on the data.
 //
@@ -61,9 +61,7 @@ func scansMeasured(base core.Base, enc core.Encoding, card uint64, op core.Op, v
 	}
 	probeCache.Unlock()
 
-	// The probe evaluation must not pollute the process-wide telemetry:
-	// EvalDirect is Eval without the instrumentation.
 	var st core.Stats
-	ix.EvalDirect(op, v, &core.EvalOptions{Stats: &st})
+	ix.Eval(op, v, &core.EvalOptions{Stats: &st})
 	return st.Scans
 }

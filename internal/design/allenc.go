@@ -19,7 +19,7 @@ type EncodedPoint struct {
 // space — every minimal base under each of the three encodings — so a
 // designer can pick encoding and decomposition together. Range and
 // equality encodings use their closed-form/enumerated models; interval
-// encoding is measured on instrumented one-row indexes, so keep card
+// encoding is measured on one-row indexes, so keep card
 // moderate (up to a few thousand) for interactive use.
 func FrontierAllEncodings(card uint64) []EncodedPoint {
 	var all []EncodedPoint

@@ -101,22 +101,8 @@ type predActual struct {
 	NS    int64
 }
 
-// plansTotal pre-registers one execution counter per concrete plan. The
-// label values are compile-time constants (and must stay in sync with
-// Method.String), keeping the metric's cardinality statically bounded —
-// the contract bixlint's telemetry-labels analyzer enforces.
-var plansTotal = [...]*telemetry.Counter{
-	FullScan:    telemetry.Default().Counter("bix_engine_plans_total", plansHelp, telemetry.Label{Name: "method", Value: "P1-fullscan"}),
-	IndexFilter: telemetry.Default().Counter("bix_engine_plans_total", plansHelp, telemetry.Label{Name: "method", Value: "P2-indexfilter"}),
-	RIDMerge:    telemetry.Default().Counter("bix_engine_plans_total", plansHelp, telemetry.Label{Name: "method", Value: "P3-ridmerge"}),
-	BitmapMerge: telemetry.Default().Counter("bix_engine_plans_total", plansHelp, telemetry.Label{Name: "method", Value: "P3-bitmapmerge"}),
-}
-
-const plansHelp = "Query plan executions, by method."
-
 // SelectOpts is Select with execution options (tracing). opt may be nil.
-// Each executed plan increments the registry's
-// bix_engine_plans_total{method=...} counter.
+// Cost.Method reports the concrete plan that ran.
 func (r *Relation) SelectOpts(preds []Pred, m Method, opt *SelectOptions) (*bitvec.Vector, Cost, error) {
 	var out sink
 	c, err := r.execute(preds, m, opt, &out)
@@ -174,8 +160,7 @@ func (s *sink) rows(tr *telemetry.Trace) int {
 }
 
 // execute runs one plan into out and does the plan-level accounting:
-// allocation deltas and bix_engine_plans_total. Auto resolves to the
-// cheapest estimable plan first.
+// allocation deltas. Auto resolves to the cheapest estimable plan first.
 func (r *Relation) execute(preds []Pred, m Method, opt *SelectOptions, out *sink) (Cost, error) {
 	if opt == nil {
 		opt = &SelectOptions{}
@@ -213,7 +198,6 @@ func (r *Relation) execute(preds []Pred, m Method, opt *SelectOptions, out *sink
 	}
 	b, o := telemetry.ReadAllocs()
 	c.AllocBytes, c.AllocObjects = b-aB, o-aO
-	plansTotal[c.Method].Inc()
 	return c, nil
 }
 

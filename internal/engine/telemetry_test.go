@@ -34,16 +34,10 @@ func telemetryRelation(t *testing.T, rows int, card uint64, base core.Base) *Rel
 	return r
 }
 
-func plansCount(method string) int64 {
-	return telemetry.Default().Snapshot().Counters[`bix_engine_plans_total{method="`+method+`"}`]
-}
-
 // TestPlanStatsPropagation checks Cost.Stats through all plans: the
 // bitmap-merge plan's scan count must equal the analytic per-predicate
 // scan model plus the counted cross-predicate AND, while the non-bitmap
-// plans report zero Stats. Each executed plan bumps its
-// bix_engine_plans_total{method=...} counter and the bitmap work flows into
-// the default registry's bix_scans_total.
+// plans report zero Stats. Auto reports the concrete plan it ran.
 func TestPlanStatsPropagation(t *testing.T) {
 	const (
 		rows = 4000
@@ -58,7 +52,6 @@ func TestPlanStatsPropagation(t *testing.T) {
 
 	// P1, P2 and P3-ridmerge touch no bitmap index: Stats must stay zero.
 	for _, m := range []Method{FullScan, IndexFilter, RIDMerge} {
-		beforePlans := plansCount(m.String())
 		res, c, err := r.Select(preds, m)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -69,8 +62,8 @@ func TestPlanStatsPropagation(t *testing.T) {
 		if res.Count() != c.Rows || c.Rows <= 0 {
 			t.Errorf("%v: result count %d vs Cost.Rows %d", m, res.Count(), c.Rows)
 		}
-		if got := plansCount(m.String()) - beforePlans; got != 1 {
-			t.Errorf("%v: bix_engine_plans_total grew by %d, want 1", m, got)
+		if c.Method != m {
+			t.Errorf("%v: Cost.Method = %v", m, c.Method)
 		}
 	}
 
@@ -79,8 +72,6 @@ func TestPlanStatsPropagation(t *testing.T) {
 	// plus one counted AND merging the two result bitmaps.
 	wantScans := cost.ScansRange(base, card, core.Le, 11) +
 		cost.ScansRange(base, card, core.Ge, 4)
-	beforeScans := telemetry.Default().Snapshot().Counters["bix_scans_total"]
-	beforePlans := plansCount(BitmapMerge.String())
 	res, c, err := r.Select(preds, BitmapMerge)
 	if err != nil {
 		t.Fatal(err)
@@ -94,35 +85,14 @@ func TestPlanStatsPropagation(t *testing.T) {
 	if res.Count() != c.Rows {
 		t.Errorf("result count %d vs Cost.Rows %d", res.Count(), c.Rows)
 	}
-	if got := plansCount(BitmapMerge.String()) - beforePlans; got != 1 {
-		t.Errorf("bix_engine_plans_total{P3-bitmapmerge} grew by %d, want 1", got)
-	}
-	if got := telemetry.Default().Snapshot().Counters["bix_scans_total"] - beforeScans; got != int64(wantScans) {
-		t.Errorf("bix_scans_total grew by %d, want %d", got, wantScans)
-	}
 
-	// Auto must execute exactly one concrete plan (no double count via the
-	// dispatch path) and report which.
-	snapBefore := telemetry.Default().Snapshot().Counters
+	// Auto must resolve to a concrete plan and report which.
 	_, c, err = r.Select(preds, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Method == Auto {
 		t.Errorf("auto must resolve to a concrete method, got %v", c.Method)
-	}
-	snapAfter := telemetry.Default().Snapshot().Counters
-	grew := 0
-	for _, m := range []Method{FullScan, IndexFilter, RIDMerge, BitmapMerge} {
-		id := `bix_engine_plans_total{method="` + m.String() + `"}`
-		d := snapAfter[id] - snapBefore[id]
-		grew += int(d)
-		if m == c.Method && d != 1 {
-			t.Errorf("auto: %v counter grew by %d, want 1", m, d)
-		}
-	}
-	if grew != 1 {
-		t.Errorf("auto bumped %d plan counters, want exactly 1", grew)
 	}
 }
 

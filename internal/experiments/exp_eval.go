@@ -99,7 +99,7 @@ func linearForm(f func(n int) int) string {
 
 // runTable1 prints the worst-case analysis of the two evaluation
 // algorithms as formulas in the number of components n, then verifies the
-// totals against instrumented maxima at n = 3.
+// totals against measured maxima at n = 3.
 func runTable1(cfg Config, w io.Writer) error {
 	section(w, "Table 1: worst-case bitmap operations and scans (formulas in n)")
 	t := newTable(w)
@@ -141,7 +141,7 @@ func runTable1(cfg Config, w io.Writer) error {
 		for v := uint64(0); v < card; v++ {
 			var sn, so core.Stats
 			ix.EvalRangeNaive(op, v, &core.EvalOptions{Stats: &sn})
-			ix.EvalDirect(op, v, &core.EvalOptions{Stats: &so})
+			ix.Eval(op, v, &core.EvalOptions{Stats: &so})
 			if sn.Ops() > maxN {
 				maxN = sn.Ops()
 			}
@@ -191,7 +191,7 @@ func runFig8(cfg Config, w io.Writer) error {
 			for _, op := range core.AllOps {
 				for v := uint64(0); v < card; v++ {
 					ix.EvalRangeNaive(op, v, &core.EvalOptions{Stats: &sn})
-					ix.EvalDirect(op, v, &core.EvalOptions{Stats: &so})
+					ix.Eval(op, v, &core.EvalOptions{Stats: &so})
 				}
 			}
 			q := float64(6 * card)

@@ -1,10 +1,10 @@
 // Package flight is the query flight recorder: a bounded in-memory ring of
 // recent query executions, the retrospective-debugging black box behind
 // /debug/queries. Every completed query lands exactly one Record, written
-// by the code that owns the query's trace (bixstore serve's /query
-// handlers, tagged http-query or table-query), carrying its trace ID, plan
-// tag, cost counters, per-phase timing/allocation aggregates, segment skew
-// and the query's own bitmap-pool hits and misses. Capacity is fixed at
+// by the code that owns the query's trace (bixstore's finishQuery, tagged
+// http-query or table-query when served), carrying its trace ID, plan
+// tag, cost counters, per-phase timing/allocation aggregates and the
+// query's own bitmap-pool hits and misses. Capacity is fixed at
 // construction; the record path performs no allocation in steady state
 // (one atomic cursor bump plus a per-slot mutex), so recording 100% of
 // queries costs well under the evaluator's own bookkeeping.
@@ -70,12 +70,6 @@ type Record struct {
 	AllocBytes   int64 `json:"alloc_bytes,omitempty"`
 	AllocObjects int64 `json:"alloc_objects,omitempty"`
 
-	// SegMin/SegMax are the fastest and slowest per-segment durations of a
-	// segmented evaluation (the `segments` phase extremes), exposing
-	// straggler skew; zero for serial evaluations.
-	SegMin time.Duration `json:"seg_min_ns,omitempty"`
-	SegMax time.Duration `json:"seg_max_ns,omitempty"`
-
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`
 
@@ -127,15 +121,15 @@ func New(capacity int) *Recorder {
 
 var defaultRecorder = New(DefaultCapacity)
 
-// Default returns the process-wide recorder: bixstore serve's /query
-// handlers record into it and /debug/queries reads it.
+// Default returns the process-wide recorder: bixstore's finishQuery
+// records into it and /debug/queries reads it.
 func Default() *Recorder { return defaultRecorder }
 
 // Add records one completed query. rec's Seq and Phases fields are
 // ignored (Seq is assigned from the cursor; phases are snapshotted from
 // tr into the slot's fixed buffer). An AllocBytes or AllocObjects left at
-// zero is filled with the sum over tr's phases. tr may be nil — phase and
-// skew fields then stay empty. The caller keeps ownership of rec; Add
+// zero is filled with the sum over tr's phases. tr may be nil — the phase
+// fields then stay empty. The caller keeps ownership of rec; Add
 // copies it.
 //
 //bix:hotpath
@@ -156,10 +150,6 @@ func (r *Recorder) Add(rec *Record, tr *telemetry.Trace) {
 	sumBytes, sumObjects := s.rec.AllocBytes == 0, s.rec.AllocObjects == 0
 	for i := 0; i < s.nphases; i++ {
 		p := &s.phases[i]
-		if p.Phase == telemetry.PhaseSegments {
-			s.rec.SegMin = p.Min
-			s.rec.SegMax = p.Max
-		}
 		if sumBytes {
 			s.rec.AllocBytes += p.AllocBytes
 		}

@@ -92,8 +92,8 @@ func TestRecorderOutlierEviction(t *testing.T) {
 	}
 }
 
-// TestRecorderTraceSnapshot checks phase aggregates, segment skew and
-// alloc sums are captured from the trace.
+// TestRecorderTraceSnapshot checks phase aggregates, with their per-call
+// extremes, are captured from the trace.
 func TestRecorderTraceSnapshot(t *testing.T) {
 	tr := telemetry.NewTrace("q")
 	tr.Add(telemetry.PhaseFetch, 3*time.Millisecond)
@@ -107,11 +107,9 @@ func TestRecorderTraceSnapshot(t *testing.T) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	got := snap[0]
-	if got.SegMin != 1*time.Millisecond || got.SegMax != 5*time.Millisecond {
-		t.Errorf("segment skew = [%v, %v], want [1ms, 5ms]", got.SegMin, got.SegMax)
-	}
 	if len(got.Phases) != 2 || got.Phases[0].Phase != telemetry.PhaseFetch ||
-		got.Phases[1].Calls != 2 {
+		got.Phases[1].Calls != 2 || got.Phases[1].Min != 1*time.Millisecond ||
+		got.Phases[1].Max != 5*time.Millisecond {
 		t.Errorf("phases = %+v", got.Phases)
 	}
 	if _, err := json.Marshal(got); err != nil {

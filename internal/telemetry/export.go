@@ -26,8 +26,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch m.kind {
 		case counterKind:
 			fmt.Fprintf(bw, "%s %d\n", m.id, m.c.Value())
-		case gaugeKind:
-			fmt.Fprintf(bw, "%s %d\n", m.id, m.g.Value())
 		case histogramKind:
 			writePromHistogram(bw, m)
 		}
@@ -76,8 +74,6 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 		switch m.kind {
 		case counterKind:
 			fmt.Fprintf(bw, "%s %d\n", m.id, m.c.Value())
-		case gaugeKind:
-			fmt.Fprintf(bw, "%s %d\n", m.id, m.g.Value())
 		case histogramKind:
 			writeOpenMetricsHistogram(bw, m)
 		}
@@ -153,7 +149,6 @@ type BucketSnapshot struct {
 // updates may be mutually skewed by in-flight increments.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
@@ -161,15 +156,12 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
 	for _, m := range r.snapshotMetrics() {
 		switch m.kind {
 		case counterKind:
 			s.Counters[m.id] = m.c.Value()
-		case gaugeKind:
-			s.Gauges[m.id] = m.g.Value()
 		case histogramKind:
 			h := HistogramSnapshot{
 				Count: m.h.Count(),

@@ -12,7 +12,6 @@ func exportFixture() *Registry {
 	r.Counter("scans_total", "Bitmaps read.").Add(7)
 	r.Counter("ops_total", "Ops by kind.", Label{"kind", "and"}).Add(3)
 	r.Counter("ops_total", "Ops by kind.", Label{"kind", "or"}).Add(2)
-	r.Gauge("resident", "Pool residents.").Set(4)
 	h := r.Histogram("lat_seconds", "Latency.", []float64{0.01, 0.1})
 	h.Observe(0.005)
 	h.Observe(0.05)
@@ -32,8 +31,6 @@ func TestWritePrometheus(t *testing.T) {
 		"scans_total 7",
 		`ops_total{kind="and"} 3`,
 		`ops_total{kind="or"} 2`,
-		"# TYPE resident gauge",
-		"resident 4",
 		"# TYPE lat_seconds histogram",
 		`lat_seconds_bucket{le="0.01"} 1`,
 		`lat_seconds_bucket{le="0.1"} 2`,
@@ -94,7 +91,6 @@ func TestWriteOpenMetrics(t *testing.T) {
 		"scans_total 7", // sample keeps the suffix
 		"# TYPE ops counter",
 		`ops_total{kind="and"} 3`,
-		"# TYPE resident gauge",
 		"# TYPE lat_seconds histogram",
 		`lat_seconds_bucket{le="0.01"} 1` + "\n", // no exemplar recorded here
 		`lat_seconds_bucket{le="+Inf"} 4` + "\n",
@@ -168,7 +164,7 @@ func TestHTTPHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil {
 		t.Fatalf("json endpoint: %v", err)
 	}
-	if s.Gauges["resident"] != 4 {
-		t.Fatalf("json endpoint gauges = %v", s.Gauges)
+	if s.Counters["scans_total"] != 7 {
+		t.Fatalf("json endpoint counters = %v", s.Counters)
 	}
 }

@@ -47,19 +47,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// ObserveN records n identical observations of v in one shot — the bulk
-// path the runtime sampler uses to replay runtime/metrics histogram bucket
-// deltas without n atomic round trips.
-func (h *Histogram) ObserveN(v float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(n)
-	h.count.Add(n)
-	h.sum.Add(v * float64(n))
-}
-
 // ObserveExemplar records one observation and stamps its bucket's exemplar
 // with the trace ID (last write wins; an empty ID records no exemplar).
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {

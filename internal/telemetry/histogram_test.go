@@ -53,25 +53,6 @@ func TestQuantileExport(t *testing.T) {
 	}
 }
 
-func TestObserveN(t *testing.T) {
-	r := New()
-	h := r.Histogram("bix_t_n_seconds", "help", []float64{1, 10})
-	h.ObserveN(0.5, 3)
-	h.ObserveN(5, 2)
-	h.ObserveN(0.25, 0)  // no-op
-	h.ObserveN(0.25, -4) // no-op
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-	if want := 0.5*3 + 5*2; math.Abs(h.Sum()-want) > 1e-9 {
-		t.Fatalf("sum = %v, want %v", h.Sum(), want)
-	}
-	cum := h.Cumulative()
-	if cum[0] != 3 || cum[1] != 5 || cum[2] != 5 {
-		t.Fatalf("cumulative = %v, want [3 5 5]", cum)
-	}
-}
-
 // TestExemplarExport checks ObserveExemplar lands the trace ID on the
 // right bucket, that the most recent write wins, and that the JSON
 // snapshot carries exemplars through encoding.

@@ -9,23 +9,18 @@ type metricKind uint8
 
 const (
 	counterKind metricKind = iota
-	gaugeKind
 	histogramKind
 )
 
 func (k metricKind) String() string {
-	switch k {
-	case counterKind:
+	if k == counterKind {
 		return "counter"
-	case gaugeKind:
-		return "gauge"
-	default:
-		return "histogram"
 	}
+	return "histogram"
 }
 
 // metric is one registered time series: identity plus exactly one of the
-// three instrument types.
+// two instrument types.
 type metric struct {
 	name   string
 	help   string
@@ -34,7 +29,6 @@ type metric struct {
 	kind   metricKind
 
 	c *Counter
-	g *Gauge
 	h *Histogram
 }
 
@@ -55,11 +49,13 @@ func New() *Registry {
 
 var defaultRegistry = New()
 
-// Default returns the process-wide registry that the core evaluators,
-// storage layer, bitmap pool and engine plans feed.
+// Default returns the process-wide registry: bixstore's finishQuery feeds
+// it, once per query.
 func Default() *Registry { return defaultRegistry }
 
-func (r *Registry) get(name, help string, kind metricKind, labels []Label) *metric {
+// get returns the metric registered under (name, labels), creating it on
+// first use; bounds are a new histogram's bucket bounds.
+func (r *Registry) get(name, help string, kind metricKind, bounds []float64, labels []Label) *metric {
 	id := metricID(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -70,11 +66,10 @@ func (r *Registry) get(name, help string, kind metricKind, labels []Label) *metr
 		return m
 	}
 	m := &metric{name: name, help: help, labels: append([]Label(nil), labels...), id: id, kind: kind}
-	switch kind {
-	case counterKind:
+	if kind == counterKind {
 		m.c = &Counter{}
-	case gaugeKind:
-		m.g = &Gauge{}
+	} else {
+		m.h = newHistogram(bounds)
 	}
 	r.byID[id] = m
 	return m
@@ -83,32 +78,14 @@ func (r *Registry) get(name, help string, kind metricKind, labels []Label) *metr
 // Counter returns the counter with the given name and labels, creating it
 // on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.get(name, help, counterKind, labels).c
-}
-
-// Gauge returns the gauge with the given name and labels, creating it on
-// first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.get(name, help, gaugeKind, labels).g
+	return r.get(name, help, counterKind, nil, labels).c
 }
 
 // Histogram returns the histogram with the given name, labels and bucket
 // upper bounds, creating it on first use. The bounds of an already
 // registered histogram are kept; they are fixed at creation.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	id := metricID(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byID[id]; ok {
-		if m.kind != histogramKind {
-			panic(fmt.Sprintf("telemetry: metric %s already registered as %s, requested as histogram", id, m.kind))
-		}
-		return m.h
-	}
-	m := &metric{name: name, help: help, labels: append([]Label(nil), labels...), id: id,
-		kind: histogramKind, h: newHistogram(bounds)}
-	r.byID[id] = m
-	return m.h
+	return r.get(name, help, histogramKind, bounds, labels).h
 }
 
 // snapshotMetrics returns the registered metrics sorted by id, for the

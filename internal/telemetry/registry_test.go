@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
+func TestCounterBasics(t *testing.T) {
 	r := New()
 	c := r.Counter("c_total", "help")
 	c.Inc()
@@ -17,12 +17,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	if again := r.Counter("c_total", "help"); again != c {
 		t.Fatal("get-or-create must return the same counter")
-	}
-	g := r.Gauge("g", "help")
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d, want 5", g.Value())
 	}
 }
 
@@ -50,10 +44,10 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Counter("m", "help")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("requesting a counter as a gauge must panic")
+			t.Fatal("requesting a counter as a histogram must panic")
 		}
 	}()
-	r.Gauge("m", "help")
+	r.Histogram("m", "help", LatencyBuckets)
 }
 
 func TestHistogramObserveAndQuantile(t *testing.T) {
@@ -98,7 +92,7 @@ func TestObserveOnBucketBoundary(t *testing.T) {
 }
 
 // TestConcurrentWriters hammers one registry from many goroutines under
-// -race: counters, gauges, histogram observations, and concurrent
+// -race: counters, histogram observations, and concurrent
 // get-or-create of the same and different series, with exports racing the
 // writers.
 func TestConcurrentWriters(t *testing.T) {
@@ -113,7 +107,6 @@ func TestConcurrentWriters(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				r.Counter("hits_total", "help").Inc()
 				r.Counter("ops_total", "help", Label{"kind", kindFor(w)}).Inc()
-				r.Gauge("depth", "help").Set(int64(i))
 				r.Histogram("lat", "help", []float64{0.001, 0.01, 0.1, 1}).Observe(float64(i%100) / 100)
 			}
 		}(w)
@@ -153,22 +146,4 @@ func kindFor(w int) string {
 		return "and"
 	}
 	return "or"
-}
-
-func TestRecordEvalFeedsDefaultRegistry(t *testing.T) {
-	before := Default().Snapshot()
-	RecordEval(3, 2, 1, 0, 1, 1500*time.Microsecond, NewTrace("record-eval-test"))
-	after := Default().Snapshot()
-	if d := after.Counters["bix_scans_total"] - before.Counters["bix_scans_total"]; d != 3 {
-		t.Fatalf("scans delta = %d, want 3", d)
-	}
-	if d := after.Counters["bix_queries_total"] - before.Counters["bix_queries_total"]; d != 1 {
-		t.Fatalf("queries delta = %d, want 1", d)
-	}
-	if d := after.Counters[`bix_ops_total{kind="and"}`] - before.Counters[`bix_ops_total{kind="and"}`]; d != 2 {
-		t.Fatalf("and delta = %d, want 2", d)
-	}
-	if after.Histograms["bix_query_latency_seconds"].Count <= before.Histograms["bix_query_latency_seconds"].Count {
-		t.Fatal("latency histogram did not record")
-	}
 }

@@ -1,17 +1,17 @@
 // Package telemetry is the repo-wide observability layer: a
-// zero-dependency, concurrency-safe metrics registry (atomic counters,
-// gauges and fixed-bucket histograms), a lightweight per-query trace of
-// evaluation phases, and exporters — Prometheus text exposition, a JSON
-// snapshot, an optional net/http handler and a threshold-based slow-query
-// log.
+// zero-dependency, concurrency-safe metrics registry (atomic counters and
+// fixed-bucket histograms), a lightweight per-query trace of evaluation
+// phases, and exporters — Prometheus text exposition, OpenMetrics, a JSON
+// snapshot and a net/http handler.
 //
 // The paper's two cost measures — bitmap scans (I/O) and bitmap operations
-// (CPU) — are collected by core.Stats per call; the core evaluator also
-// publishes them, with query counts and latency, to the process-wide
-// Default registry, and the engine adds the plan it ran. Other per-query
-// costs (storage.Metrics) stay with the query and are not mirrored here.
-// The well-known metric set lives in metrics.go and is documented in
-// DESIGN.md.
+// (CPU) — are collected by core.Stats per call. The evaluators publish
+// nothing: a served query's scans, operations and latency reach the
+// process-wide Default registry once, from bixstore serve's finishQuery,
+// which builds the query's flight record and feeds every sink from it.
+// Other per-query costs (storage.Metrics) stay with the query and are not
+// mirrored here. The well-known metric set lives in metrics.go and is
+// documented in DESIGN.md.
 //
 // All registry mutations are lock-free atomic operations; creating or
 // looking up a metric takes a mutex. A Trace is owned by one query but is
@@ -46,20 +46,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // atomicFloat accumulates a float64 with compare-and-swap, for histogram
 // sums.

@@ -82,7 +82,7 @@ type PhaseRecord struct {
 
 // Trace records the phases of one query evaluation. The zero value is not
 // usable; create with NewTrace. All methods are safe on a nil receiver
-// (no-ops returning zero values), so instrumented code never needs a nil
+// (no-ops returning zero values), so traced code never needs a nil
 // check. A Trace may be shared by concurrent phases.
 type Trace struct {
 	name     string

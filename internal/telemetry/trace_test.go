@@ -78,43 +78,6 @@ func TestTraceConcurrentRecording(t *testing.T) {
 	}
 }
 
-func TestSlowLog(t *testing.T) {
-	var out strings.Builder
-	l := NewSlowLog(2*time.Millisecond, &out, 2)
-	fast := NewTrace("fast")
-	if l.Observe("fast", fast) {
-		t.Fatal("fast query must not be logged")
-	}
-
-	slowTrace := func(name string) *Trace {
-		tr := NewTrace(name)
-		tr.Add(PhaseFetch, time.Millisecond)
-		time.Sleep(3 * time.Millisecond)
-		return tr
-	}
-	for _, name := range []string{"s1", "s2", "s3"} {
-		if !l.Observe(name, slowTrace(name)) {
-			t.Fatalf("%s must be logged", name)
-		}
-	}
-	entries := l.Entries()
-	if len(entries) != 2 || entries[0].Query != "s2" || entries[1].Query != "s3" {
-		t.Fatalf("ring = %+v, want last two oldest-first", entries)
-	}
-	if entries[1].Total < 2*time.Millisecond || len(entries[1].Phases) == 0 {
-		t.Fatalf("entry = %+v", entries[1])
-	}
-	if !strings.Contains(out.String(), "slow query") || !strings.Contains(out.String(), "s3") {
-		t.Fatalf("log output = %q", out.String())
-	}
-	if l.Threshold() != 2*time.Millisecond {
-		t.Fatal("threshold accessor")
-	}
-	if l.Observe("nil", nil) {
-		t.Fatal("nil trace must not be logged")
-	}
-}
-
 // TestTraceAddAllocationFree pins the hot-path contract bixlint's
 // transitive hotalloc rule enforces statically: once every phase slot is
 // warm, recording into a trace allocates nothing. (The first Add of a
