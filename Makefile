@@ -43,7 +43,7 @@ race:
 
 bixdebug:
 	$(GO) test -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/core ./internal/mutable
-	$(GO) test -race -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/reorder ./internal/core ./internal/cost ./internal/engine ./internal/buffer ./internal/telemetry ./internal/mutable ./internal/storage ./internal/catalog ./internal/flight ./internal/workload
+	$(GO) test -race -tags bixdebug ./internal/invariant ./internal/bitvec ./internal/wah ./internal/roaring ./internal/reorder ./internal/core ./internal/cost ./internal/engine ./internal/buffer ./internal/telemetry ./internal/mutable ./internal/storage ./internal/catalog ./internal/flight ./internal/workload ./cmd/bixstore
 
 # Fuzz smoke: every fuzz target for ten seconds each. CI runs this target,
 # so the list of fuzzers lives only here.
@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzProfileDecode -fuzztime=10s ./internal/workload
 	$(GO) test -fuzz=FuzzDecodeTable -fuzztime=10s ./internal/catalog
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=10s ./cmd/bixstore
+	$(GO) test -fuzz=FuzzServedOracle -fuzztime=10s ./cmd/bixstore
 
 # Benchmark smoke: every Go benchmark once, so they keep compiling and
 # running (BenchmarkReadFile, BenchmarkTableCount, ...). It times nothing

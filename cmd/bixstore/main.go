@@ -38,6 +38,7 @@ import (
 	"strings"
 
 	"bitmapindex"
+	"bitmapindex/internal/bitvec"
 	"bitmapindex/internal/data"
 	"bitmapindex/internal/engine"
 	"bitmapindex/internal/flight"
@@ -223,11 +224,15 @@ func runQuery(w io.Writer, args []string) error {
 	if *analyze {
 		m.Trace.Profile()
 	}
-	res, err := st.Eval(op, v, &m)
+	var res *bitmapindex.Bitmap
+	if *list {
+		res = bitvec.Borrow(st.Index().Rows())
+		defer bitvec.Recycle(res)
+	}
+	count, err := st.Count(op, v, res, &m)
 	if err != nil {
 		return err
 	}
-	count := popcount(res, m.Trace)
 	rec := flight.Record{Query: *q, Plan: "cli-query", Op: op.String(), Value: v, Rows: int64(count)}
 	elapsed := finishQuery(&rec, &m, nil)
 	if *analyze {
@@ -269,13 +274,6 @@ func firstIDs(v *bitmapindex.Bitmap, limit int) []int {
 		return true
 	})
 	return ids
-}
-
-// popcount counts result bits under the popcount trace phase.
-func popcount(res *bitmapindex.Bitmap, tr *bitmapindex.QueryTrace) int {
-	sp := tr.Start("popcount")
-	defer sp.End()
-	return res.Count()
 }
 
 func parsePredicate(q string) (bitmapindex.Op, uint64, error) {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"bitmapindex"
+	"bitmapindex/internal/bitvec"
 	"bitmapindex/internal/catalog"
 	"bitmapindex/internal/engine"
 	"bitmapindex/internal/flight"
@@ -180,11 +181,13 @@ func serveLoop(server *http.Server, ln net.Listener, writeProfile func() error) 
 // queryServer evaluates predicates against one opened index, optionally
 // through a bitmap cache, and logs slow queries.
 type queryServer struct {
-	eval func(op bitmapindex.Op, v uint64, m *bitmapindex.StoreMetrics) (*bitmapindex.Bitmap, error)
-	st   *bitmapindex.Store
-	desc string // one-line index-design summary (Store.Describe)
-	rows int
-	slow *slowWriter // nil when disabled
+	// count evaluates a predicate through the cache when there is one,
+	// writing its bitmap into dst when dst is non-nil (Store.Count).
+	count func(op bitmapindex.Op, v uint64, dst *bitmapindex.Bitmap, m *bitmapindex.StoreMetrics) (int, error)
+	st    *bitmapindex.Store
+	desc  string // one-line index-design summary (Store.Describe)
+	rows  int
+	slow  *slowWriter // nil when disabled
 	// wl accounts every /query against the index's single attribute
 	// ("value"); /debug/workload and /debug/advisor read it.
 	wl      *workload.Accumulator
@@ -198,7 +201,7 @@ type queryServer struct {
 func newQueryServer(st *bitmapindex.Store, cache int, slow time.Duration, slowW io.Writer) (*queryServer, error) {
 	ix := st.Index()
 	s := &queryServer{
-		eval: st.Eval, st: st, desc: st.Describe(), rows: ix.Rows(),
+		count: st.Count, st: st, desc: st.Describe(), rows: ix.Rows(),
 		wl: workload.New([]workload.AttrInfo{{Name: "value", Card: ix.Cardinality()}}),
 		designs: []workload.AttrDesign{workload.NewAttrDesign("value", ix.Cardinality(),
 			ix.Base(), ix.Encoding(), st.Options().Codec.String(), "")},
@@ -208,7 +211,7 @@ func newQueryServer(st *bitmapindex.Store, cache int, slow time.Duration, slowW 
 		if err != nil {
 			return nil, err
 		}
-		s.eval = cs.Eval
+		s.count = cs.Count
 	}
 	s.slow = newSlowWriter(slow, slowW)
 	return s, nil
@@ -368,6 +371,11 @@ type opCounts struct {
 	Not int `json:"not"`
 }
 
+// opsOf is the response form of a query's operation counts.
+func opsOf(st bitmapindex.Stats) opCounts {
+	return opCounts{And: st.Ands, Or: st.Ors, Xor: st.Xors, Not: st.Nots}
+}
+
 // phaseJSON is one trace phase: call count, summed duration with per-call
 // extremes, and the heap allocation attributed to the phase (profiled
 // traces; process-global counters, see telemetry.PhaseRecord).
@@ -387,7 +395,9 @@ type phaseJSON struct {
 // actuals) instead of the plain query response. Analyzed queries bypass
 // the bitmap cache: the cost model predicts the stored-bitmap scans of
 // the uncached evaluator, and a pool hit would otherwise be
-// misreported as model error.
+// misreported as model error. Only rids=1 materializes the result, in a
+// pooled vector the handler returns once the response is written; every
+// other query is counted without one.
 func (s *queryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.testDelay != nil {
 		s.testDelay()
@@ -409,17 +419,21 @@ func (s *queryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	analyze := r.URL.Query().Get("analyze") == "1"
-	eval := s.eval
+	count := s.count
 	if analyze {
-		eval = s.st.Eval
+		count = s.st.Count
+	}
+	var res *bitmapindex.Bitmap
+	if rids {
+		res = bitvec.Borrow(s.rows)
+		defer bitvec.Recycle(res)
 	}
 	m := bitmapindex.StoreMetrics{Trace: bitmapindex.NewQueryTrace(q).Profile()}
-	res, err := eval(op, v, &m)
+	matches, err := count(op, v, res, &m)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	matches := popcount(res, m.Trace)
 	rec := flight.Record{Query: q, Plan: "http-query", Op: op.String(), Value: v, Rows: int64(matches)}
 	elapsed := finishQuery(&rec, &m, s.slow)
 	s.wl.Observe(workload.Event{
@@ -445,7 +459,7 @@ func (s *queryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Matches:   matches,
 		Rows:      s.rows,
 		Scans:     m.Stats.Scans,
-		Ops:       opCounts{And: m.Stats.Ands, Or: m.Stats.Ors, Xor: m.Stats.Xors, Not: m.Stats.Nots},
+		Ops:       opsOf(m.Stats),
 		FilesRead: m.FilesRead,
 		BytesRead: m.BytesRead,
 		ElapsedNS: int64(elapsed),

@@ -106,6 +106,9 @@ func TestServeOneRecordPerQuery(t *testing.T) {
 	if rc.Ands == 0 {
 		t.Errorf("3-predicate table record counts no AND: %+v", rc)
 	}
+	if ops := (opCounts{And: rc.Ands, Or: rc.Ors, Xor: rc.Xors, Not: rc.Nots}); ops != tr.Ops {
+		t.Errorf("table record ops %+v, response ops %+v", ops, tr.Ops)
+	}
 	checkRegistryDelta(t, "3-predicate table query", before, 1, rc)
 
 	st, err := bitmapindex.OpenIndex(ixDir)
@@ -128,19 +131,25 @@ func TestServeRecordCacheCountsPerQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Uncached, every distinct stored bitmap a query references is a scan.
+	// Through an empty pool, every distinct stored bitmap a query
+	// references is a miss. (That is its scan count, plus, under bixdebug,
+	// the bitmaps only Eval's RangeEval cross-check reads.)
+	empty, err := bitmapindex.NewCachedStore(st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	queries := []string{"<= 17", "> 40"}
-	refs := map[string]int{}
+	refs := map[string]int64{}
 	for _, q := range queries {
 		op, v, err := parsePredicate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var m bitmapindex.StoreMetrics
-		if _, err := st.Eval(op, v, &m); err != nil {
+		if _, err := empty.Eval(op, v, &m); err != nil {
 			t.Fatal(err)
 		}
-		refs[q] = m.Stats.Scans
+		refs[q] = m.CacheMisses
 	}
 	srv, err := newQueryServer(st, 2, 0, io.Discard)
 	if err != nil {
@@ -172,7 +181,7 @@ func TestServeRecordCacheCountsPerQuery(t *testing.T) {
 	for i, q := range queries {
 		for _, id := range traces[i] {
 			rc := flightRecord(t, id)
-			if got := rc.CacheHits + rc.CacheMisses; got != int64(refs[q]) {
+			if got := rc.CacheHits + rc.CacheMisses; got != refs[q] {
 				t.Errorf("%q record %s: %d hits + %d misses, want %d references",
 					q, id, rc.CacheHits, rc.CacheMisses, refs[q])
 			}

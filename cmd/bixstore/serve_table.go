@@ -47,15 +47,16 @@ func (s *tableServer) mux() *http.ServeMux {
 
 // tableQueryResponse is the JSON body of a table-mode /query evaluation.
 type tableQueryResponse struct {
-	Query     string `json:"query"`
-	TraceID   string `json:"trace_id"`
-	Matches   int    `json:"matches"`
-	Rows      int    `json:"rows"`
-	Scans     int    `json:"scans"`
-	FilesRead int    `json:"files_read"`
-	BytesRead int64  `json:"bytes_read"`
-	ElapsedNS int64  `json:"elapsed_ns"`
-	RIDs      []int  `json:"rids,omitempty"`
+	Query     string   `json:"query"`
+	TraceID   string   `json:"trace_id"`
+	Matches   int      `json:"matches"`
+	Rows      int      `json:"rows"`
+	Scans     int      `json:"scans"`
+	Ops       opCounts `json:"ops"`
+	FilesRead int      `json:"files_read"`
+	BytesRead int64    `json:"bytes_read"`
+	ElapsedNS int64    `json:"elapsed_ns"`
+	RIDs      []int    `json:"rids,omitempty"`
 }
 
 // handleQuery evaluates q=<col> <op> <val> [AND ...]; rids=1 includes
@@ -95,6 +96,7 @@ func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Matches:   matches,
 		Rows:      s.tbl.Rows(),
 		Scans:     m.Stats.Scans,
+		Ops:       opsOf(m.Stats),
 		FilesRead: m.FilesRead,
 		BytesRead: m.BytesRead,
 		ElapsedNS: int64(elapsed),

@@ -35,8 +35,10 @@ func (v *Vector) checkWindow(lo, hi int) {
 func (v *Vector) AndRange(u *Vector, lo, hi int) {
 	v.mustMatch(u)
 	v.checkWindow(lo, hi)
-	for i := lo; i < hi; i++ {
-		v.words[i] &= u.words[i]
+	a, b := v.words[lo:hi], u.words[lo:hi]
+	b = b[:len(a)]
+	for i := range a {
+		a[i] &= b[i]
 	}
 }
 
@@ -47,8 +49,10 @@ func (v *Vector) AndRange(u *Vector, lo, hi int) {
 func (v *Vector) OrRange(u *Vector, lo, hi int) {
 	v.mustMatch(u)
 	v.checkWindow(lo, hi)
-	for i := lo; i < hi; i++ {
-		v.words[i] |= u.words[i]
+	a, b := v.words[lo:hi], u.words[lo:hi]
+	b = b[:len(a)]
+	for i := range a {
+		a[i] |= b[i]
 	}
 }
 
@@ -59,8 +63,10 @@ func (v *Vector) OrRange(u *Vector, lo, hi int) {
 func (v *Vector) XorRange(u *Vector, lo, hi int) {
 	v.mustMatch(u)
 	v.checkWindow(lo, hi)
-	for i := lo; i < hi; i++ {
-		v.words[i] ^= u.words[i]
+	a, b := v.words[lo:hi], u.words[lo:hi]
+	b = b[:len(a)]
+	for i := range a {
+		a[i] ^= b[i]
 	}
 }
 
@@ -71,8 +77,10 @@ func (v *Vector) XorRange(u *Vector, lo, hi int) {
 func (v *Vector) AndNotRange(u *Vector, lo, hi int) {
 	v.mustMatch(u)
 	v.checkWindow(lo, hi)
-	for i := lo; i < hi; i++ {
-		v.words[i] &^= u.words[i]
+	a, b := v.words[lo:hi], u.words[lo:hi]
+	b = b[:len(a)]
+	for i := range a {
+		a[i] &^= b[i]
 	}
 }
 
@@ -82,8 +90,9 @@ func (v *Vector) AndNotRange(u *Vector, lo, hi int) {
 //bix:hotpath
 func (v *Vector) NotRange(lo, hi int) {
 	v.checkWindow(lo, hi)
-	for i := lo; i < hi; i++ {
-		v.words[i] = ^v.words[i]
+	a := v.words[lo:hi]
+	for i := range a {
+		a[i] = ^a[i]
 	}
 	if hi == len(v.words) && hi > lo {
 		v.words[hi-1] &= v.tailMask()
@@ -106,9 +115,7 @@ func (v *Vector) CopyRange(u *Vector, lo, hi int) {
 //bix:maskok (all-zero words trivially satisfy the tail invariant)
 func (v *Vector) ZeroRange(lo, hi int) {
 	v.checkWindow(lo, hi)
-	for i := lo; i < hi; i++ {
-		v.words[i] = 0
-	}
+	clear(v.words[lo:hi])
 }
 
 // OnesRange sets every bit in the word window [lo, hi), masking the tail
@@ -117,8 +124,9 @@ func (v *Vector) ZeroRange(lo, hi int) {
 //bix:hotpath
 func (v *Vector) OnesRange(lo, hi int) {
 	v.checkWindow(lo, hi)
-	for i := lo; i < hi; i++ {
-		v.words[i] = ^uint64(0)
+	a := v.words[lo:hi]
+	for i := range a {
+		a[i] = ^uint64(0)
 	}
 	if hi == len(v.words) && hi > lo {
 		v.words[hi-1] &= v.tailMask()
@@ -131,8 +139,8 @@ func (v *Vector) OnesRange(lo, hi int) {
 func (v *Vector) CountRange(lo, hi int) int {
 	v.checkWindow(lo, hi)
 	c := 0
-	for i := lo; i < hi; i++ {
-		c += bits.OnesCount64(v.words[i])
+	for _, w := range v.words[lo:hi] {
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -142,8 +150,8 @@ func (v *Vector) CountRange(lo, hi int) int {
 //bix:hotpath
 func (v *Vector) AnyRange(lo, hi int) bool {
 	v.checkWindow(lo, hi)
-	for i := lo; i < hi; i++ {
-		if v.words[i] != 0 {
+	for _, w := range v.words[lo:hi] {
+		if w != 0 {
 			return true
 		}
 	}

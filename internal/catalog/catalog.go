@@ -435,78 +435,114 @@ func (t *Table) Attr(name string) (*Attr, error) {
 // qualifying record bitmap over original row ids. Physical costs
 // accumulate into m when non-nil.
 func (t *Table) Query(preds []engine.Pred, m *storage.Metrics) (*bitvec.Vector, error) {
-	out, err := t.conjunction(preds, m)
+	out, _, err := t.conjunction(preds, m, true)
 	if err != nil {
 		return nil, err
 	}
 	if t.perm != nil {
-		out = reorder.MapBack(t.perm, out)
+		mapped := reorder.MapBack(t.perm, out)
+		bitvec.Recycle(out)
+		out = mapped
 	}
 	return out, nil
 }
 
 // Count returns the number of rows matching the conjunction. A count does
 // not change under the build-time row permutation, so Count takes it in
-// sorted row space and skips the map-back Query pays for row ids.
+// sorted row space and skips the map-back Query pays for row ids. Its
+// last AND is fused with the count (bitvec.AndCount), and a single
+// predicate builds no vector at all.
 func (t *Table) Count(preds []engine.Pred, m *storage.Metrics) (int, error) {
-	out, err := t.conjunction(preds, m)
-	if err != nil {
-		return 0, err
-	}
-	return out.Count(), nil
+	_, n, err := t.conjunction(preds, m, false)
+	return n, err
 }
 
 // conjunction ANDs the predicates' bitmaps in the stored (sorted) row
-// space, feeding the workload accountant one event per predicate.
-func (t *Table) conjunction(preds []engine.Pred, m *storage.Metrics) (*bitvec.Vector, error) {
+// space, feeding the workload accountant one event per predicate. With
+// keep set it returns the result out, a vector the caller owns; without
+// it, it returns the number of matching rows instead, fusing the last AND
+// with that count. The first predicate is evaluated into out, each later
+// one into a pooled scratch vector, and each event takes its predicate's
+// count from the evaluator.
+func (t *Table) conjunction(preds []engine.Pred, m *storage.Metrics, keep bool) (out *bitvec.Vector, matches int, err error) {
 	if len(preds) == 0 {
-		return nil, fmt.Errorf("catalog: empty predicate list")
+		return nil, 0, fmt.Errorf("catalog: empty predicate list")
 	}
 	// The workload accountant needs per-predicate scan/byte deltas even
 	// when the caller does not ask for metrics.
 	if m == nil {
 		m = &storage.Metrics{}
 	}
-	var out *bitvec.Vector
-	for _, p := range preds {
+	rows := t.meta.Rows
+	for i, p := range preds {
 		a, err := t.Attr(p.Col)
 		if err != nil {
-			return nil, err
+			bitvec.Recycle(out)
+			return nil, 0, err
 		}
 		rop, rank, all, none := a.dict.Translate(p.Op, p.Val)
 		scans, bytes := m.Stats.Scans, m.BytesRead
 		start := time.Now()
-		var res *bitvec.Vector
+		// dst receives this predicate's bitmap: out for the first one,
+		// scratch for the rest, nothing for a lone predicate only counted.
+		last := i == len(preds)-1
+		var dst *bitvec.Vector
+		switch {
+		case out != nil:
+			dst = bitvec.Borrow(rows)
+		case keep || !last:
+			out = bitvec.Borrow(rows)
+			dst = out
+		}
+		var n int
 		cls := workload.ClassOf(p.Op)
 		switch {
 		case none:
-			res = bitvec.New(t.meta.Rows)
+			if dst != nil {
+				dst.ClearAll()
+			}
 		case all:
-			res = bitvec.NewOnes(t.meta.Rows)
+			n = rows
+			if dst != nil {
+				dst.SetAll()
+			}
 		default:
 			cls = workload.ClassOf(rop)
-			res, err = a.store.Eval(rop, rank, m)
+			n, err = a.store.Count(rop, rank, dst, m)
 			if err != nil {
-				return nil, fmt.Errorf("catalog: attribute %q: %w", p.Col, err)
+				if dst != out {
+					bitvec.Recycle(dst)
+				}
+				bitvec.Recycle(out)
+				return nil, 0, fmt.Errorf("catalog: attribute %q: %w", p.Col, err)
 			}
 		}
 		t.wl.Observe(workload.Event{
 			Attr:    p.Col,
 			Class:   cls,
 			Value:   rank,
-			Matches: res.Count(),
-			Rows:    t.meta.Rows,
+			Matches: n,
+			Rows:    rows,
 			Scans:   m.Stats.Scans - scans,
 			Bytes:   m.BytesRead - bytes,
 			NS:      time.Since(start).Nanoseconds(),
 		})
-		if out == nil {
-			out = res
-		} else {
-			out.And(res)
+		switch {
+		case dst == nil || dst == out:
+			matches = n
+		case !keep && last:
+			matches = bitvec.AndCount(out, dst)
+			bitvec.Recycle(dst)
+		default:
+			out.And(dst)
+			bitvec.Recycle(dst)
 		}
 	}
-	return out, nil
+	if !keep {
+		bitvec.Recycle(out)
+		out = nil
+	}
+	return out, matches, nil
 }
 
 // Workload returns the table's access accountant. It is always on; Query

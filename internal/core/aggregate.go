@@ -56,9 +56,10 @@ func (ix *Index) SumSelected(sel *bitvec.Vector) (sum uint64, n int, err error) 
 				digitSum += uint64(n - bitvec.AndCount(ix.comps[i][j], selNN))
 			}
 		case IntervalEncoded:
+			eq := bitvec.New(ix.rows)
 			for d := uint64(1); d < bi; d++ {
 				b := newProgBuilder(ix)
-				eq, _ := ix.runSerial(b.seal(b.compileIvEQDigit(i, d)), nil)
+				ix.runSerial(b.seal(b.compileIvEQDigit(i, d)), nil, eq, false)
 				digitSum += d * uint64(bitvec.AndCount(eq, selNN))
 			}
 		default:

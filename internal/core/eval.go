@@ -147,29 +147,64 @@ type EvalOptions struct {
 // serve's finishQuery feeds the flight recorder and the telemetry
 // registry).
 func (ix *Index) Eval(op Op, v uint64, opt *EvalOptions) *bitvec.Vector {
-	return labeled(opt, func() *bitvec.Vector {
-		p := ix.compile(op, v)
-		res, srcs := ix.runSerial(p, opt)
-		if invariant.Enabled && ix.enc == RangeEncoded {
-			ix.naiveCrossCheck(op, v, p, srcs, opt, res)
-		}
-		return res
-	})
+	res := bitvec.New(ix.rows)
+	ix.EvalInto(op, v, res, opt)
+	return res
 }
 
-// labeled runs eval under the pprof labels of opt's trace (phase "eval")
-// and, under bixdebug, checks the result's tail invariant.
-func labeled(opt *EvalOptions, eval func() *bitvec.Vector) *bitvec.Vector {
+// EvalInto evaluates (A op v) like Eval, writing the bitmap of qualifying
+// records into dst, which must have Rows() bits. Every word of dst is
+// overwritten, so its previous contents (a pooled vector's, say) do not
+// matter.
+func (ix *Index) EvalInto(op Op, v uint64, dst *bitvec.Vector, opt *EvalOptions) {
+	if dst == nil {
+		panic("core: EvalInto needs a destination")
+	}
+	ix.eval(op, v, dst, false, opt)
+}
+
+// Count evaluates (A op v) like Eval and returns the number of qualifying
+// records, with the same Stats and Fetch contract. With dst nil it builds
+// no result vector: the program runs segment by segment in a pooled
+// scratch register, and each segment's result window is counted while it
+// is still in cache. With dst non-nil (Rows() bits) Count also writes the
+// bitmap there, as EvalInto does, and counts it the same way.
+func (ix *Index) Count(op Op, v uint64, dst *bitvec.Vector, opt *EvalOptions) int {
+	return ix.eval(op, v, dst, true, opt)
+}
+
+// eval compiles (A op v) and runs it serially into dst, counting the
+// result when count is set (see run). Under bixdebug it checks the count
+// against dst and, on a range-encoded index, cross-checks the answer
+// against RangeEval.
+func (ix *Index) eval(op Op, v uint64, dst *bitvec.Vector, count bool, opt *EvalOptions) (n int) {
+	if dst != nil && dst.Len() != ix.rows {
+		panic(fmt.Sprintf("core: destination has %d bits, index has %d rows", dst.Len(), ix.rows))
+	}
+	labeled(opt, func() {
+		p := ix.compile(op, v)
+		var srcs []*bitvec.Vector
+		n, srcs = ix.runSerial(p, opt, dst, count)
+		if !invariant.Enabled {
+			return
+		}
+		if dst != nil && count {
+			invariant.Assert(n == dst.Count(), "core: counted result differs from its vector's popcount")
+		}
+		if ix.enc == RangeEncoded {
+			ix.naiveCrossCheck(op, v, p, srcs, opt, dst, n, count)
+		}
+	})
+	return n
+}
+
+// labeled runs eval under the pprof labels of opt's trace (phase "eval").
+func labeled(opt *EvalOptions, eval func()) {
 	var id string
 	if opt != nil {
 		id = opt.Trace.ID()
 	}
-	var res *bitvec.Vector
-	profile.Do(id, "eval", func() { res = eval() })
-	if invariant.Enabled {
-		invariant.TailZero(res.Words(), res.Len())
-	}
-	return res
+	profile.Do(id, "eval", eval)
 }
 
 // naiveCrossCheck (bixdebug only) checks the paper's Section 3 claim on a
@@ -179,8 +214,9 @@ func labeled(opt *EvalOptions, eval func() *bitvec.Vector) *bitvec.Vector {
 // a nullable index the single-bitmap rewrite pays one extra AND with B_nn
 // that the B_EQ chain does not.) RangeEval reads the bitmaps RangeEval-Opt
 // already resolved from srcs, so fetch still runs at most once per
-// distinct bitmap of the query.
-func (ix *Index) naiveCrossCheck(op Op, v uint64, p *segProgram, srcs []*bitvec.Vector, opt *EvalOptions, res *bitvec.Vector) {
+// distinct bitmap of the query. RangeEval-Opt's answer is res when it was
+// written to a vector, and its count n when it was counted.
+func (ix *Index) naiveCrossCheck(op Op, v uint64, p *segProgram, srcs []*bitvec.Vector, opt *EvalOptions, res *bitvec.Vector, n int, counted bool) {
 	have := make(map[segRef]*bitvec.Vector, len(p.refs))
 	for i, rf := range p.refs {
 		have[rf] = srcs[i]
@@ -195,7 +231,8 @@ func (ix *Index) naiveCrossCheck(op Op, v uint64, p *segProgram, srcs []*bitvec.
 		}
 		return ix.comps[comp][slot]
 	}})
-	invariant.Assert(nres.Equal(res), "core: RangeEval disagrees with RangeEval-Opt")
+	invariant.Assert(res == nil || nres.Equal(res), "core: RangeEval disagrees with RangeEval-Opt")
+	invariant.Assert(!counted || nres.Count() == n, "core: RangeEval's count disagrees with RangeEval-Opt's")
 	if op.IsRange() {
 		invariant.OptNoWorse(p.ops.Ops(), ns.Ops(), "core: RangeEval-Opt vs RangeEval, op "+op.String())
 	}
@@ -213,7 +250,9 @@ func (ix *Index) EvalBetween(lo, hi uint64, opt *EvalOptions) *bitvec.Vector {
 	if lo == 0 {
 		return upper
 	}
-	lower := ix.Eval(Le, lo-1, opt)
+	lower := bitvec.Borrow(ix.rows)
+	ix.EvalInto(Le, lo-1, lower, opt)
 	upper.AndNot(lower)
+	bitvec.Recycle(lower)
 	return upper
 }

@@ -104,7 +104,8 @@ func (ix *Index) EvalRangeNaive(op Op, v uint64, opt *EvalOptions) *bitvec.Vecto
 	if !ok {
 		p = b.seal(b.compileRangeNaive(op, v))
 	}
-	res, _ := ix.runSerial(p, opt)
+	res := bitvec.New(ix.rows)
+	ix.runSerial(p, opt, res, false)
 	return res
 }
 

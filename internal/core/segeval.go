@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bitmapindex/internal/bitvec"
+	"bitmapindex/internal/invariant"
 	"bitmapindex/internal/profile"
 	"bitmapindex/internal/telemetry"
 )
@@ -22,9 +23,10 @@ import (
 // kernels, so one segment's working set stays cache-resident. Eval runs
 // the segments on the calling goroutine; SegmentedEval also hands them to
 // a pool of helpers. Each goroutine writes only its own segments' windows
-// of the shared result vector, so stitching is free: the windows are
+// of the shared destination vector, so stitching is free: the windows are
 // disjoint and the final vector is complete once every segment is
-// processed.
+// processed. A count-only query (Count with no destination) has no shared
+// vector: each goroutine counts its windows in its own scratch register.
 
 // DefaultSegBits is log2 of the default segment width in bits: 2^18 bits
 // = 32 KiB per bitmap per segment, small enough that one segment's working
@@ -116,22 +118,23 @@ func segPoolSubmit(fn func()) bool {
 // per query), and reusing them makes steady-state segmented evaluation
 // allocation-free outside the result vector itself.
 //
-// vecs owns the scratch vectors; regs is the view handed to runSegment,
-// in which register 0 aliases the query's shared result vector. Stale
-// scratch content is safe by construction: a segProgram initializes every
-// register (sLoad/sZero/sOnes) inside the segment window before combining
-// into it.
+// vecs owns the scratch vectors; regs is the view handed to runSegment.
+// Register 0 aliases the query's destination when it has one; a
+// count-only query has none, and its register 0 is scratch like the rest.
+// Stale scratch content is safe by construction: a segProgram initializes
+// every register (sLoad/sZero/sOnes) inside the segment window before
+// combining into it.
 type segRegSet struct {
 	rows int
-	vecs []*bitvec.Vector // owned scratch (registers 1..), reused across queries
-	regs []*bitvec.Vector // register view; regs[0] aliases the shared result
+	vecs []*bitvec.Vector // owned scratch, reused across queries
+	regs []*bitvec.Vector // register view; regs[0] may alias the destination
 }
 
 var segRegPool sync.Pool
 
 // getSegRegs checks a register set out of the pool, rebuilding it when the
 // row count changed or the program needs more registers than last time.
-// The query's result vector shared becomes register 0.
+// The query's destination shared, when non-nil, becomes register 0.
 func getSegRegs(rows, nregs int, shared *bitvec.Vector) *segRegSet {
 	rs, ok := segRegPool.Get().(*segRegSet)
 	if !ok || rs.rows != rows {
@@ -141,16 +144,20 @@ func getSegRegs(rows, nregs int, shared *bitvec.Vector) *segRegSet {
 		rs.regs = make([]*bitvec.Vector, nregs)
 	}
 	rs.regs = rs.regs[:nregs]
-	rs.regs[0] = shared
-	for len(rs.vecs) < nregs-1 {
+	scratch := rs.regs
+	if shared != nil {
+		rs.regs[0] = shared
+		scratch = rs.regs[1:]
+	}
+	for len(rs.vecs) < len(scratch) {
 		rs.vecs = append(rs.vecs, bitvec.New(rows))
 	}
-	copy(rs.regs[1:], rs.vecs)
+	copy(scratch, rs.vecs)
 	return rs
 }
 
 // putSegRegs returns a register set to the pool, dropping the aliased
-// result reference so the pool never retains a caller's result vector.
+// destination so the pool never retains a caller's vector.
 func putSegRegs(rs *segRegSet) {
 	if rs == nil {
 		return
@@ -167,21 +174,22 @@ func putSegRegs(rs *segRegSet) {
 // fetched bitmaps are only read concurrently. Like Eval, it runs under
 // the query's pprof labels and publishes nothing.
 func (ix *Index) SegmentedEval(op Op, v uint64, opt *EvalOptions, cfg SegConfig) *bitvec.Vector {
-	return labeled(opt, func() *bitvec.Vector {
-		res, _ := ix.run(ix.compile(op, v), opt, cfg.normalized(), telemetry.PhaseSegments)
-		return res
+	res := bitvec.New(ix.rows)
+	labeled(opt, func() {
+		ix.run(ix.compile(op, v), opt, cfg.normalized(), telemetry.PhaseSegments, res, false)
 	})
+	return res
 }
 
 // serialConfig runs a program on the calling goroutine alone, at the
 // default segment width.
 var serialConfig = SegConfig{SegBits: DefaultSegBits, Workers: 1}
 
-// runSerial runs p on the calling goroutine: the path of Eval and
-// EvalRangeNaive. Segment combination time lands in the trace's
-// bool_ops phase.
-func (ix *Index) runSerial(p *segProgram, opt *EvalOptions) (res *bitvec.Vector, srcs []*bitvec.Vector) {
-	return ix.run(p, opt, serialConfig, telemetry.PhaseBoolOps)
+// runSerial runs p on the calling goroutine: the path of Eval, Count and
+// EvalRangeNaive. Segment combination time, and the count's, lands in the
+// trace's bool_ops phase.
+func (ix *Index) runSerial(p *segProgram, opt *EvalOptions, dst *bitvec.Vector, count bool) (n int, srcs []*bitvec.Vector) {
+	return ix.run(p, opt, serialConfig, telemetry.PhaseBoolOps, dst, count)
 }
 
 // run executes a compiled program. It first resolves every referenced
@@ -191,7 +199,14 @@ func (ix *Index) runSerial(p *segProgram, opt *EvalOptions) (res *bitvec.Vector,
 // up to cfg.Workers-1 pool helpers, timing each segment into phase, and
 // finally adds the program's operation counts to opt.Stats. srcs are the
 // resolved inputs, aligned with p.refs.
-func (ix *Index) run(p *segProgram, opt *EvalOptions, cfg SegConfig, phase telemetry.Phase) (res *bitvec.Vector, srcs []*bitvec.Vector) {
+//
+// The result, register 0, is written into dst, which every segment
+// overwrites window by window. With count set, each worker popcounts a
+// segment's result window right after the program ran on it, while the
+// window is still in cache, and n is the result's popcount (0 without
+// count). dst may be nil only with count set: register 0 is then the
+// worker's own scratch register and no result vector is built.
+func (ix *Index) run(p *segProgram, opt *EvalOptions, cfg SegConfig, phase telemetry.Phase, dst *bitvec.Vector, count bool) (n int, srcs []*bitvec.Vector) {
 	var o EvalOptions
 	if opt != nil {
 		o = *opt
@@ -217,30 +232,34 @@ func (ix *Index) run(p *segProgram, opt *EvalOptions, cfg SegConfig, phase telem
 	nwords := (ix.rows + 63) / 64
 	segWords := 1 << (cfg.SegBits - 6)
 	nseg := (nwords + segWords - 1) / segWords
-	res = bitvec.New(ix.rows)
-	var next atomic.Int64
+	var next, total atomic.Int64
 	drain := func() {
 		// Worker-local scratch registers, checked out of segRegPool on the
 		// first segment this goroutine actually claims and returned at
-		// exit. Register 0 aliases the shared result: goroutines write
+		// exit. Register 0 aliases dst when there is one: goroutines write
 		// disjoint word windows, so no synchronization is needed beyond
 		// the final wg.Wait.
 		var rs *segRegSet
 		defer func() { putSegRegs(rs) }()
+		c := 0
 		for {
 			s := int(next.Add(1)) - 1
 			if s >= nseg {
 				break
 			}
 			if rs == nil {
-				rs = getSegRegs(ix.rows, p.nregs, res)
+				rs = getSegRegs(ix.rows, p.nregs, dst)
 			}
 			lo := s * segWords
 			hi := min(lo+segWords, nwords)
 			ts := time.Now()
 			runSegment(p, srcs, rs.regs, lo, hi)
+			if count {
+				c += rs.regs[0].CountRange(lo, hi)
+			}
 			o.Trace.Add(phase, time.Since(ts))
 		}
+		total.Add(int64(c))
 	}
 
 	// Pool helpers combine segments on this query's behalf from a foreign
@@ -258,10 +277,13 @@ func (ix *Index) run(p *segProgram, opt *EvalOptions, cfg SegConfig, phase telem
 	drain()
 	wg.Wait()
 
+	if invariant.Enabled && dst != nil {
+		invariant.TailZero(dst.Words(), dst.Len())
+	}
 	if o.Stats != nil {
 		o.Stats.Add(p.ops) // p.ops.Scans is 0: scans were charged above
 	}
-	return res, srcs
+	return int(total.Load()), srcs
 }
 
 // runSegment replays the compiled program over the word window [lo, hi).

@@ -189,22 +189,25 @@ func (m *Index) Delete(row int) error {
 }
 
 // Eval evaluates (A op v) over the combined row space. The output is
-// allocated once: its base prefix is the base index's bitmap answer minus
-// tombstones, one word at a time, and the append segment's matches are
-// built as 64-row words and stored after it. Beyond the base evaluation
-// the cost is O(rows/64 + append rows), with no per-row work over the
-// base; the append segment is small by construction (that is what Compact
-// is for).
+// allocated once: the base index writes its bitmap answer straight into
+// the output's base prefix, tombstones are cleared from it in place, and
+// the append segment's matches are built as 64-row words and stored
+// after it. Beyond the base evaluation the cost is O(rows/64 + append
+// rows), with no per-row work over the base; the append segment is small
+// by construction (that is what Compact is for).
 func (m *Index) Eval(op core.Op, v uint64) *bitvec.Vector {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	baseRows := m.base.Rows()
 	out := make([]uint64, (baseRows+len(m.deltaVals)+63)/64)
-	bw := m.base.Eval(op, v, nil).Words()
-	dw := m.dead.Words()[:len(bw)]
-	for i, w := range bw {
-		out[i] = w &^ dw[i]
+	// prefix is a baseRows-bit view of out's first words; it is dropped
+	// once the base answer is in, before the append rows land in them.
+	prefix, err := bitvec.FromWords(baseRows, out[:(baseRows+63)/64])
+	if err != nil {
+		panic(err) // out holds at least the words baseRows needs
 	}
+	m.base.EvalInto(op, v, prefix, nil)
+	prefix.AndNot(m.dead)
 	// Append row d is output bit baseRows+d: delta word k lands in output
 	// words at+k and at+k+1, shifted by sh.
 	at, sh := baseRows/64, uint(baseRows%64)

@@ -114,9 +114,12 @@ func FuzzUnmarshal(f *testing.F) {
 
 // FuzzDecodeVector differentially checks the dense decoder against
 // UnmarshalBinary: on arbitrary bytes both accept or both reject, and an
-// accepted payload decodes to ToVector's bits. Headers declaring more than
-// 2^24 bits are skipped, since DecodeVector allocates the whole length.
+// accepted payload decodes to ToVector's bits. The decoder writes into a
+// reused buffer that still holds stale bits, as a pooled buffer does, so a
+// word it fails to write shows. Headers declaring more than 2^24 bits are
+// skipped, since the buffer holds the whole length.
 func FuzzDecodeVector(f *testing.F) {
+	f.Add([]byte{})
 	for _, n := range []int{0, 1, 65, chunkBits, 2*chunkBits + 1} {
 		b := FromVector(mkVec(n, func(i int) bool { return i%3 == 0 }))
 		p, _ := b.MarshalBinary()
@@ -142,23 +145,38 @@ func FuzzDecodeVector(f *testing.F) {
 	stray[len(stray)-2] = 1 // the array entry: bit 1 of a 1-bit tail chunk
 	f.Add(stray)
 	f.Fuzz(func(t *testing.T, p []byte) {
-		if len(p) >= 8 && binary.LittleEndian.Uint64(p) > 1<<24 {
-			return
+		nbits := 0
+		if len(p) >= 8 {
+			n := binary.LittleEndian.Uint64(p)
+			if n > 1<<24 {
+				return
+			}
+			nbits = int(n)
 		}
 		var b Bitmap
 		uerr := b.UnmarshalBinary(p)
-		v, derr := DecodeVector(p)
-		if (uerr == nil) != (derr == nil) {
-			t.Fatalf("UnmarshalBinary error %v, DecodeVector error %v", uerr, derr)
-		}
-		if uerr != nil {
-			return
-		}
-		if !v.Equal(b.ToVector()) {
-			t.Fatal("DecodeVector differs from ToVector")
-		}
-		if v.Count() != b.Count() {
-			t.Fatalf("DecodeVector Count %d, bitmap Count %d", v.Count(), b.Count())
+		words := make([]uint64, (nbits+63)/64)
+		for _, stale := range []uint64{^uint64(0), 0x5555555555555555} {
+			for i := range words {
+				words[i] = stale
+			}
+			derr := DecodeWords(p, words)
+			if (uerr == nil) != (derr == nil) {
+				t.Fatalf("UnmarshalBinary error %v, DecodeWords error %v", uerr, derr)
+			}
+			if uerr != nil {
+				return
+			}
+			v, err := bitvec.FromWords(nbits, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Equal(b.ToVector()) {
+				t.Fatalf("DecodeWords over stale words %#x differs from ToVector", stale)
+			}
+			if v.Count() != b.Count() {
+				t.Fatalf("DecodeWords Count %d, bitmap Count %d", v.Count(), b.Count())
+			}
 		}
 	})
 }

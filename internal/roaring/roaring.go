@@ -442,7 +442,7 @@ func (b *Bitmap) MarshalBinary() ([]byte, error) {
 // payload is rejected rather than producing a bitmap whose Count,
 // operations and ToVector disagree.
 func (b *Bitmap) UnmarshalBinary(p []byte) error {
-	nb, _, err := parse(p, false)
+	nb, err := parse(p, nil)
 	if err != nil {
 		return err
 	}
@@ -450,61 +450,61 @@ func (b *Bitmap) UnmarshalBinary(p []byte) error {
 	return nil
 }
 
-// DecodeVector decodes a MarshalBinary payload straight into the words of
-// a dense vector, without building containers. It accepts exactly the
-// payloads UnmarshalBinary accepts, and the result equals that bitmap's
-// ToVector. The vector is allocated at the length the header declares,
-// so a caller decoding untrusted input bounds that length first.
-func DecodeVector(p []byte) (*bitvec.Vector, error) {
-	nb, words, err := parse(p, true)
-	if err != nil {
-		return nil, err
-	}
-	return bitvec.FromWords(nb.nbits, words)
+// DecodeWords decodes a MarshalBinary payload straight into dense words,
+// without building containers. It accepts exactly the payloads
+// UnmarshalBinary accepts, and words then hold that bitmap's ToVector
+// words. words must hold exactly ceil(n/64) words for the n bits the
+// header declares, so a caller reads and bounds that length first; their
+// previous contents do not matter: every word is overwritten.
+func DecodeWords(p []byte, words []uint64) error {
+	_, err := parse(p, words)
+	return err
 }
 
 var errTruncated = errors.New("truncated payload")
 
 // parse is the one validating reader of the MarshalBinary format. With
-// dense false it rebuilds the container list; with dense true it writes
-// each container's bits into a word slice of the payload's length instead
-// and returns a Bitmap carrying only the length. Both modes enforce the
-// same invariants: ascending keys inside the length, per-form cardinality
-// bounds, sorted disjoint entries, no bits past the length, and the
-// minimal form for every container.
-func parse(p []byte, dense bool) (Bitmap, []uint64, error) {
+// dense nil it rebuilds the container list; otherwise it writes each
+// container's bits into dense, which must hold the payload's length in
+// words, clearing the words no container sets, and returns a Bitmap
+// carrying only the length. Both modes enforce the same invariants:
+// ascending keys inside the length, per-form cardinality bounds, sorted
+// disjoint entries, no bits past the length, and the minimal form for
+// every container.
+func parse(p []byte, dense []uint64) (Bitmap, error) {
 	if len(p) < 12 {
-		return Bitmap{}, nil, fmt.Errorf("roaring: truncated header (%d bytes)", len(p))
+		return Bitmap{}, fmt.Errorf("roaring: truncated header (%d bytes)", len(p))
 	}
 	n64 := binary.LittleEndian.Uint64(p)
 	if n64 > uint64(int(^uint(0)>>1)) {
-		return Bitmap{}, nil, fmt.Errorf("roaring: length %d overflows int", n64)
+		return Bitmap{}, fmt.Errorf("roaring: length %d overflows int", n64)
 	}
 	nbits := int(n64)
 	nc := int(binary.LittleEndian.Uint32(p[8:]))
 	maxChunks := (nbits + chunkBits - 1) / chunkBits
 	if nc > maxChunks {
-		return Bitmap{}, nil, fmt.Errorf("roaring: %d containers exceed %d chunks for length %d", nc, maxChunks, nbits)
+		return Bitmap{}, fmt.Errorf("roaring: %d containers exceed %d chunks for length %d", nc, maxChunks, nbits)
 	}
 	b := Bitmap{nbits: nbits}
-	var words []uint64
-	if dense {
-		words = make([]uint64, (nbits+63)/64)
+	if dense != nil && len(dense) != (nbits+63)/64 {
+		return Bitmap{}, fmt.Errorf("roaring: %d words for length %d, need exactly %d", len(dense), nbits, (nbits+63)/64)
 	}
+	// dense[:cleared] is defined: set by a container or cleared.
+	cleared := 0
 	pos := 12
 	prevKey := -1
 	for i := 0; i < nc; i++ {
 		if len(p)-pos < 3 {
-			return Bitmap{}, nil, fmt.Errorf("roaring: truncated payload at byte %d", pos)
+			return Bitmap{}, fmt.Errorf("roaring: truncated payload at byte %d", pos)
 		}
 		key := binary.LittleEndian.Uint16(p[pos:])
 		typ := p[pos+2]
 		pos += 3
 		if int(key) <= prevKey {
-			return Bitmap{}, nil, fmt.Errorf("roaring: container keys not strictly ascending at %d", key)
+			return Bitmap{}, fmt.Errorf("roaring: container keys not strictly ascending at %d", key)
 		}
 		if int(key) >= maxChunks {
-			return Bitmap{}, nil, fmt.Errorf("roaring: container key %d outside length %d", key, nbits)
+			return Bitmap{}, fmt.Errorf("roaring: container key %d outside length %d", key, nbits)
 		}
 		prevKey = int(key)
 		// limit is the chunk's length in bits: shorter only for a partial
@@ -514,35 +514,42 @@ func parse(p []byte, dense bool) (Bitmap, []uint64, error) {
 			limit = rem
 		}
 		var win []uint64
-		if dense {
+		if dense != nil {
 			base := int(key) * chunkWords
-			win = words[base:min(base+chunkWords, len(words))]
+			win = dense[base:min(base+chunkWords, len(dense))]
+			clear(dense[cleared:base])
+			if typ != typeBitmap { // a bitmap container writes its whole window
+				clear(win)
+			}
+			cleared = base + len(win)
 		}
 		c, used, err := parseContainer(p[pos:], typ, limit, win)
 		if errors.Is(err, errTruncated) {
-			return Bitmap{}, nil, fmt.Errorf("roaring: truncated payload at byte %d", pos)
+			return Bitmap{}, fmt.Errorf("roaring: truncated payload at byte %d", pos)
 		}
 		if err != nil {
-			return Bitmap{}, nil, fmt.Errorf("roaring: container %d: %w", key, err)
+			return Bitmap{}, fmt.Errorf("roaring: container %d: %w", key, err)
 		}
 		pos += used
-		if !dense {
+		if dense == nil {
 			b.keys = append(b.keys, key)
 			b.containers = append(b.containers, c)
 		}
 	}
 	if pos != len(p) {
-		return Bitmap{}, nil, fmt.Errorf("roaring: %d trailing bytes", len(p)-pos)
+		return Bitmap{}, fmt.Errorf("roaring: %d trailing bytes", len(p)-pos)
 	}
-	return b, words, nil
+	clear(dense[cleared:])
+	return b, nil
 }
 
 // parseContainer validates one container body of form typ at the start of
 // p and returns it with the number of bytes it occupies. No bit may lie at
 // or past limit. A nil win asks for the container's own storage; a
-// non-nil win (the chunk's zeroed words in a dense vector, truncated at
-// the vector's end) receives the bits instead, and the returned container
-// carries only its form and cardinality.
+// non-nil win (the chunk's words in a dense vector, truncated at the
+// vector's end, and zeroed unless the form is a bitmap, which writes every
+// word) receives the bits instead, and the returned container carries only
+// its form and cardinality.
 func parseContainer(p []byte, typ uint8, limit int, win []uint64) (container, int, error) {
 	c := container{typ: typ}
 	var n, nruns int

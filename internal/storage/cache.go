@@ -116,7 +116,21 @@ func (c *CachedStore) options(q *query, m *Metrics) *core.EvalOptions {
 
 // Eval evaluates (A op v) through the pool: pinned bitmaps cost nothing
 // and are excluded from the scan count, the rest read through the
-// underlying store (accounted into m, which may be nil).
+// underlying store (accounted into m, which may be nil). The returned
+// vector is the caller's.
 func (c *CachedStore) Eval(op core.Op, v uint64, m *Metrics) (*bitvec.Vector, error) {
-	return c.store.eval(op, v, m, c.options(&query{s: c.store, m: m}, m))
+	res := bitvec.New(c.store.shell.Rows())
+	q := &query{s: c.store, m: m, pooled: true}
+	if _, err := c.store.eval(op, v, m, q, c.options(q, m), res, false); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Count is Store.Count through the pool: the number of records
+// qualifying for (A op v), with the bitmap also written into dst when dst
+// is non-nil, and the costs Eval accounts.
+func (c *CachedStore) Count(op core.Op, v uint64, dst *bitvec.Vector, m *Metrics) (int, error) {
+	q := &query{s: c.store, m: m, pooled: true}
+	return c.store.eval(op, v, m, q, c.options(q, m), dst, true)
 }

@@ -11,6 +11,7 @@ import (
 
 	"bitmapindex/internal/core"
 	"bitmapindex/internal/data"
+	"bitmapindex/internal/invariant"
 )
 
 // zlibBytes compresses p into a complete zlib stream.
@@ -99,7 +100,7 @@ func TestReadFileDecodesOnce(t *testing.T) {
 				}
 			})
 			allocs := testing.AllocsPerRun(20, func() {
-				if _, err := st.readFile(name, rows, nil); err != nil {
+				if _, err := st.readFile(name, rows, nil, false); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -115,7 +116,7 @@ func TestReadFileDecodesOnce(t *testing.T) {
 			// AllocsPerRun's calls above are the warm-up.
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := st.readFile(name, rows, nil); err != nil {
+			if _, err := st.readFile(name, rows, nil, false); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
@@ -137,11 +138,58 @@ func BenchmarkReadFile(b *testing.B) {
 			rows := st.Index().Rows()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := st.readFile(name, rows, nil); err != nil {
+				if _, err := st.readFile(name, rows, nil, false); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.SetBytes(int64(rows / 8))
 		})
+	}
+}
+
+// TestQueryAllocationPin pins what a warm count-only query allocates at
+// 2^16 rows, summed over 100 queries (runtime.MemStats.TotalAlloc). A
+// CachedStore query with every bitmap pinned builds no result vector, so
+// it allocates less than one vector's rows/8 bytes. A Store query on BS
+// roaring files also reads and decodes every operand, into pooled buffers
+// and words, and still allocates less than one operand's rows/8.
+func TestQueryAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	if invariant.Enabled {
+		t.Skip("bixdebug cross-checks every evaluation against a freshly allocated RangeEval result")
+	}
+	const rows, queries = 1 << 16, 100
+	st, _ := saveUniform(t, rows, CodecRoaring)
+	cs, err := NewCached(st, st.Index().NumBitmaps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		count func(op core.Op, v uint64, m *Metrics) (int, error)
+	}{
+		{"cached", func(op core.Op, v uint64, m *Metrics) (int, error) { return cs.Count(op, v, nil, m) }},
+		{"store", func(op core.Op, v uint64, m *Metrics) (int, error) { return st.Count(op, v, nil, m) }},
+	} {
+		run := func() {
+			for i := 0; i < queries; i++ {
+				var m Metrics
+				if _, err := tc.count(core.AllOps[i%len(core.AllOps)], uint64(i*37%100), &m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run() // warm-up: fills the pools
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / queries
+		t.Logf("%s: %d bytes per query", tc.name, per)
+		if per >= rows/8 {
+			t.Errorf("%s: a count-only query allocates %d bytes, want < %d (rows/8)", tc.name, per, rows/8)
+		}
 	}
 }

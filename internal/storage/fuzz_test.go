@@ -41,7 +41,7 @@ func FuzzOpenMeta(f *testing.F) {
 	})
 }
 
-// referenceInflate is the plain decoder inflateVector must agree with:
+// referenceInflate is the plain decoder inflateWords must agree with:
 // zlib.NewReader and io.ReadAll, accepting only a stream that reaches
 // io.EOF after exactly ceil(nbits/8) bytes. Reading stops one byte past
 // that, so a small input that inflates to gigabytes stays cheap.
@@ -63,10 +63,12 @@ func referenceInflate(t *testing.T, stream []byte, nbits int) (*bitvec.Vector, b
 }
 
 // FuzzInflateVector: the pooled zlib decoder accepts exactly the streams
-// the reference accepts, and then its vector equals the reference's. Each
+// the reference accepts, and then its words equal the reference's. Each
 // input is decoded twice, around a stream rejected at its adler32
 // trailer, so the second decode runs on a pooled reader left in an error
-// state.
+// state. Both decodes write into one reused buffer that still holds stale
+// bits, as a pooled buffer does, so a word the decoder fails to write
+// shows.
 func FuzzInflateVector(f *testing.F) {
 	payload := make([]byte, inflateChunk+4) // the last chunk holds half a word
 	for i := range payload {
@@ -94,19 +96,30 @@ func FuzzInflateVector(f *testing.F) {
 	f.Add(badHeader, seedBits)
 	f.Add(withDict, seedBits)
 	f.Add(zlibBytes(f, nil), uint32(0))
+	f.Add([]byte{}, uint32(0))
 	f.Fuzz(func(t *testing.T, stream []byte, n uint32) {
 		nbits := int(n % (1<<16 + 1))
 		want, ok := referenceInflate(t, stream, nbits)
-		for round := 0; round < 2; round++ {
-			v, err := inflateVector(stream, nbits)
-			if (err == nil) != ok {
-				t.Fatalf("round %d: inflateVector error %v, reference accepts: %v", round, err, ok)
+		words := make([]uint64, (nbits+63)/64)
+		for round, stale := range []uint64{^uint64(0), 0x5555555555555555} {
+			for i := range words {
+				words[i] = stale
 			}
-			if ok && !v.Equal(want) {
-				t.Fatalf("round %d: inflateVector vector differs from SetPayload of the inflated bytes", round)
+			err := inflateWords(stream, nbits, words)
+			if (err == nil) != ok {
+				t.Fatalf("round %d: inflateWords error %v, reference accepts: %v", round, err, ok)
+			}
+			if ok {
+				got, err := bitvec.FromWords(nbits, words)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("round %d: inflateWords over stale words %#x differs from SetPayload of the inflated bytes", round, stale)
+				}
 			}
 			if round == 0 {
-				if _, err := inflateVector(rejected, 128); err == nil {
+				if err := inflateWords(rejected, 128, make([]uint64, 2)); err == nil {
 					t.Fatal("a stream with a damaged adler32 trailer was accepted")
 				}
 			}

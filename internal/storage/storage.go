@@ -371,7 +371,7 @@ func Open(dir string) (*Store, error) {
 		codec = CodecZlib // descriptor written before the codec field existed
 	}
 	s := &Store{dir: dir, meta: m, codec: codec}
-	nn, err := s.readFile("nn.bm", m.Rows, nil)
+	nn, err := s.readFile("nn.bm", m.Rows, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -438,14 +438,19 @@ func (s *Store) Describe() string {
 
 // readFile reads one file, verifies its checksum over the on-disk bytes
 // and decodes it exactly once, straight into the words of the returned
-// nbits-bit vector, accounting into m. A file that fails to decode, or
-// decodes to any other length, is rejected as ErrCorrupt: without
-// checksums in the descriptor (older writers), the codec's own checks and
-// the length check are all that stand between a torn or stale file and a
-// wrong answer.
-func (s *Store) readFile(name string, nbits int, m *Metrics) (*bitvec.Vector, error) {
+// nbits-bit vector, accounting into m. pooled selects where those words
+// come from: the package pool (bitvec.GetWords) for a query that returns
+// them when it ends, fresh memory for a vector that is kept. A file that
+// fails to decode, or decodes to any other length, is rejected as
+// ErrCorrupt: without checksums in the descriptor (older writers), the
+// codec's own checks and the length check are all that stand between a
+// torn or stale file and a wrong answer.
+func (s *Store) readFile(name string, nbits int, m *Metrics, pooled bool) (*bitvec.Vector, error) {
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
 	t0 := time.Now()
-	raw, err := os.ReadFile(filepath.Join(s.dir, name))
+	raw, err := readInto(filepath.Join(s.dir, name), (*buf)[:0])
+	*buf = raw
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
@@ -456,7 +461,7 @@ func (s *Store) readFile(name string, nbits int, m *Metrics) (*bitvec.Vector, er
 			return nil, fmt.Errorf("storage: %w: %s (crc %08x, want %08x)", ErrCorrupt, name, got, want)
 		}
 	}
-	v, decompNS, err := s.decode(raw, nbits)
+	v, decompNS, err := s.decode(raw, nbits, pooled)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w: %s: %w", ErrCorrupt, name, err)
 	}
@@ -472,43 +477,112 @@ func (s *Store) readFile(name string, nbits int, m *Metrics) (*bitvec.Vector, er
 	return v, nil
 }
 
+// readBufs holds the buffers files are read into on their way to the
+// decoder, which copies what it needs out of them. A buffer grows to the
+// largest file it has held.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readInto reads the whole file at path into buf's spare capacity,
+// growing it as needed, like os.ReadFile without the allocation.
+func readInto(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	if fi, err := f.Stat(); err == nil && int64(cap(buf)) <= fi.Size() {
+		buf = make([]byte, 0, fi.Size()+1) // +1 so the read that finds EOF needs no growth
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// words returns n words for a decoder to fill: pooled ones, whose contents
+// are unspecified, or fresh ones.
+func words(n int, pooled bool) []uint64 {
+	if pooled {
+		return bitvec.GetWords(n)
+	}
+	return make([]uint64, n)
+}
+
 // decode turns one file's on-disk bytes into its nbits-bit vector and
 // reports the time of the codec step (zero for raw files). Each codec
 // checks the length: raw files and inflated zlib streams must hold
 // exactly ceil(nbits/8) bytes, and the WAH and roaring headers must
-// declare nbits.
-func (s *Store) decode(raw []byte, nbits int) (*bitvec.Vector, int64, error) {
+// declare nbits. Every decoder but WAH's writes into words(pooled), and
+// overwrites every word of them.
+func (s *Store) decode(raw []byte, nbits int, pooled bool) (*bitvec.Vector, int64, error) {
 	if nbits < 0 {
 		return nil, 0, fmt.Errorf("negative length %d", nbits)
 	}
 	t0 := time.Now()
+	nw := (nbits + 63) / 64
+	var w []uint64
 	switch s.codec {
 	case CodecZlib:
-		v, err := inflateVector(raw, nbits)
-		if err != nil {
+		w = words(nw, pooled)
+		if err := inflateWords(raw, nbits, w); err != nil {
 			return nil, 0, fmt.Errorf("inflate: %w", err)
 		}
-		return v, time.Since(t0).Nanoseconds(), nil
 	case CodecWAH, CodecRoaring:
 		// Both open with an 8-byte little-endian bit length, checked before
-		// the decoder allocates that many bits.
+		// any words are taken for that many bits.
 		if len(raw) < 8 || binary.LittleEndian.Uint64(raw) != uint64(nbits) {
 			return nil, 0, fmt.Errorf("header does not declare %d bits", nbits)
 		}
-		var v *bitvec.Vector
-		var err error
 		if s.codec == CodecWAH {
 			var wb wah.Bitmap
-			if err = wb.UnmarshalBinary(raw); err == nil {
-				v = wb.Decompress()
+			if err := wb.UnmarshalBinary(raw); err != nil {
+				return nil, 0, err
 			}
-		} else {
-			v, err = roaring.DecodeVector(raw)
+			return wb.Decompress(), time.Since(t0).Nanoseconds(), nil
 		}
-		return v, time.Since(t0).Nanoseconds(), err
+		w = words(nw, pooled)
+		if err := roaring.DecodeWords(raw, w); err != nil {
+			return nil, 0, err
+		}
+	default:
+		if len(raw) != (nbits+7)/8 {
+			return nil, 0, fmt.Errorf("payload size mismatch: have %d bytes, need exactly %d", len(raw), (nbits+7)/8)
+		}
+		w = words(nw, pooled)
+		putBytes(w, raw)
 	}
-	v := new(bitvec.Vector)
-	return v, 0, v.SetPayload(nbits, raw)
+	var ns int64
+	if s.codec != CodecRaw {
+		ns = time.Since(t0).Nanoseconds()
+	}
+	v, err := bitvec.FromWords(nbits, w)
+	return v, ns, err
+}
+
+// putBytes stores p into the words from w[0] on, 8 little-endian bytes
+// per word, assigning every word it reaches: a last partial word gets p's
+// remaining bytes and zeros above them, whatever w held before.
+func putBytes(w []uint64, p []byte) {
+	full := len(p) / 8
+	for i := range full {
+		w[i] = binary.LittleEndian.Uint64(p[8*i:])
+	}
+	if rest := p[8*full:]; len(rest) > 0 {
+		var t uint64
+		for i, b := range rest {
+			t |= uint64(b) << (8 * i)
+		}
+		w[full] = t
+	}
 }
 
 // inflateChunk is the size of the buffer a zlib stream is inflated
@@ -527,13 +601,13 @@ type inflater struct {
 
 var inflaters = sync.Pool{New: func() any { return new(inflater) }}
 
-// inflateVector decodes a zlib stream that must inflate to exactly
-// ceil(nbits/8) bytes straight into the words of an nbits-bit vector. The
-// read past the last byte must report io.EOF, which is where the reader
-// verifies the adler32 trailer, so short, long and checksum-damaged
-// streams all fail. A reader left in an error state is safe to reuse:
-// Reset rebuilds everything but its buffers.
-func inflateVector(raw []byte, nbits int) (*bitvec.Vector, error) {
+// inflateWords decodes a zlib stream that must inflate to exactly
+// ceil(nbits/8) bytes straight into words, which must hold ceil(nbits/64)
+// words; every one is overwritten. The read past the last byte must report
+// io.EOF, which is where the reader verifies the adler32 trailer, so
+// short, long and checksum-damaged streams all fail. A reader left in an
+// error state is safe to reuse: Reset rebuilds everything but its buffers.
+func inflateWords(raw []byte, nbits int, words []uint64) error {
 	f := inflaters.Get().(*inflater)
 	defer inflaters.Put(f)
 	f.src.Reset(raw)
@@ -545,39 +619,36 @@ func inflateVector(raw []byte, nbits int) (*bitvec.Vector, error) {
 		err = f.zr.(zlib.Resetter).Reset(&f.src, nil)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	n := (nbits + 7) / 8
-	words := make([]uint64, (nbits+63)/64)
 	for off := 0; off < n; off += inflateChunk {
 		chunk := f.buf[:min(inflateChunk, n-off)]
 		if _, err := io.ReadFull(f.zr, chunk); err != nil {
-			return nil, fmt.Errorf("want %d bytes: %w", n, err)
+			return fmt.Errorf("want %d bytes: %w", n, err)
 		}
-		w := words[off/8:]
-		full := len(chunk) / 8
-		for i := range full {
-			w[i] = binary.LittleEndian.Uint64(chunk[8*i:])
-		}
-		for i := 8 * full; i < len(chunk); i++ {
-			w[full] |= uint64(chunk[i]) << (8 * (i % 8))
-		}
+		putBytes(words[off/8:], chunk)
 	}
 	if _, err := io.ReadFull(f.zr, f.buf[:1]); err != io.EOF {
 		if err == nil {
 			err = fmt.Errorf("stream inflates past %d bytes", n)
 		}
-		return nil, err
+		return err
 	}
-	return bitvec.FromWords(nbits, words)
+	return nil
 }
 
 // query is the per-query fetch context: every file is read and decoded at
-// most once per query regardless of how many bitmaps come out of it.
+// most once per query regardless of how many bitmaps come out of it. A
+// pooled query decodes into words from the package pool and hands every
+// vector it made back to the pool in release, once the evaluation that
+// read them has returned; the reads NewCached pins are not pooled.
 type query struct {
-	s     *Store
-	m     *Metrics
-	files map[string]*bitvec.Vector
+	s      *Store
+	m      *Metrics
+	pooled bool
+	files  map[string]*bitvec.Vector
+	owned  []*bitvec.Vector // what release recycles: decoded files, extracted columns
 }
 
 // file returns the decoded contents of the named file, an nbits-bit vector.
@@ -585,7 +656,7 @@ func (q *query) file(name string, nbits int) *bitvec.Vector {
 	if v, ok := q.files[name]; ok {
 		return v
 	}
-	v, err := q.s.readFile(name, nbits, q.m)
+	v, err := q.s.readFile(name, nbits, q.m, q.pooled)
 	if err != nil {
 		panic(storageErr{err})
 	}
@@ -593,7 +664,24 @@ func (q *query) file(name string, nbits int) *bitvec.Vector {
 		q.files = make(map[string]*bitvec.Vector, 4)
 	}
 	q.files[name] = v
+	q.own(v)
 	return v
+}
+
+// own records a vector release hands back to the pool.
+func (q *query) own(v *bitvec.Vector) {
+	if q.pooled {
+		q.owned = append(q.owned, v)
+	}
+}
+
+// release returns every vector the query decoded to the package pool. It
+// runs after the evaluation, whose result never aliases an operand.
+func (q *query) release() {
+	for _, v := range q.owned {
+		bitvec.Recycle(v)
+	}
+	q.owned, q.files = nil, nil
 }
 
 // fetch implements core.EvalOptions.Fetch against the store's layout. A BS
@@ -623,16 +711,18 @@ func (q *query) extract(matrix *bitvec.Vector, stride, col int) *bitvec.Vector {
 	t0 := time.Now()
 	rows := q.s.shell.Rows()
 	src := matrix.Words()
-	words := make([]uint64, (rows+63)/64)
+	w := words((rows+63)/64, q.pooled)
+	clear(w) // the loop below only sets bits
 	k := col
 	for r := 0; r < rows; r++ {
-		words[r>>6] |= (src[k>>6] >> uint(k&63) & 1) << uint(r&63)
+		w[r>>6] |= (src[k>>6] >> uint(k&63) & 1) << uint(r&63)
 		k += stride
 	}
-	v, err := bitvec.FromWords(rows, words)
+	v, err := bitvec.FromWords(rows, w)
 	if err != nil {
 		panic("storage: internal: " + err.Error())
 	}
+	q.own(v)
 	extractNS := time.Since(t0).Nanoseconds()
 	if q.m != nil {
 		q.m.ExtractNS += extractNS
@@ -642,23 +732,46 @@ func (q *query) extract(matrix *bitvec.Vector, stride, col int) *bitvec.Vector {
 }
 
 // Eval evaluates (A op v) against the on-disk index, accounting physical
-// costs into m (which may be nil).
+// costs into m (which may be nil). The returned vector is the caller's.
 func (s *Store) Eval(op core.Op, v uint64, m *Metrics) (*bitvec.Vector, error) {
-	q := &query{s: s, m: m}
-	return s.eval(op, v, m, &core.EvalOptions{Fetch: q.fetch})
+	res := bitvec.New(s.shell.Rows())
+	q := &query{s: s, m: m, pooled: true}
+	if _, err := s.eval(op, v, m, q, &core.EvalOptions{Fetch: q.fetch}, res, false); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// eval evaluates (A op v) with opt's bitmap wiring, accounting the query
-// into m (which may be nil). A read that fails inside a fetch becomes the
-// returned error.
-func (s *Store) eval(op core.Op, v uint64, m *Metrics, opt *core.EvalOptions) (res *bitvec.Vector, err error) {
+// Count evaluates (A op v) against the on-disk index and returns the
+// number of qualifying records, accounting physical costs into m (which
+// may be nil) exactly as Eval does. With dst nil no result vector is
+// built (core.Index.Count); with dst non-nil (Rows() bits, owned by the
+// caller) the bitmap is also written there.
+func (s *Store) Count(op core.Op, v uint64, dst *bitvec.Vector, m *Metrics) (int, error) {
+	q := &query{s: s, m: m, pooled: true}
+	return s.eval(op, v, m, q, &core.EvalOptions{Fetch: q.fetch}, dst, true)
+}
+
+// eval evaluates (A op v) with opt's bitmap wiring into dst, counting the
+// result when count is set (core.Index.Count, else EvalInto), and
+// accounting the query into m (which may be nil). A read that fails
+// inside a fetch becomes the returned error. The operands q decoded go
+// back to the pool when the evaluation ends.
+func (s *Store) eval(op core.Op, v uint64, m *Metrics, q *query, opt *core.EvalOptions, dst *bitvec.Vector, count bool) (n int, err error) {
+	defer q.release()
 	if m != nil {
 		m.Queries++
 		opt.Stats = &m.Stats
 		opt.Trace = m.Trace
 	}
-	err = catch(func() { res = s.shell.Eval(op, v, opt) })
-	return res, err
+	err = catch(func() {
+		if count {
+			n = s.shell.Count(op, v, dst, opt)
+		} else {
+			s.shell.EvalInto(op, v, dst, opt)
+		}
+	})
+	return n, err
 }
 
 // catch runs fn and returns the error of a read that failed inside it: a
