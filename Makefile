@@ -26,8 +26,8 @@ test:
 test-count2:
 	$(GO) test -count=2 ./...
 
-# Full suite (all nine analyzers, including the interprocedural hotalloc
-# walk and the atomicfield/poolhygiene concurrency checks), asserted
+# Full suite (all seven analyzers, including the interprocedural hotalloc
+# walk and the lockorder/poolhygiene concurrency checks), asserted
 # against an empty baseline exactly as CI does, with per-analyzer wall
 # time on stderr.
 lint:

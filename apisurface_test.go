@@ -40,7 +40,7 @@ var wantAPI = []string{
 	// Segmented evaluation surface (PR 4).
 	"SegConfig", "DefaultSegBits",
 	// Compression backend surface (PR 9).
-	"StoreCodec", "ParseStoreCodec", "CodecRaw", "CodecZlib", "CodecWAH", "CodecRoaring",
+	"StoreCodec", "ParseStoreCodec", "CodecRaw", "CodecZlib", "CodecRoaring",
 	// Workload accounting and design advisor surface (PR 10).
 	"AttrDemand", "AllocateBudgetWeighted", "WorkloadAccumulator",
 	"WorkloadAttrInfo", "WorkloadEvent", "WorkloadProfile", "AttrDesign",

@@ -114,7 +114,7 @@ func BenchmarkSaveOpenQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
-	st, err := SaveIndex(ix, dir, StoreOptions{Scheme: BitmapLevel, Compress: true})
+	st, err := SaveIndex(ix, dir, StoreOptions{Scheme: BitmapLevel, Codec: CodecZlib})
 	if err != nil {
 		b.Fatal(err)
 	}

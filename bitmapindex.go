@@ -68,7 +68,7 @@ type (
 	// StoreScheme is one of the three physical layouts (BS, CS, IS).
 	StoreScheme = storage.Scheme
 	// StoreCodec selects the per-file compression codec of a saved index
-	// (raw, zlib, WAH, roaring).
+	// (raw, zlib, roaring).
 	StoreCodec = storage.Codec
 	// StoreMetrics accumulates bytes read and timing during on-disk
 	// query evaluation.
@@ -101,13 +101,11 @@ const (
 	IndexLevel     = storage.IndexLevel     // one row-major file for the index (IS)
 )
 
-// Storage codecs: the paper's zlib byte compression plus two bitmap-aware
-// encodings — word-aligned-hybrid run-length coding and roaring hybrid
-// containers (array/bitmap/run chunks).
+// Storage codecs: the paper's zlib byte compression plus one bitmap-aware
+// encoding, roaring hybrid containers (array/bitmap/run chunks).
 const (
 	CodecRaw     = storage.CodecRaw
 	CodecZlib    = storage.CodecZlib
-	CodecWAH     = storage.CodecWAH
 	CodecRoaring = storage.CodecRoaring
 )
 
@@ -275,7 +273,7 @@ var (
 	ParseEncoding = core.ParseEncoding
 	// ParseStoreScheme parses "BS", "CS" or "IS".
 	ParseStoreScheme = storage.ParseScheme
-	// ParseStoreCodec parses "raw", "zlib", "wah" or "roaring".
+	// ParseStoreCodec parses "raw", "zlib" or "roaring".
 	ParseStoreCodec = storage.ParseCodec
 )
 

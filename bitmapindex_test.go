@@ -168,7 +168,7 @@ func TestStorageRoundTripPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "ix")
-	st, err := SaveIndex(ix, dir, StoreOptions{Scheme: ComponentLevel, Compress: true})
+	st, err := SaveIndex(ix, dir, StoreOptions{Scheme: ComponentLevel, Codec: CodecZlib})
 	if err != nil {
 		t.Fatal(err)
 	}

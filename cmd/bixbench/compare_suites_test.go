@@ -46,7 +46,7 @@ func TestCompareAddedSuiteIsInformational(t *testing.T) {
 	))
 	newP := writeReport(t, dir, "new.json", reportWith(
 		[3]string{"core", "scans", ""},
-		[3]string{"compression", "wah_value_bytes", ""},
+		[3]string{"compression", "dense_value_bytes", ""},
 	))
 	var out bytes.Buffer
 	if err := runCompare(oldP, newP, &out); err != nil {
@@ -65,7 +65,7 @@ func TestCompareNotRunSuiteIsInformational(t *testing.T) {
 	dir := t.TempDir()
 	oldP := writeReport(t, dir, "old.json", reportWith(
 		[3]string{"core", "scans", ""},
-		[3]string{"compression", "wah_value_bytes", ""},
+		[3]string{"compression", "dense_value_bytes", ""},
 		[3]string{"compression", "roaring_value_bytes", ""},
 	))
 	newP := writeReport(t, dir, "new.json", reportWith(
@@ -85,11 +85,11 @@ func TestCompareNotRunSuiteIsInformational(t *testing.T) {
 func TestCompareRemovedMetricStillFails(t *testing.T) {
 	dir := t.TempDir()
 	oldP := writeReport(t, dir, "old.json", reportWith(
-		[3]string{"compression", "wah_value_bytes", ""},
+		[3]string{"compression", "dense_value_bytes", ""},
 		[3]string{"compression", "roaring_value_bytes", ""},
 	))
 	newP := writeReport(t, dir, "new.json", reportWith(
-		[3]string{"compression", "wah_value_bytes", ""},
+		[3]string{"compression", "dense_value_bytes", ""},
 	))
 	var out bytes.Buffer
 	if err := runCompare(oldP, newP, &out); err == nil {

@@ -13,10 +13,10 @@ import (
 	"bitmapindex/internal/storage"
 )
 
-// runCompressionSuites is the three-way §9 space-time study behind
+// runCompressionSuites is the two-way §9 space-time study behind
 // `-suite compression`: for a uniform and a clustered workload it saves
-// the same knee-design range-encoded index under the dense (raw), WAH
-// and roaring codecs, with rows in original order and lexicographically
+// the same knee-design range-encoded index under the dense (raw) and
+// roaring codecs, with rows in original order and lexicographically
 // sorted (arXiv:0901.3751), and reports on-disk value bytes, evaluation
 // wall time and scans for each combination. Space metrics are
 // deterministic for fixed (rows, seed); times carry the usual noise
@@ -32,7 +32,7 @@ func runCompressionSuites(o options, w io.Writer) ([]suiteResult, error) {
 		col  data.Column
 	}{
 		// Clustered data emits runs of identical values (runLen ~512), the
-		// regime where run-length codecs shine even unsorted.
+		// regime where run containers shine even unsorted.
 		{"compression_uniform", data.Uniform(o.Rows, suiteCard, o.Seed)},
 		{"compression_clustered", data.Clustered(o.Rows, suiteCard, 512, o.Seed)},
 	} {
@@ -69,7 +69,7 @@ func compressionSuite(name string, col data.Column, base core.Base) (*suiteResul
 		if err != nil {
 			return nil, err
 		}
-		for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecWAH, storage.CodecRoaring} {
+		for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecRoaring} {
 			dir, err := os.MkdirTemp("", "bixbench-compression-*")
 			if err != nil {
 				return nil, err

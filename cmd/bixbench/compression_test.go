@@ -32,7 +32,7 @@ func TestCompressionSuiteShape(t *testing.T) {
 	rep := writeCompressionReport(t, t.TempDir())
 	vals := suiteValues(rep)
 	for _, suite := range []string{"compression_uniform", "compression_clustered"} {
-		for _, prefix := range []string{"dense", "wah", "roaring", "dense_sorted", "wah_sorted", "roaring_sorted"} {
+		for _, prefix := range []string{"dense", "roaring", "dense_sorted", "roaring_sorted"} {
 			if _, ok := vals[svKey{suite, prefix + "_value_bytes", "count"}]; !ok {
 				t.Errorf("%s: missing %s_value_bytes count metric", suite, prefix)
 			}
@@ -48,8 +48,8 @@ func TestCompressionSuiteShape(t *testing.T) {
 
 // TestCompressionSpaceDominance pins the deterministic half of the §9
 // acceptance claim: on the clustered workload roaring is strictly
-// smaller than WAH both unsorted and sorted, sorting never hurts either
-// run-length codec, and scan counts are invariant across codecs.
+// smaller than dense both unsorted and sorted, sorting never hurts
+// roaring, and scan counts are invariant across codecs.
 func TestCompressionSpaceDominance(t *testing.T) {
 	rep := writeCompressionReport(t, t.TempDir())
 	vals := suiteValues(rep)
@@ -61,20 +61,18 @@ func TestCompressionSpaceDominance(t *testing.T) {
 		return v
 	}
 	const cl = "compression_clustered"
-	if r, w := get(cl, "roaring_value_bytes"), get(cl, "wah_value_bytes"); r >= w {
-		t.Errorf("clustered: roaring %v bytes >= wah %v", r, w)
+	if r, d := get(cl, "roaring_value_bytes"), get(cl, "dense_value_bytes"); r >= d {
+		t.Errorf("clustered: roaring %v bytes >= dense %v", r, d)
 	}
-	if r, w := get(cl, "roaring_sorted_value_bytes"), get(cl, "wah_sorted_value_bytes"); r >= w {
-		t.Errorf("clustered sorted: roaring %v bytes >= wah %v", r, w)
+	if r, d := get(cl, "roaring_sorted_value_bytes"), get(cl, "dense_sorted_value_bytes"); r >= d {
+		t.Errorf("clustered sorted: roaring %v bytes >= dense %v", r, d)
 	}
 	for _, suite := range []string{"compression_uniform", cl} {
-		for _, codec := range []string{"wah", "roaring"} {
-			if s, u := get(suite, codec+"_sorted_value_bytes"), get(suite, codec+"_value_bytes"); s > u {
-				t.Errorf("%s: sorted %s %v bytes > unsorted %v", suite, codec, s, u)
-			}
+		if s, u := get(suite, "roaring_sorted_value_bytes"), get(suite, "roaring_value_bytes"); s > u {
+			t.Errorf("%s: sorted roaring %v bytes > unsorted %v", suite, s, u)
 		}
 		base := get(suite, "dense_scans_per_query")
-		for _, prefix := range []string{"wah", "roaring", "dense_sorted", "wah_sorted", "roaring_sorted"} {
+		for _, prefix := range []string{"roaring", "dense_sorted", "roaring_sorted"} {
 			if got := get(suite, prefix+"_scans_per_query"); got != base {
 				t.Errorf("%s: %s scans/query %v != dense %v", suite, prefix, got, base)
 			}

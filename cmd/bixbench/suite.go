@@ -190,7 +190,7 @@ func cacheSuite(col data.Column, base core.Base) (*suiteResult, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	st, err := storage.Save(ix, dir, storage.Options{Scheme: storage.BitmapLevel, Compress: true})
+	st, err := storage.Save(ix, dir, storage.Options{Scheme: storage.BitmapLevel, Codec: storage.CodecZlib})
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,12 @@
 // analyzers for the bitvec tail-mask invariant (now alias-aware),
 // interprocedural allocation-free hot paths (//bix:hotpath propagates
 // through the module call graph; //bix:allocok bounds the audit), dropped
-// I/O errors, telemetry naming and label cardinality, and concurrency
-// integrity (lockheld, lockorder, unlockpath, atomicfield, poolhygiene):
-// nine analyzers, all built on a CFG/dataflow engine and per-function
-// summaries. It analyzes the loaded packages in one serial pass, is built
-// entirely on the standard library and needs no tools outside the Go
-// distribution. Build, vet and the tests are separate steps (`make ci`).
+// I/O errors, and concurrency integrity (lockheld, lockorder, unlockpath,
+// poolhygiene): seven analyzers, all built on a CFG/dataflow engine and
+// per-function summaries. It analyzes the loaded packages in one serial
+// pass, is built entirely on the standard library and needs no tools
+// outside the Go distribution. Build, vet and the tests are separate
+// steps (`make ci`).
 //
 // Usage:
 //

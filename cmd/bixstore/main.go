@@ -109,6 +109,16 @@ func readValues(path string) (vals []uint64, nulls []bool, hasNulls bool, err er
 	return vals, nulls, hasNulls, sc.Err()
 }
 
+// storeCodec resolves the -codec and -z flags: -z selects zlib unless
+// -codec names a codec other than raw.
+func storeCodec(name string, z bool) (bitmapindex.StoreCodec, error) {
+	cd, err := bitmapindex.ParseStoreCodec(name)
+	if err == nil && cd == bitmapindex.CodecRaw && z {
+		cd = bitmapindex.CodecZlib
+	}
+	return cd, err
+}
+
 func cmdBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	var (
@@ -119,7 +129,7 @@ func cmdBuild(args []string) error {
 		encStr  = fs.String("enc", "range", "encoding: range or equality")
 		scheme  = fs.String("scheme", "BS", "storage scheme: BS, CS or IS")
 		z       = fs.Bool("z", false, "zlib-compress the stored files")
-		codec   = fs.String("codec", "", "compression codec: raw, zlib, wah or roaring (overrides -z)")
+		codec   = fs.String("codec", "", "compression codec: raw, zlib or roaring (overrides -z)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -154,11 +164,11 @@ func cmdBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	cd, err := bitmapindex.ParseStoreCodec(*codec)
+	cd, err := storeCodec(*codec, *z)
 	if err != nil {
 		return err
 	}
-	st, err := bitmapindex.SaveIndex(ix, *dir, bitmapindex.StoreOptions{Scheme: sc, Compress: *z, Codec: cd})
+	st, err := bitmapindex.SaveIndex(ix, *dir, bitmapindex.StoreOptions{Scheme: sc, Codec: cd})
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bitmapindex/internal/catalog"
+	"bitmapindex/internal/storage"
 )
 
 func TestBuildInfoQueryRoundTrip(t *testing.T) {
@@ -18,6 +21,20 @@ func TestBuildInfoQueryRoundTrip(t *testing.T) {
 	ixDir := filepath.Join(dir, "ix")
 	if err := cmdBuild([]string{"-dir", ixDir, "-values", values, "-C", "50", "-scheme", "CS", "-z", "-base", "<5,10>"}); err != nil {
 		t.Fatal(err)
+	}
+	// -z selects zlib; a -codec other than raw overrides it.
+	rDir := filepath.Join(dir, "ixr")
+	if err := cmdBuild([]string{"-dir", rDir, "-values", values, "-C", "50", "-z", "-codec", "roaring"}); err != nil {
+		t.Fatal(err)
+	}
+	for d, want := range map[string]string{ixDir: "cCS", rDir: "rBS"} {
+		st, err := storage.Open(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Options().String(); got != want {
+			t.Errorf("%s: stored as %s, want %s", d, got, want)
+		}
 	}
 	if err := cmdInfo([]string{"-dir", ixDir}); err != nil {
 		t.Fatal(err)
@@ -112,6 +129,19 @@ func TestCSVReportsPermutation(t *testing.T) {
 	}
 	if want := "row permutation  lex by region, quantity, price (568 bytes on disk)"; !strings.Contains(out.String(), want) {
 		t.Errorf("csv output lacks %q:\n%s", want, out.String())
+	}
+	tbl, err := catalog.Open(filepath.Join(dir, "tbl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range tbl.Attributes() {
+		a, err := tbl.Attr(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Store().Options().String(); got != "cBS" {
+			t.Errorf("csv -z stored %s as %s, want cBS", name, got)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ func runCSV(w io.Writer, args []string) error {
 		dir    = fs.String("dir", "", "output table directory (required)")
 		scheme = fs.String("scheme", "BS", "storage scheme: BS, CS or IS")
 		z      = fs.Bool("z", false, "zlib-compress the stored files")
-		codec  = fs.String("codec", "", "compression codec: raw, zlib, wah or roaring (overrides -z)")
+		codec  = fs.String("codec", "", "compression codec: raw, zlib or roaring (overrides -z)")
 		encStr = fs.String("enc", "range", "encoding: range, equality or interval")
 		sortBy = fs.String("reorder", "none", "row sort before indexing: none, lex or gray")
 	)
@@ -50,7 +50,7 @@ func runCSV(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	cd, err := bitmapindex.ParseStoreCodec(*codec)
+	cd, err := storeCodec(*codec, *z)
 	if err != nil {
 		return err
 	}
@@ -59,7 +59,7 @@ func runCSV(w io.Writer, args []string) error {
 		return err
 	}
 	tbl, err := catalog.Create(*dir, rel, catalog.Options{
-		Store:    storage.Options{Scheme: sc, Compress: *z, Codec: cd},
+		Store:    storage.Options{Scheme: sc, Codec: cd},
 		Encoding: enc,
 		Reorder:  ord,
 	})

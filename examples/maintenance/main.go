@@ -80,7 +80,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	st, err := bitmapindex.SaveIndex(m.Base(), filepath.Join(dir, "ix"),
-		bitmapindex.StoreOptions{Scheme: bitmapindex.BitmapLevel, Compress: true})
+		bitmapindex.StoreOptions{Scheme: bitmapindex.BitmapLevel, Codec: bitmapindex.CodecZlib})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,11 +33,11 @@ func main() {
 
 	layouts := []bitmapindex.StoreOptions{
 		{Scheme: bitmapindex.BitmapLevel},
-		{Scheme: bitmapindex.BitmapLevel, Compress: true},
+		{Scheme: bitmapindex.BitmapLevel, Codec: bitmapindex.CodecZlib},
 		{Scheme: bitmapindex.ComponentLevel},
-		{Scheme: bitmapindex.ComponentLevel, Compress: true},
+		{Scheme: bitmapindex.ComponentLevel, Codec: bitmapindex.CodecZlib},
 		{Scheme: bitmapindex.IndexLevel},
-		{Scheme: bitmapindex.IndexLevel, Compress: true},
+		{Scheme: bitmapindex.IndexLevel, Codec: bitmapindex.CodecZlib},
 	}
 	fmt.Printf("%-6s %12s %14s %14s %10s\n", "layout", "disk_bytes", "bytes/query", "scans/query", "time/query")
 	for _, opts := range layouts {

@@ -38,7 +38,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// 2. Persist in a compressed layout, reopen, wrap in a bitmap pool.
 	dir := filepath.Join(t.TempDir(), "ix")
-	if _, err := SaveIndex(ix, dir, StoreOptions{Scheme: BitmapLevel, Compress: true}); err != nil {
+	if _, err := SaveIndex(ix, dir, StoreOptions{Scheme: BitmapLevel, Codec: CodecZlib}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenIndex(dir)
@@ -127,7 +127,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("rows after compact = %d", mu.Rows())
 	}
 	dir2 := filepath.Join(t.TempDir(), "ix2")
-	st2, err := SaveIndex(mu.Base(), dir2, StoreOptions{Scheme: ComponentLevel, Compress: true})
+	st2, err := SaveIndex(mu.Base(), dir2, StoreOptions{Scheme: ComponentLevel, Codec: CodecZlib})
 	if err != nil {
 		t.Fatal(err)
 	}

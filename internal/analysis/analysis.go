@@ -2,9 +2,9 @@
 // module, built entirely on the standard library's go/ast, go/types and
 // go/importer. It exists because the repository's core invariants — the
 // bitvec tail-mask contract, allocation-free hot paths, checked storage
-// errors, bounded metric label cardinality and lock discipline — are
-// exactly the kind of rules that decay silently under refactoring unless a
-// tool re-checks them on every change. The suite is nine analyzers (All).
+// errors, lock discipline and pool hygiene — are exactly the kind of rules
+// that decay silently under refactoring unless a tool re-checks them on
+// every change. The suite is seven analyzers (All).
 //
 // Analyzers communicate with the code they check through a small directive
 // grammar in doc comments:
@@ -19,8 +19,7 @@
 //	//bix:unlockok (reason) the function intentionally returns with a lock
 //	                       held (checked by unlockpath)
 //
-// and through `// guarded by <mu>` comments on struct fields (lockheld,
-// atomicfield).
+// and through `// guarded by <mu>` comments on struct fields (lockheld).
 //
 // Interprocedural analyses (hotalloc's transitive walk, lockorder's
 // acquisition summaries, poolhygiene's Put-forwarding) share one
@@ -69,7 +68,6 @@ type Batch struct {
 	declPkg   map[*types.Func]*Package
 
 	graph          *callGraph                         // module call graph + summaries (callgraph.go)
-	atomicIndex    *atomicFieldIndex                  // atomicfield's module-wide field index
 	sliceParams    map[*types.Func]*sliceParamSummary // tailmask memo
 	lockGraph      []lockOrderEdge                    // module acquisition graph
 	lockGraphBuilt bool
@@ -135,13 +133,13 @@ func (p *Pass) reportAt(pos token.Position, format string, args ...any) {
 	})
 }
 
-// All is the complete analyzer suite, nine analyzers in the order bixlint
-// runs them: the five flow-sensitive rewrites of the original rules, the
+// All is the complete analyzer suite, seven analyzers in the order bixlint
+// runs them: the four flow-sensitive rewrites of the original rules, the
 // two further concurrency analyzers built on the CFG/dataflow layer
-// (lockorder, unlockpath), and the two built on the module call graph and
-// the may-facts engine (atomicfield, poolhygiene).
-var All = []*Analyzer{TailMask, HotAlloc, ErrcheckIO, TelemetryLabels, LockHeld,
-	LockOrder, UnlockPath, AtomicField, PoolHygiene}
+// (lockorder, unlockpath), and poolhygiene, built on the module call graph
+// and the may-facts engine.
+var All = []*Analyzer{TailMask, HotAlloc, ErrcheckIO, LockHeld,
+	LockOrder, UnlockPath, PoolHygiene}
 
 // Select resolves -only/-skip analyzer-selection expressions against the
 // full suite: comma-separated analyzer names, where an unknown name is an

@@ -138,13 +138,10 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{TailMask, []string{"tailmask_bad", "tailmask_good", "tailmask_xbad", "tailmask_xgood"}},
 		{HotAlloc, []string{"hotalloc_bad", "hotalloc_good"}},
 		{ErrcheckIO, []string{"errcheckio_bad", "errcheckio_good"}},
-		{TelemetryLabels, []string{"telemetrylabels_bad", "telemetrylabels_good",
-			"telemetrylabels_attr_bad", "telemetrylabels_attr_good"}},
 		{LockHeld, []string{"lockheld_bad", "lockheld_good", "lockheld_flow",
 			"gocapture_bad", "gocapture_good"}},
 		{LockOrder, []string{"lockorder_bad", "lockorder_good"}},
 		{UnlockPath, []string{"unlockpath_bad", "unlockpath_good"}},
-		{AtomicField, []string{"atomicfield_bad", "atomicfield_good"}},
 		{PoolHygiene, []string{"poolhygiene_bad", "poolhygiene_good"}},
 	}
 	for _, c := range cases {
@@ -156,11 +153,11 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
-// TestSuiteMembership pins the analyzer suite: exactly these nine, in
+// TestSuiteMembership pins the analyzer suite: exactly these seven, in
 // bixlint's run order, and a retired name is an unknown analyzer.
 func TestSuiteMembership(t *testing.T) {
-	want := []string{"tailmask", "hotalloc", "errcheck-io", "telemetry-labels",
-		"lockheld", "lockorder", "unlockpath", "atomicfield", "poolhygiene"}
+	want := []string{"tailmask", "hotalloc", "errcheck-io",
+		"lockheld", "lockorder", "unlockpath", "poolhygiene"}
 	var got []string
 	for _, a := range All {
 		got = append(got, a.Name)
@@ -168,7 +165,8 @@ func TestSuiteMembership(t *testing.T) {
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("All = %v, want %v", got, want)
 	}
-	for _, retired := range []string{"goroutinelife", "chanprotocol", "ctxflow", "closeown", "gocapture"} {
+	for _, retired := range []string{"goroutinelife", "chanprotocol", "ctxflow", "closeown", "gocapture",
+		"atomicfield", "telemetry-labels"} {
 		if _, err := Select(retired, ""); err == nil || !strings.Contains(err.Error(), "unknown analyzer") {
 			t.Errorf("Select(%q, \"\") error = %v, want unknown analyzer", retired, err)
 		}

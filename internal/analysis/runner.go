@@ -9,7 +9,7 @@ import (
 // The runner's phase split. prepare builds, once and in a fixed order,
 // every lazily built module-wide index that a selected analyzer touches:
 // the declaration map, the call graph and its summaries, hotalloc's
-// findings, the atomicfield index, the lockorder acquisition graph and
+// findings, the lockorder acquisition graph and
 // tailmask's slice-parameter summaries. The passes then only read Batch
 // state. The order matters for tailmask: summaries of recursive cycles are
 // a fixpoint from below, so their results depend on which function is
@@ -64,9 +64,6 @@ func (b *Batch) prepare(analyzers []*Analyzer) {
 	}
 	if sel["hotalloc"] {
 		batchHotFindings(b)
-	}
-	if sel["atomicfield"] {
-		batchAtomicIndex(b)
 	}
 	if sel["lockorder"] {
 		batchLockGraph(b)

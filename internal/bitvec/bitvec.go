@@ -190,9 +190,7 @@ func (v *Vector) mustMatch(u *Vector) {
 //bix:maskok (AND can only clear bits; the tail stays zero)
 func (v *Vector) And(u *Vector) {
 	v.mustMatch(u)
-	for i, w := range u.words {
-		v.words[i] &= w
-	}
+	v.AndRange(u, 0, len(v.words))
 }
 
 // Or sets v = v OR u. The lengths must match.
@@ -201,9 +199,7 @@ func (v *Vector) And(u *Vector) {
 //bix:maskok (u holds the invariant, so its tail contributes no bits)
 func (v *Vector) Or(u *Vector) {
 	v.mustMatch(u)
-	for i, w := range u.words {
-		v.words[i] |= w
-	}
+	v.OrRange(u, 0, len(v.words))
 	invariant.TailZero(v.words, v.n)
 }
 
@@ -213,9 +209,7 @@ func (v *Vector) Or(u *Vector) {
 //bix:maskok (u holds the invariant, so its tail contributes no bits)
 func (v *Vector) Xor(u *Vector) {
 	v.mustMatch(u)
-	for i, w := range u.words {
-		v.words[i] ^= w
-	}
+	v.XorRange(u, 0, len(v.words))
 	invariant.TailZero(v.words, v.n)
 }
 
@@ -225,9 +219,7 @@ func (v *Vector) Xor(u *Vector) {
 //bix:maskok (AND-NOT can only clear bits; the tail stays zero)
 func (v *Vector) AndNot(u *Vector) {
 	v.mustMatch(u)
-	for i, w := range u.words {
-		v.words[i] &^= w
-	}
+	v.AndNotRange(u, 0, len(v.words))
 }
 
 // Not complements every bit of v in place.
@@ -432,9 +424,10 @@ func (v *Vector) SetPayload(n int, payload []byte) error {
 //bix:hotpath
 func AndCount(a, b *Vector) int {
 	a.mustMatch(b)
+	x, y := a.words, b.words[:len(a.words)]
 	c := 0
-	for i, w := range a.words {
-		c += bits.OnesCount64(w & b.words[i])
+	for i := range x {
+		c += bits.OnesCount64(x[i] & y[i])
 	}
 	return c
 }
@@ -444,9 +437,10 @@ func AndCount(a, b *Vector) int {
 //bix:hotpath
 func AndNotCount(a, b *Vector) int {
 	a.mustMatch(b)
+	x, y := a.words, b.words[:len(a.words)]
 	c := 0
-	for i, w := range a.words {
-		c += bits.OnesCount64(w &^ b.words[i])
+	for i := range x {
+		c += bits.OnesCount64(x[i] &^ y[i])
 	}
 	return c
 }
@@ -456,9 +450,10 @@ func AndNotCount(a, b *Vector) int {
 //bix:hotpath
 func OrCount(a, b *Vector) int {
 	a.mustMatch(b)
+	x, y := a.words, b.words[:len(a.words)]
 	c := 0
-	for i, w := range a.words {
-		c += bits.OnesCount64(w | b.words[i])
+	for i := range x {
+		c += bits.OnesCount64(x[i] | y[i])
 	}
 	return c
 }

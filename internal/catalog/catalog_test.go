@@ -32,7 +32,7 @@ func TestCreateOpenQuery(t *testing.T) {
 	rel := buildRelation(t, 2000, 5)
 	for _, opts := range []Options{
 		{},
-		{Store: storage.Options{Scheme: storage.ComponentLevel, Compress: true}},
+		{Store: storage.Options{Scheme: storage.ComponentLevel, Codec: storage.CodecZlib}},
 		{Encoding: core.IntervalEncoded},
 	} {
 		dir := t.TempDir()

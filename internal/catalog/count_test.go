@@ -96,7 +96,7 @@ func benchTable(b *testing.B) *Table {
 		}
 	}
 	tbl, err := Create(b.TempDir(), rel, Options{
-		Store:    storage.Options{Scheme: storage.BitmapLevel, Compress: true},
+		Store:    storage.Options{Scheme: storage.BitmapLevel, Codec: storage.CodecZlib},
 		Encoding: core.IntervalEncoded,
 		Reorder:  reorder.Lex,
 	})

@@ -30,7 +30,7 @@ func TestReorderedTableAnswersMatch(t *testing.T) {
 		{{Col: "quantity", Op: core.Ge, Val: 1}, {Col: "price", Op: core.Ne, Val: 0}},
 	}
 	for _, ord := range []reorder.Order{reorder.Lex, reorder.Gray} {
-		for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecWAH, storage.CodecRoaring} {
+		for _, codec := range []storage.Codec{storage.CodecRaw, storage.CodecRoaring} {
 			dir := t.TempDir()
 			if _, err := Create(dir, rel, Options{
 				Store:   storage.Options{Scheme: storage.BitmapLevel, Codec: codec},

@@ -35,7 +35,7 @@ func runAblationCache(cfg Config, w io.Writer) error {
 	}
 	defer cleanup()
 	dir := filepath.Join(root, "cache")
-	st, err := storage.Save(ix, dir, storage.Options{Scheme: storage.BitmapLevel, Compress: true})
+	st, err := storage.Save(ix, dir, storage.Options{Scheme: storage.BitmapLevel, Codec: storage.CodecZlib})
 	if err != nil {
 		return err
 	}

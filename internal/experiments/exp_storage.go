@@ -102,9 +102,9 @@ func runTable4(cfg Config, w io.Writer) error {
 			sizes := map[string]int64{}
 			for _, opts := range []storage.Options{
 				{Scheme: storage.BitmapLevel},
-				{Scheme: storage.BitmapLevel, Compress: true},
-				{Scheme: storage.ComponentLevel, Compress: true},
-				{Scheme: storage.IndexLevel, Compress: true},
+				{Scheme: storage.BitmapLevel, Codec: storage.CodecZlib},
+				{Scheme: storage.ComponentLevel, Codec: storage.CodecZlib},
+				{Scheme: storage.IndexLevel, Codec: storage.CodecZlib},
 			} {
 				dir := filepath.Join(root, fmt.Sprintf("t4_%d_%d_%s", di, bi, opts))
 				st, err := storage.Save(ix, dir, opts)
@@ -150,8 +150,8 @@ func runFig16(cfg Config, w io.Writer) error {
 		}
 		for _, opts := range []storage.Options{
 			{Scheme: storage.BitmapLevel},
-			{Scheme: storage.BitmapLevel, Compress: true},
-			{Scheme: storage.ComponentLevel, Compress: true},
+			{Scheme: storage.BitmapLevel, Codec: storage.CodecZlib},
+			{Scheme: storage.ComponentLevel, Codec: storage.CodecZlib},
 		} {
 			dir := filepath.Join(root, fmt.Sprintf("f16_%d_%s", base.N(), opts))
 			st, err := storage.Save(ix, dir, opts)

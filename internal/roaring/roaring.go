@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"bitmapindex/internal/bitvec"
@@ -39,6 +40,11 @@ const (
 	// arrayCutoff is the container cardinality at which an array (2 bytes
 	// per entry) stops being smaller than the 8 KiB packed bitmap.
 	arrayCutoff = 4096
+
+	// minBitmapRuns is the fewest runs a chunk of more than arrayCutoff
+	// bits can have and still be a bitmap in minimal form: with 2*card
+	// above the bitmap's 8192 bytes, runWins reduces to 4*nruns < 8192.
+	minBitmapRuns = 8 * chunkWords / 4
 
 	typeArray  = uint8(0)
 	typeBitmap = uint8(1)
@@ -243,9 +249,13 @@ func runWins(card, nruns int) bool {
 
 // countRuns returns the number of maximal runs of consecutive set bits in
 // a chunk's words; a partial tail chunk passes fewer than chunkWords.
+func countRuns(cw []uint64) int { return countRunsTo(cw, math.MaxInt) }
+
+// countRunsTo is countRuns that may stop early: once the count reaches
+// stop it returns that count, some number >= stop.
 //
 //bix:hotpath
-func countRuns(cw []uint64) int {
+func countRunsTo(cw []uint64, stop int) int {
 	n := 0
 	prev := false // bit 63 of the previous word
 	for _, w := range cw {
@@ -256,6 +266,9 @@ func countRuns(cw []uint64) int {
 			starts &^= 1
 		}
 		n += bits.OnesCount64(starts)
+		if n >= stop {
+			return n
+		}
 		prev = w>>63 != 0
 	}
 	return n
@@ -614,7 +627,14 @@ func parseContainer(p []byte, typ uint8, limit int, win []uint64) (container, in
 		if r := limit & 63; r != 0 && dst[keep-1]>>r != 0 {
 			return c, 0, fmt.Errorf("bits in word %d past the length", keep-1)
 		}
-		nruns = countRuns(dst)
+		// Over arrayCutoff bits the form is minimal iff there are at least
+		// minBitmapRuns runs, so the count stops there. A smaller bitmap is
+		// never minimal; its runs are counted in full for the error.
+		stop := math.MaxInt
+		if c.card > arrayCutoff {
+			stop = minBitmapRuns
+		}
+		nruns = countRunsTo(dst, stop)
 	case typeRun:
 		if len(p) < 2 {
 			return c, 0, errTruncated

@@ -1,6 +1,7 @@
 package roaring
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -207,6 +208,60 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	var nb Bitmap
 	if err := nb.UnmarshalBinary(p); err == nil {
 		t.Fatal("accepted non-canonical array-of-one-run container")
+	}
+}
+
+// TestBitmapRunCountStopsAtCrossover is a differential test of
+// parseContainer's early-stopping run count against the full countRuns
+// verdict, on bitmap containers at 2047, 2048 and 2049 runs and 4096 and
+// 4097 set bits, in a whole chunk and in a partial tail chunk, with the
+// runs at the front or at the end of the chunk, decoded both into the
+// container's own words and into a dense window. Only the 4097-bit
+// bitmaps with at least minBitmapRuns runs are in minimal form.
+func TestBitmapRunCountStopsAtCrossover(t *testing.T) {
+	for _, limit := range []int{chunkBits, 6211} {
+		keep := (limit + 63) / 64
+		for _, card := range []int{arrayCutoff, arrayCutoff + 1} {
+			for _, nruns := range []int{minBitmapRuns - 1, minBitmapRuns, minBitmapRuns + 1} {
+				for _, atEnd := range []bool{false, true} {
+					// nruns runs holding card bits, one clear bit apart.
+					words := make([]uint64, chunkWords)
+					pos := 0
+					if atEnd {
+						pos = limit - (card + nruns - 1)
+					}
+					for r := 0; r < nruns; r++ {
+						n := card / nruns
+						if r < card%nruns {
+							n++
+						}
+						for ; n > 0; n-- {
+							words[pos/64] |= 1 << (pos % 64)
+							pos++
+						}
+						pos++
+					}
+					if got := countRuns(words); got != nruns {
+						t.Fatalf("built %d runs, want %d", got, nruns)
+					}
+					p := make([]byte, 8*chunkWords)
+					for i, w := range words {
+						binary.LittleEndian.PutUint64(p[8*i:], w)
+					}
+					want := canonical(typeBitmap, card, countRuns(words[:keep]))
+					if want != (card > arrayCutoff && nruns >= minBitmapRuns) {
+						t.Fatalf("canonical(bitmap, %d, %d) = %v", card, nruns, want)
+					}
+					for _, win := range [][]uint64{nil, make([]uint64, keep)} {
+						_, _, err := parseContainer(p, typeBitmap, limit, win)
+						if (err == nil) != want {
+							t.Errorf("limit=%d card=%d runs=%d atEnd=%v dense=%v: err %v, minimal form %v",
+								limit, card, nruns, atEnd, win != nil, err, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func cachedFixture(t *testing.T, capacity int) (*core.Index, *CachedStore) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Save(ix, t.TempDir(), Options{Scheme: BitmapLevel, Compress: true})
+	st, err := Save(ix, t.TempDir(), Options{Scheme: BitmapLevel, Codec: CodecZlib})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCachedStoreCorrectness(t *testing.T) {
 	for _, enc := range []core.Encoding{core.RangeEncoded, core.EqualityEncoded, core.IntervalEncoded} {
 		ix, _, _ := buildTestIndex(t, enc, true)
 		total := ix.NumBitmaps()
-		for _, opts := range []Options{{Scheme: BitmapLevel, Codec: CodecRoaring}, {Scheme: ComponentLevel, Compress: true}} {
+		for _, opts := range []Options{{Scheme: BitmapLevel, Codec: CodecRoaring}, {Scheme: ComponentLevel, Codec: CodecZlib}} {
 			st, err := Save(ix, t.TempDir(), opts)
 			if err != nil {
 				t.Fatal(err)

@@ -7,11 +7,10 @@ import (
 	"testing"
 
 	"bitmapindex/internal/core"
-	"bitmapindex/internal/data"
 )
 
 func TestParseCodecRoundTrip(t *testing.T) {
-	for _, c := range []Codec{CodecRaw, CodecZlib, CodecWAH, CodecRoaring} {
+	for _, c := range []Codec{CodecRaw, CodecZlib, CodecRoaring} {
 		got, err := ParseCodec(c.String())
 		if err != nil || got != c {
 			t.Fatalf("ParseCodec(%q) = %v, %v", c.String(), got, err)
@@ -32,12 +31,10 @@ func TestOptionsStringCodecPrefixes(t *testing.T) {
 		want string
 	}{
 		{Options{Scheme: BitmapLevel}, "BS"},
-		{Options{Scheme: BitmapLevel, Compress: true}, "cBS"},
+		{Options{Scheme: BitmapLevel, Codec: CodecZlib}, "cBS"},
 		{Options{Scheme: ComponentLevel, Codec: CodecZlib}, "cCS"},
-		{Options{Scheme: ComponentLevel, Codec: CodecWAH}, "wCS"},
 		{Options{Scheme: IndexLevel, Codec: CodecRoaring}, "rIS"},
-		// An explicit codec wins over the legacy flag.
-		{Options{Scheme: BitmapLevel, Compress: true, Codec: CodecRoaring}, "rBS"},
+		{Options{Scheme: BitmapLevel, Codec: CodecRoaring}, "rBS"},
 	}
 	for _, tc := range cases {
 		if got := tc.opts.String(); got != tc.want {
@@ -46,12 +43,12 @@ func TestOptionsStringCodecPrefixes(t *testing.T) {
 	}
 }
 
-// TestCodecDescribeAndOptions pins the descriptor plumbing for the bitmap
+// TestCodecDescribeAndOptions pins the descriptor plumbing for the
 // codecs: reopened stores report the codec in Options and Describe.
 func TestCodecDescribeAndOptions(t *testing.T) {
 	ix, _, _ := buildTestIndex(t, core.RangeEncoded, false)
 	for codec, want := range map[Codec]string{
-		CodecWAH:     "BS/wah range-encoded base <5,6>",
+		CodecZlib:    "BS/zlib range-encoded base <5,6>",
 		CodecRoaring: "BS/roaring range-encoded base <5,6>",
 	} {
 		dir := filepath.Join(t.TempDir(), codec.String())
@@ -65,7 +62,7 @@ func TestCodecDescribeAndOptions(t *testing.T) {
 		if got := st.Describe(); got != want {
 			t.Fatalf("Describe = %q, want %q", got, want)
 		}
-		if got := st.Options(); got.Codec != codec || got.Compress {
+		if got := st.Options(); got != (Options{Scheme: BitmapLevel, Codec: codec}) {
 			t.Fatalf("Options = %+v", got)
 		}
 	}
@@ -77,7 +74,7 @@ func TestCodecDescribeAndOptions(t *testing.T) {
 func TestLegacyDescriptorWithoutCodec(t *testing.T) {
 	ix, _, _ := buildTestIndex(t, core.RangeEncoded, false)
 	dir := t.TempDir()
-	if _, err := Save(ix, dir, Options{Scheme: BitmapLevel, Compress: true}); err != nil {
+	if _, err := Save(ix, dir, Options{Scheme: BitmapLevel, Codec: CodecZlib}); err != nil {
 		t.Fatal(err)
 	}
 	mp := filepath.Join(dir, metaFile)
@@ -110,27 +107,5 @@ func TestLegacyDescriptorWithoutCodec(t *testing.T) {
 	}
 	if !got.Equal(ix.Eval(core.Le, 10, nil)) {
 		t.Fatal("legacy store answers differently")
-	}
-}
-
-// TestRoaringBeatsWAHOnClusteredSpace is a storage-level echo of the §9
-// acceptance claim: on clustered (run-heavy) data the roaring store's
-// value bytes are strictly smaller than WAH's.
-func TestRoaringBeatsWAHOnClusteredSpace(t *testing.T) {
-	col := data.Clustered(1<<16, 8, 4096, 7)
-	ix, err := core.Build(col.Values, col.Card, core.Base{8}, core.EqualityEncoded, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := func(codec Codec) int64 {
-		st, err := Save(ix, filepath.Join(t.TempDir(), codec.String()), Options{Scheme: BitmapLevel, Codec: codec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.ValueBytes()
-	}
-	wahB, roarB := size(CodecWAH), size(CodecRoaring)
-	if roarB >= wahB {
-		t.Fatalf("roaring %d bytes >= wah %d bytes on clustered data", roarB, wahB)
 	}
 }

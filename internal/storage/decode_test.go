@@ -132,7 +132,7 @@ func TestReadFileDecodesOnce(t *testing.T) {
 // vector, per codec, on a 2^22-row bitmap (mostly page-cache reads, so the
 // decode dominates). Run with -benchmem for the allocation counts.
 func BenchmarkReadFile(b *testing.B) {
-	for _, codec := range []Codec{CodecRaw, CodecZlib, CodecWAH, CodecRoaring} {
+	for _, codec := range []Codec{CodecRaw, CodecZlib, CodecRoaring} {
 		b.Run(codec.String(), func(b *testing.B) {
 			st, name := saveUniform(b, 1<<22, codec)
 			rows := st.Index().Rows()

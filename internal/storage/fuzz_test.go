@@ -19,6 +19,7 @@ func FuzzOpenMeta(f *testing.F) {
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{"version":1,"scheme":"XX"}`))
 	f.Add([]byte(`{"version":1,"scheme":"IS","base":[1],"encoding":"range","cardinality":5,"rows":3}`))
+	f.Add([]byte(`{"version":1,"scheme":"BS","codec":"wah","base":[4,3],"encoding":"range","cardinality":12,"rows":0}`))
 	f.Fuzz(func(t *testing.T, meta []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, metaFile), meta, 0o644); err != nil {

@@ -75,7 +75,7 @@ func TestCachedStoreSegmentedRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Save(ix, t.TempDir(), Options{Scheme: BitmapLevel, Compress: true})
+	st, err := Save(ix, t.TempDir(), Options{Scheme: BitmapLevel, Codec: CodecZlib})
 	if err != nil {
 		t.Fatal(err)
 	}

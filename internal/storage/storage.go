@@ -35,7 +35,6 @@ import (
 	"bitmapindex/internal/core"
 	"bitmapindex/internal/roaring"
 	"bitmapindex/internal/telemetry"
-	"bitmapindex/internal/wah"
 )
 
 // Scheme selects the physical layout.
@@ -78,9 +77,9 @@ func ParseScheme(s string) (Scheme, error) {
 }
 
 // Codec selects the compression applied to every stored file. Zlib is
-// the paper's byte-level "c" prefix; WAH and Roaring are bitmap-aware
-// codecs that encode each file's bit payload in their compressed form
-// (for CS/IS the row-major matrix is treated as one long bit string).
+// the paper's byte-level "c" prefix; Roaring is a bitmap-aware codec that
+// encodes each file's bit payload in its compressed form (for CS/IS the
+// row-major matrix is treated as one long bit string).
 type Codec uint8
 
 const (
@@ -88,8 +87,6 @@ const (
 	CodecRaw Codec = iota
 	// CodecZlib DEFLATE-compresses file bytes (cBS / cCS / cIS).
 	CodecZlib
-	// CodecWAH stores each file as a word-aligned-hybrid bitmap.
-	CodecWAH
 	// CodecRoaring stores each file as a roaring hybrid-container bitmap.
 	CodecRoaring
 )
@@ -101,8 +98,6 @@ func (c Codec) String() string {
 		return "raw"
 	case CodecZlib:
 		return "zlib"
-	case CodecWAH:
-		return "wah"
 	case CodecRoaring:
 		return "roaring"
 	default:
@@ -110,15 +105,13 @@ func (c Codec) String() string {
 	}
 }
 
-// ParseCodec parses "raw", "zlib", "wah" or "roaring".
+// ParseCodec parses "raw", "zlib" or "roaring".
 func ParseCodec(s string) (Codec, error) {
 	switch s {
 	case "raw", "":
 		return CodecRaw, nil
 	case "zlib":
 		return CodecZlib, nil
-	case "wah":
-		return CodecWAH, nil
 	case "roaring":
 		return CodecRoaring, nil
 	}
@@ -127,31 +120,16 @@ func ParseCodec(s string) (Codec, error) {
 
 // Options selects the physical organization of a saved index.
 type Options struct {
-	Scheme   Scheme
-	Compress bool // zlib-compress every file (cBS / cCS / cIS); shorthand for Codec: CodecZlib
-	Codec    Codec
-}
-
-// codec resolves the effective codec: an explicit Codec wins, the legacy
-// Compress flag means zlib.
-func (o Options) codec() Codec {
-	if o.Codec != CodecRaw {
-		return o.Codec
-	}
-	if o.Compress {
-		return CodecZlib
-	}
-	return CodecRaw
+	Scheme Scheme
+	Codec  Codec
 }
 
 // String renders the paper's abbreviation, with a codec prefix: "BS",
-// "cCS" (zlib), "wBS" (WAH), "rBS" (roaring).
+// "cCS" (zlib), "rBS" (roaring).
 func (o Options) String() string {
-	switch o.codec() {
+	switch o.Codec {
 	case CodecZlib:
 		return "c" + o.Scheme.String()
-	case CodecWAH:
-		return "w" + o.Scheme.String()
 	case CodecRoaring:
 		return "r" + o.Scheme.String()
 	default:
@@ -166,7 +144,7 @@ type meta struct {
 	Version  int    `json:"version"`
 	Scheme   string `json:"scheme"`
 	Compress bool   `json:"compress"`
-	// Codec names the file codec ("raw", "zlib", "wah", "roaring").
+	// Codec names the file codec ("raw", "zlib", "roaring").
 	// Absent in descriptors written before the codec knob existed, where
 	// Compress alone distinguishes raw from zlib.
 	Codec    string   `json:"codec,omitempty"`
@@ -190,7 +168,7 @@ type Metrics struct {
 	FilesRead    int
 	BytesRead    int64 // on-disk bytes read (compressed size when compressed)
 	ReadNS       int64 // file read time
-	DecompressNS int64 // codec decode time: zlib inflate, WAH or roaring decode
+	DecompressNS int64 // codec decode time: zlib inflate or roaring decode
 	ExtractNS    int64 // row-major column extraction time
 	// CacheHits and CacheMisses count this Metrics' own bitmap-pool reads
 	// (CachedStore): one per distinct stored bitmap a query references.
@@ -220,12 +198,11 @@ func Save(ix *core.Index, dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	codec := opts.codec()
 	m := meta{
 		Version:   1,
 		Scheme:    opts.Scheme.String(),
-		Compress:  codec == CodecZlib,
-		Codec:     codec.String(),
+		Compress:  opts.Codec == CodecZlib,
+		Codec:     opts.Codec.String(),
 		Base:      ix.Base(),
 		Encoding:  ix.Encoding().String(),
 		Card:      ix.Cardinality(),
@@ -240,7 +217,7 @@ func Save(ix *core.Index, dir string, opts Options) (*Store, error) {
 	// little-endian within each byte as bitvec lays them out) with the
 	// store codec, checksums the on-disk bytes, and writes the file.
 	write := func(name string, payload []byte, nbits int) error {
-		switch codec {
+		switch opts.Codec {
 		case CodecZlib:
 			var buf bytes.Buffer
 			zw := zlib.NewWriter(&buf)
@@ -251,18 +228,12 @@ func Save(ix *core.Index, dir string, opts Options) (*Store, error) {
 				return fmt.Errorf("storage: compress %s: %w", name, err)
 			}
 			payload = buf.Bytes()
-		case CodecWAH, CodecRoaring:
+		case CodecRoaring:
 			var v bitvec.Vector
 			if err := v.SetPayload(nbits, payload); err != nil {
 				return fmt.Errorf("storage: encode %s: %w", name, err)
 			}
-			var enc []byte
-			var err error
-			if codec == CodecWAH {
-				enc, err = wah.Compress(&v).MarshalBinary()
-			} else {
-				enc, err = roaring.FromVector(&v).MarshalBinary()
-			}
+			enc, err := roaring.FromVector(&v).MarshalBinary()
 			if err != nil {
 				return fmt.Errorf("storage: encode %s: %w", name, err)
 			}
@@ -420,7 +391,7 @@ func (s *Store) Index() *core.Index { return s.shell }
 // Options returns the physical organization of the store.
 func (s *Store) Options() Options {
 	sc, _ := ParseScheme(s.meta.Scheme)
-	return Options{Scheme: sc, Compress: s.codec == CodecZlib, Codec: s.codec}
+	return Options{Scheme: sc, Codec: s.codec}
 }
 
 // ValueBytes returns the total on-disk size of the value bitmap files (the
@@ -520,9 +491,9 @@ func words(n int, pooled bool) []uint64 {
 // decode turns one file's on-disk bytes into its nbits-bit vector and
 // reports the time of the codec step (zero for raw files). Each codec
 // checks the length: raw files and inflated zlib streams must hold
-// exactly ceil(nbits/8) bytes, and the WAH and roaring headers must
-// declare nbits. Every decoder but WAH's writes into words(pooled), and
-// overwrites every word of them.
+// exactly ceil(nbits/8) bytes, and the roaring header must declare
+// nbits. Every decoder writes into words(pooled), and overwrites every
+// word of them.
 func (s *Store) decode(raw []byte, nbits int, pooled bool) (*bitvec.Vector, int64, error) {
 	if nbits < 0 {
 		return nil, 0, fmt.Errorf("negative length %d", nbits)
@@ -536,18 +507,11 @@ func (s *Store) decode(raw []byte, nbits int, pooled bool) (*bitvec.Vector, int6
 		if err := inflateWords(raw, nbits, w); err != nil {
 			return nil, 0, fmt.Errorf("inflate: %w", err)
 		}
-	case CodecWAH, CodecRoaring:
-		// Both open with an 8-byte little-endian bit length, checked before
-		// any words are taken for that many bits.
+	case CodecRoaring:
+		// The file opens with an 8-byte little-endian bit length, checked
+		// before any words are taken for that many bits.
 		if len(raw) < 8 || binary.LittleEndian.Uint64(raw) != uint64(nbits) {
 			return nil, 0, fmt.Errorf("header does not declare %d bits", nbits)
-		}
-		if s.codec == CodecWAH {
-			var wb wah.Bitmap
-			if err := wb.UnmarshalBinary(raw); err != nil {
-				return nil, 0, err
-			}
-			return wb.Decompress(), time.Since(t0).Nanoseconds(), nil
 		}
 		w = words(nw, pooled)
 		if err := roaring.DecodeWords(raw, w); err != nil {

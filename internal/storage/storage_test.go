@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bitmapindex/internal/bitvec"
@@ -17,10 +19,7 @@ import (
 func allOptions() []Options {
 	var out []Options
 	for _, sc := range []Scheme{BitmapLevel, ComponentLevel, IndexLevel} {
-		for _, comp := range []bool{false, true} {
-			out = append(out, Options{Scheme: sc, Compress: comp})
-		}
-		for _, codec := range []Codec{CodecWAH, CodecRoaring} {
+		for _, codec := range []Codec{CodecRaw, CodecZlib, CodecRoaring} {
 			out = append(out, Options{Scheme: sc, Codec: codec})
 		}
 	}
@@ -74,7 +73,7 @@ func TestSaveOpenEvalAllLayouts(t *testing.T) {
 				if m.Queries == 0 || m.BytesRead == 0 {
 					t.Fatalf("%v: metrics not accumulated: %+v", opts, m)
 				}
-				if opts.codec() != CodecRaw && m.DecompressNS == 0 {
+				if opts.Codec != CodecRaw && m.DecompressNS == 0 {
 					t.Fatalf("%v: no decompression time recorded", opts)
 				}
 			}
@@ -85,7 +84,7 @@ func TestSaveOpenEvalAllLayouts(t *testing.T) {
 func TestOpenAfterReopen(t *testing.T) {
 	ix, _, _ := buildTestIndex(t, core.RangeEncoded, false)
 	dir := t.TempDir()
-	if _, err := Save(ix, dir, Options{Scheme: ComponentLevel, Compress: true}); err != nil {
+	if _, err := Save(ix, dir, Options{Scheme: ComponentLevel, Codec: CodecZlib}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(dir)
@@ -99,7 +98,7 @@ func TestOpenAfterReopen(t *testing.T) {
 	if !got.Equal(ix.Eval(core.Le, 10, nil)) {
 		t.Fatal("reopened store answers differently")
 	}
-	if st.Options() != (Options{Scheme: ComponentLevel, Compress: true, Codec: CodecZlib}) {
+	if st.Options() != (Options{Scheme: ComponentLevel, Codec: CodecZlib}) {
 		t.Fatalf("Options = %v", st.Options())
 	}
 	if got := st.Describe(); got != "CS/zlib range-encoded base <5,6>" {
@@ -210,6 +209,25 @@ func TestOpenErrors(t *testing.T) {
 	if _, err := Open(dir); err == nil {
 		t.Fatal("Open with corrupt meta must fail")
 	}
+	// WAH was a storage codec once; a descriptor naming it must fail
+	// cleanly, naming the codec, rather than decode its files as raw.
+	ix, _, _ := buildTestIndex(t, core.RangeEncoded, false)
+	dir = t.TempDir()
+	if _, err := Save(ix, dir, Options{Scheme: BitmapLevel}); err != nil {
+		t.Fatal(err)
+	}
+	mp := filepath.Join(dir, metaFile)
+	mj, err := os.ReadFile(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mj = bytes.Replace(mj, []byte(`"codec": "raw"`), []byte(`"codec": "wah"`), 1)
+	if err := os.WriteFile(mp, mj, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), `"wah"`) {
+		t.Fatalf("Open of a WAH descriptor returned %v, want an error naming the codec", err)
+	}
 }
 
 func TestEvalMissingFile(t *testing.T) {
@@ -251,7 +269,7 @@ func TestSchemeParseString(t *testing.T) {
 	if _, err := ParseScheme("XX"); err == nil {
 		t.Fatal("expected error")
 	}
-	if (Options{Scheme: ComponentLevel, Compress: true}).String() != "cCS" {
+	if (Options{Scheme: ComponentLevel, Codec: CodecZlib}).String() != "cCS" {
 		t.Fatal("Options.String wrong")
 	}
 }
@@ -263,7 +281,7 @@ func TestRandomizedDiskVsMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Save(ix, t.TempDir(), Options{Scheme: ComponentLevel, Compress: true})
+	st, err := Save(ix, t.TempDir(), Options{Scheme: ComponentLevel, Codec: CodecZlib})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +300,7 @@ func TestRandomizedDiskVsMemory(t *testing.T) {
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	ix, _, _ := buildTestIndex(t, core.RangeEncoded, false)
-	for _, opts := range []Options{{Scheme: BitmapLevel}, {Scheme: ComponentLevel, Compress: true}} {
+	for _, opts := range []Options{{Scheme: BitmapLevel}, {Scheme: ComponentLevel, Codec: CodecZlib}} {
 		dir := t.TempDir()
 		st, err := Save(ix, dir, opts)
 		if err != nil {

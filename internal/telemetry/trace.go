@@ -23,8 +23,8 @@ const (
 	// PhaseFetch is obtaining stored bitmaps (map access, file read, or
 	// pool lookup; includes decompress/extract when reading from disk).
 	PhaseFetch Phase = "fetch"
-	// PhaseDecompress is codec decode time inside fetch: zlib inflate, or
-	// WAH or roaring decode into the dense words.
+	// PhaseDecompress is codec decode time inside fetch: zlib inflate or
+	// roaring decode into the dense words.
 	PhaseDecompress Phase = "decompress"
 	// PhaseExtract is row-major column extraction time inside fetch.
 	PhaseExtract Phase = "extract"
