@@ -27,12 +27,10 @@ test-count2:
 	$(GO) test -count=2 ./...
 
 # Full suite (all seven analyzers, including the interprocedural hotalloc
-# walk and the lockorder/poolhygiene concurrency checks), asserted
-# against an empty baseline exactly as CI does, with per-analyzer wall
-# time on stderr.
+# walk and the lockorder/poolhygiene concurrency checks) exactly as CI
+# runs it: any finding fails. Per-analyzer wall time goes to stderr.
 lint:
-	@: > /tmp/bixlint-empty.baseline
-	$(GO) run ./cmd/bixlint -timings -baseline /tmp/bixlint-empty.baseline ./...
+	$(GO) run ./cmd/bixlint -timings ./...
 
 sarif:
 	$(GO) run ./cmd/bixlint -format sarif ./... > bixlint.sarif

@@ -369,16 +369,17 @@ func AllocateBudgetWeighted(demands []AttrDemand, m int) (Allocation, error) {
 // --- Workload accounting and the design advisor (internal/workload) ---
 
 // Workload accounting aliases: the always-on per-attribute access
-// accountant and its serializable profile. An accumulator tracks which
-// attributes a live query stream touches (by operator class, constant
-// position, selectivity and physical cost) over a fixed attribute set;
-// its snapshots feed AllocateBudgetWeighted and the design advisor.
+// accountant and its serializable profile. Over a fixed attribute set, an
+// accumulator counts the predicates a live query stream evaluates on each
+// attribute in each operator class (equality, range, interval); its
+// snapshots feed AllocateBudgetWeighted and the design advisor.
 type (
 	// WorkloadAccumulator is the bounded atomic per-attribute accountant.
 	WorkloadAccumulator = workload.Accumulator
 	// WorkloadAttrInfo names one attribute of an accumulator's fixed set.
 	WorkloadAttrInfo = workload.AttrInfo
-	// WorkloadEvent is one observed predicate evaluation.
+	// WorkloadEvent is one observed predicate: its attribute and operator
+	// class.
 	WorkloadEvent = workload.Event
 	// WorkloadProfile is a serializable point-in-time workload snapshot.
 	WorkloadProfile = workload.Profile

@@ -17,8 +17,6 @@
 //	bixlint -only tailmask,hotalloc ./...
 //	bixlint -skip poolhygiene ./...
 //	bixlint -format sarif ./...       emit SARIF 2.1.0 on stdout
-//	bixlint -baseline lint.baseline ./...
-//	bixlint -write-baseline lint.baseline ./...
 //	bixlint -timings ./...            report per-analyzer wall time on stderr
 //	bixlint -list                     print the analyzer suite and exit
 //
@@ -43,8 +41,6 @@ func main() {
 	var opts options
 	flag.BoolVar(&opts.list, "list", false, "list the analyzers and exit")
 	flag.StringVar(&opts.format, "format", "text", "output format: text or sarif")
-	flag.StringVar(&opts.baseline, "baseline", "", "suppress findings listed in this baseline file")
-	flag.StringVar(&opts.writeBaseline, "write-baseline", "", "write current findings to this baseline file and exit 0")
 	flag.StringVar(&opts.only, "only", "", "comma-separated analyzer names to run exclusively")
 	flag.StringVar(&opts.skip, "skip", "", "comma-separated analyzer names to leave out")
 	flag.BoolVar(&opts.timings, "timings", false, "report per-analyzer wall time on stderr")
@@ -53,13 +49,11 @@ func main() {
 }
 
 type options struct {
-	list          bool
-	format        string
-	baseline      string
-	writeBaseline string
-	only          string
-	skip          string
-	timings       bool
+	list    bool
+	format  string
+	only    string
+	skip    string
+	timings bool
 }
 
 func run(opts options, patterns []string, stdout, stderr io.Writer) int {
@@ -105,43 +99,6 @@ func run(opts options, patterns []string, stdout, stderr io.Writer) int {
 	if opts.timings {
 		for _, t := range batch.Timings() {
 			fmt.Fprintf(stderr, "bixlint: %12s  %s\n", t.Total.Round(10*time.Microsecond), t.Name)
-		}
-	}
-
-	if opts.writeBaseline != "" {
-		f, err := os.Create(opts.writeBaseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "bixlint:", err)
-			return 2
-		}
-		werr := analysis.WriteBaseline(f, findings, root)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(stderr, "bixlint:", werr)
-			return 2
-		}
-		fmt.Fprintf(stderr, "bixlint: wrote %d baseline entr(ies) to %s\n", len(findings), opts.writeBaseline)
-		return 0
-	}
-
-	if opts.baseline != "" {
-		f, err := os.Open(opts.baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "bixlint:", err)
-			return 2
-		}
-		suppressed, berr := analysis.ReadBaseline(f)
-		_ = f.Close()
-		if berr != nil {
-			fmt.Fprintln(stderr, "bixlint:", berr)
-			return 2
-		}
-		var stale []string
-		findings, stale = analysis.FilterBaseline(findings, suppressed, root)
-		for _, s := range stale {
-			fmt.Fprintf(stderr, "bixlint: stale baseline entry: %s\n", s)
 		}
 	}
 

@@ -39,8 +39,6 @@ func cmdAdvise(args []string) error {
 		if p, err = workload.LoadProfile(*profPath); err != nil {
 			return err
 		}
-	} else {
-		p = tbl.Workload().Snapshot()
 	}
 	rep, err := workload.Advise(tbl.Name(), tbl.Designs(), p)
 	if err != nil {

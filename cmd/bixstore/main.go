@@ -110,13 +110,12 @@ func readValues(path string) (vals []uint64, nulls []bool, hasNulls bool, err er
 }
 
 // storeCodec resolves the -codec and -z flags: -z selects zlib unless
-// -codec names a codec other than raw.
+// -codec names a codec, raw included.
 func storeCodec(name string, z bool) (bitmapindex.StoreCodec, error) {
-	cd, err := bitmapindex.ParseStoreCodec(name)
-	if err == nil && cd == bitmapindex.CodecRaw && z {
-		cd = bitmapindex.CodecZlib
+	if name == "" && z {
+		return bitmapindex.CodecZlib, nil
 	}
-	return cd, err
+	return bitmapindex.ParseStoreCodec(name)
 }
 
 func cmdBuild(args []string) error {
@@ -244,7 +243,7 @@ func runQuery(w io.Writer, args []string) error {
 		return err
 	}
 	rec := flight.Record{Query: *q, Plan: "cli-query", Op: op.String(), Value: v, Rows: int64(count)}
-	elapsed := finishQuery(&rec, &m, nil)
+	elapsed := finishQuery(&rec, &m, nil, nil, nil)
 	if *analyze {
 		ix := st.Index()
 		rep := engine.AnalyzeIndexQuery(*q, st.Describe(), ix.Base(), ix.Encoding(),

@@ -22,12 +22,16 @@ func TestBuildInfoQueryRoundTrip(t *testing.T) {
 	if err := cmdBuild([]string{"-dir", ixDir, "-values", values, "-C", "50", "-scheme", "CS", "-z", "-base", "<5,10>"}); err != nil {
 		t.Fatal(err)
 	}
-	// -z selects zlib; a -codec other than raw overrides it.
+	// -z selects zlib; any -codec, raw included, overrides it.
 	rDir := filepath.Join(dir, "ixr")
 	if err := cmdBuild([]string{"-dir", rDir, "-values", values, "-C", "50", "-z", "-codec", "roaring"}); err != nil {
 		t.Fatal(err)
 	}
-	for d, want := range map[string]string{ixDir: "cCS", rDir: "rBS"} {
+	rawDir := filepath.Join(dir, "ixraw")
+	if err := cmdBuild([]string{"-dir", rawDir, "-values", values, "-C", "50", "-z", "-codec", "raw"}); err != nil {
+		t.Fatal(err)
+	}
+	for d, want := range map[string]string{ixDir: "cCS", rDir: "rBS", rawDir: "BS"} {
 		st, err := storage.Open(d)
 		if err != nil {
 			t.Fatal(err)

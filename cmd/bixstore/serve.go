@@ -70,7 +70,7 @@ func cmdServe(args []string) error {
 		handler = ts.mux()
 		if *wlPath != "" {
 			path := *wlPath
-			saveWorkload = func() error { return ts.tbl.Workload().Snapshot().Save(path) }
+			saveWorkload = func() error { return ts.wl.Snapshot().Save(path) }
 		}
 	} else {
 		st, err := bitmapindex.OpenIndex(*dir)
@@ -138,6 +138,15 @@ func newHTTPServer(handler http.Handler) *http.Server {
 	}
 }
 
+// newWorkload builds an accumulator over the served attributes.
+func newWorkload(designs []workload.AttrDesign) *workload.Accumulator {
+	infos := make([]workload.AttrInfo, len(designs))
+	for i, d := range designs {
+		infos[i] = workload.AttrInfo{Name: d.Name, Card: d.Card}
+	}
+	return workload.New(infos)
+}
+
 // loadWorkload replays a previously saved profile into the accumulator so
 // a restarted server does not advise from a cold uniform assumption. A
 // missing file is not an error (first boot).
@@ -200,11 +209,11 @@ type queryServer struct {
 
 func newQueryServer(st *bitmapindex.Store, cache int, slow time.Duration, slowW io.Writer) (*queryServer, error) {
 	ix := st.Index()
+	designs := []workload.AttrDesign{workload.NewAttrDesign("value", ix.Cardinality(),
+		ix.Base(), ix.Encoding(), st.Options().Codec.String(), "")}
 	s := &queryServer{
 		count: st.Count, st: st, desc: st.Describe(), rows: ix.Rows(),
-		wl: workload.New([]workload.AttrInfo{{Name: "value", Card: ix.Cardinality()}}),
-		designs: []workload.AttrDesign{workload.NewAttrDesign("value", ix.Cardinality(),
-			ix.Base(), ix.Encoding(), st.Options().Codec.String(), "")},
+		wl: newWorkload(designs), designs: designs,
 	}
 	if cache > 0 {
 		cs, err := bitmapindex.NewCachedStore(st, cache)
@@ -258,13 +267,15 @@ func (l *slowWriter) write(rec *flight.Record, tr *telemetry.Trace) {
 	_, _ = io.WriteString(l.w, sb.String())
 }
 
-// finishQuery is the one place a query is accounted: both /query modes
-// and `bixstore query` end here. It finishes m's trace once and completes
-// rec, whose Query, Plan, Op, Value and Rows the caller fills, with the
-// trace's ID and total and m's cost counters. Every sink is fed from that
-// one record: the flight recorder, the telemetry registry and, when slow
-// is set, the slow line. The returned total is the response's elapsed_ns.
-func finishQuery(rec *flight.Record, m *bitmapindex.StoreMetrics, slow *slowWriter) time.Duration {
+// finishQuery is the one place a query that succeeded is accounted: both
+// /query modes and `bixstore query` end here. It finishes m's trace once
+// and completes rec, whose Query, Plan, Op, Value and Rows the caller
+// fills, with the trace's ID and total and m's cost counters. Every sink
+// is fed from that one record: the flight recorder, the telemetry
+// registry and, when slow is set, the slow line. When wl is set, each of
+// the query's predicates adds one event of its operator class to its
+// attribute. The returned total is the response's elapsed_ns.
+func finishQuery(rec *flight.Record, m *bitmapindex.StoreMetrics, slow *slowWriter, wl *workload.Accumulator, preds []engine.Pred) time.Duration {
 	rec.TraceID, rec.Total = m.Trace.ID(), m.Trace.Finish()
 	rec.FilesRead, rec.BytesRead = m.FilesRead, m.BytesRead
 	rec.CacheHits, rec.CacheMisses = m.CacheHits, m.CacheMisses
@@ -273,6 +284,11 @@ func finishQuery(rec *flight.Record, m *bitmapindex.StoreMetrics, slow *slowWrit
 	flight.Default().Add(rec, m.Trace)
 	publish(rec)
 	slow.write(rec, m.Trace)
+	if wl != nil {
+		for _, p := range preds {
+			wl.Observe(workload.Event{Attr: p.Col, Class: workload.ClassOf(p.Op)})
+		}
+	}
 	return rec.Total
 }
 
@@ -435,13 +451,7 @@ func (s *queryServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := flight.Record{Query: q, Plan: "http-query", Op: op.String(), Value: v, Rows: int64(matches)}
-	elapsed := finishQuery(&rec, &m, s.slow)
-	s.wl.Observe(workload.Event{
-		Attr: "value", Class: workload.ClassOf(op), Value: v,
-		Matches: matches, Rows: s.rows,
-		Scans: rec.Scans, Bytes: rec.BytesRead, NS: int64(elapsed),
-		CacheHits: int(rec.CacheHits), CacheMisses: int(rec.CacheMisses),
-	})
+	elapsed := finishQuery(&rec, &m, s.slow, s.wl, []engine.Pred{{Col: "value", Op: op}})
 
 	if analyze {
 		ix := s.st.Index()

@@ -132,8 +132,7 @@ func TestServeRecordCacheCountsPerQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Through an empty pool, every distinct stored bitmap a query
-	// references is a miss. (That is its scan count, plus, under bixdebug,
-	// the bitmaps only Eval's RangeEval cross-check reads.)
+	// references is a miss.
 	empty, err := bitmapindex.NewCachedStore(st, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -8,29 +8,36 @@ import (
 	"bitmapindex/internal/flight"
 	"bitmapindex/internal/storage"
 	"bitmapindex/internal/telemetry"
+	"bitmapindex/internal/workload"
 )
 
 // tableServer is serve's catalog mode: conjunctive queries against a
 // table built by `bixstore csv`, with the always-on workload accumulator
 // and the design advisor exposed under /debug.
 type tableServer struct {
-	tbl  *catalog.Table
+	tbl     *catalog.Table
+	designs []workload.AttrDesign
+	// wl accounts every predicate of every served query against its
+	// attribute; /debug/workload and /debug/advisor read it.
+	wl   *workload.Accumulator
 	slow *slowWriter // nil when disabled
 }
 
 // newTableServer opens the table and, when wlPath names a saved profile,
-// replays it into the table's workload accumulator.
+// replays it into the server's workload accumulator.
 func newTableServer(dir, wlPath string) (*tableServer, error) {
 	tbl, err := catalog.Open(dir)
 	if err != nil {
 		return nil, err
 	}
+	designs := tbl.Designs()
+	s := &tableServer{tbl: tbl, designs: designs, wl: newWorkload(designs)}
 	if wlPath != "" {
-		if err := loadWorkload(tbl.Workload(), wlPath); err != nil {
+		if err := loadWorkload(s.wl, wlPath); err != nil {
 			return nil, err
 		}
 	}
-	return &tableServer{tbl: tbl}, nil
+	return s, nil
 }
 
 // mux routes /query (a conjunction), /debug/workload, /debug/advisor,
@@ -38,8 +45,8 @@ func newTableServer(dir, wlPath string) (*tableServer, error) {
 func (s *tableServer) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/debug/workload", serveWorkload(s.tbl.Workload()))
-	mux.HandleFunc("/debug/advisor", s.handleAdvisor)
+	mux.HandleFunc("/debug/workload", serveWorkload(s.wl))
+	mux.HandleFunc("/debug/advisor", serveAdvisor(s.tbl.Name(), s.designs, s.wl))
 	mux.HandleFunc("/debug/queries", handleDebugQueries)
 	addCommonRoutes(mux)
 	return mux
@@ -62,8 +69,8 @@ type tableQueryResponse struct {
 // handleQuery evaluates q=<col> <op> <val> [AND ...]; rids=1 includes
 // matching record ids (capped by limit, default 20). Only rids=1 maps the
 // result back to original row ids; a bare count is taken in sorted row
-// space. Each predicate is accounted against its attribute in the
-// workload profile by the catalog itself.
+// space. Each predicate of a query that succeeds is accounted against its
+// attribute in the workload profile.
 func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
@@ -88,7 +95,7 @@ func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := flight.Record{Query: q, Plan: "table-query", Rows: int64(matches)}
-	elapsed := finishQuery(&rec, &m, s.slow)
+	elapsed := finishQuery(&rec, &m, s.slow, s.wl, preds)
 
 	resp := tableQueryResponse{
 		Query:     q,
@@ -106,17 +113,4 @@ func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// handleAdvisor serves GET /debug/advisor for table mode: the advisor
-// report comparing the stored per-attribute designs against the weighted
-// recommendation under the live profile.
-func (s *tableServer) handleAdvisor(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.tbl.Advise()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rep)
 }

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -115,8 +118,21 @@ func TestServeWorkloadEndpoints(t *testing.T) {
 	if p.Attrs[0].Range != 3 || p.Attrs[0].Eq != 1 {
 		t.Errorf("value profile range=%d eq=%d, want 3/1", p.Attrs[0].Range, p.Attrs[0].Eq)
 	}
-	if p.Attrs[0].Scans == 0 || p.Attrs[0].LatencyNS == 0 {
-		t.Errorf("scans=%d latency=%d, want both attributed", p.Attrs[0].Scans, p.Attrs[0].LatencyNS)
+	// The profile holds the class counts the advisor reads and nothing
+	// else.
+	var raw struct {
+		Attrs []map[string]json.RawMessage `json:"attributes"`
+	}
+	if err := json.Unmarshal([]byte(body), &raw); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range raw.Attrs[0] {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got := strings.Join(keys, ","); got != "card,eq,interval,name,range" {
+		t.Errorf("/debug/workload attribute fields = %s, want card,eq,interval,name,range", got)
 	}
 
 	code, body = serveGet(t, mux, "/debug/advisor")
@@ -198,6 +214,68 @@ func TestServeTableMode(t *testing.T) {
 	}
 }
 
+// TestTableQueryFeedsWorkload: a served conjunction adds one event per
+// predicate, of its operator class, to its attribute; a query that fails
+// adds none. The skewed stream drifts from uniform, and the advisor
+// recommends within the table's own budget.
+func TestTableQueryFeedsWorkload(t *testing.T) {
+	ts, err := newTableServer(buildTestTable(t), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := ts.mux()
+	query := func(q string) int {
+		code, _ := serveGet(t, mux, "/query?q="+url.QueryEscape(q))
+		return code
+	}
+	for i := 0; i < 9; i++ {
+		if code := query("quantity <= 10"); code != 200 {
+			t.Fatalf("/query = %d", code)
+		}
+	}
+	if code := query("quantity > 25 AND price = 35"); code != 200 {
+		t.Fatalf("/query = %d", code)
+	}
+	want := []workload.AttrProfile{
+		{Name: "quantity", Card: 40, Range: 10},
+		{Name: "price", Card: 200, Eq: 1},
+	}
+	if got := ts.wl.Snapshot().Attrs; !reflect.DeepEqual(got, want) {
+		t.Fatalf("profile = %+v, want %+v", got, want)
+	}
+	// The unknown column is the second predicate: the first one's
+	// evaluation ran, but a failed query is not accounted.
+	if code := query("price = 35 AND nope = 1"); code != 500 {
+		t.Fatalf("unknown column: /query = %d, want 500", code)
+	}
+	if got := ts.wl.Snapshot().Attrs; !reflect.DeepEqual(got, want) {
+		t.Errorf("failed query changed the profile to %+v", got)
+	}
+
+	code, body := serveGet(t, mux, "/debug/advisor")
+	if code != 200 {
+		t.Fatalf("/debug/advisor = %d: %s", code, body)
+	}
+	var rep workload.Report
+	if err := json.Unmarshal([]byte(body), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.TotalQueries != 11 || !rep.Drifted || rep.Drift == 0 {
+		t.Errorf("total=%d drift=%v (flagged %v), want 11 and flagged non-zero",
+			rep.TotalQueries, rep.Drift, rep.Drifted)
+	}
+	if rep.Gain < 0 {
+		t.Errorf("gain = %v, want >= 0", rep.Gain)
+	}
+	recSpace := 0
+	for _, a := range rep.Attrs {
+		recSpace += a.RecommendedSpace
+	}
+	if recSpace > rep.Budget {
+		t.Errorf("recommendation overruns budget: %d > %d", recSpace, rep.Budget)
+	}
+}
+
 // TestServeWorkloadPersistence: a profile saved on shutdown is replayed
 // into the accumulator on the next boot, so counts survive restarts.
 func TestServeWorkloadPersistence(t *testing.T) {
@@ -215,7 +293,7 @@ func TestServeWorkloadPersistence(t *testing.T) {
 		}
 	}
 	// What cmdServe's shutdown hook does with -workload set.
-	if err := ts1.tbl.Workload().Snapshot().Save(wlPath); err != nil {
+	if err := ts1.wl.Snapshot().Save(wlPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,7 +301,7 @@ func TestServeWorkloadPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ts2.tbl.Workload().Snapshot()
+	p := ts2.wl.Snapshot()
 	var quantity workload.AttrProfile
 	for _, a := range p.Attrs {
 		if a.Name == "quantity" {
@@ -266,7 +344,7 @@ func TestCmdAdvise(t *testing.T) {
 		t.Fatal("query failed")
 	}
 	profPath := filepath.Join(t.TempDir(), "wl.json")
-	if err := ts.tbl.Workload().Snapshot().Save(profPath); err != nil {
+	if err := ts.wl.Snapshot().Save(profPath); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdAdvise([]string{"-dir", tblDir, "-profile", profPath, "-json"}); err != nil {

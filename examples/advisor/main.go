@@ -118,11 +118,11 @@ func main() {
 		{Name: "orderdate", Card: workload[2]},
 	})
 	for i := 0; i < 1000; i++ {
-		ev := bitmapindex.WorkloadEvent{Attr: "orderdate", Class: bitmapindex.WorkloadRange, Matches: -1}
+		ev := bitmapindex.WorkloadEvent{Attr: "orderdate", Class: bitmapindex.WorkloadRange}
 		if i%10 == 8 {
-			ev = bitmapindex.WorkloadEvent{Attr: "status", Class: bitmapindex.WorkloadEq, Matches: -1}
+			ev = bitmapindex.WorkloadEvent{Attr: "status", Class: bitmapindex.WorkloadEq}
 		} else if i%10 == 9 {
-			ev = bitmapindex.WorkloadEvent{Attr: "customer", Class: bitmapindex.WorkloadEq, Matches: -1}
+			ev = bitmapindex.WorkloadEvent{Attr: "customer", Class: bitmapindex.WorkloadEq}
 		}
 		acc.Observe(ev)
 	}

@@ -49,7 +49,7 @@ func renderText(findings []Finding) []byte {
 
 // TestOutputByteStable: two independent full runs (fresh Batch, fresh
 // passes) must produce byte-identical text output — the ordering
-// contract CI diffs and baselines depend on.
+// contract CI diffs depend on.
 func TestOutputByteStable(t *testing.T) {
 	first := renderText(badFixtureFindings(t))
 	second := renderText(badFixtureFindings(t))
@@ -157,46 +157,5 @@ func TestSARIFRequiredFields(t *testing.T) {
 		if line, _ := region["startLine"].(float64); line < 1 {
 			t.Errorf("result %d: startLine %v, want >= 1", i, region["startLine"])
 		}
-	}
-}
-
-// TestBaselineRoundTrip: writing the current findings as a baseline and
-// reading it back suppresses exactly those findings, with no stale
-// entries; an edited message resurfaces and goes stale.
-func TestBaselineRoundTrip(t *testing.T) {
-	findings := badFixtureFindings(t)
-	var buf bytes.Buffer
-	if err := WriteBaseline(&buf, findings, ""); err != nil {
-		t.Fatalf("WriteBaseline: %v", err)
-	}
-	baseline, err := ReadBaseline(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadBaseline: %v", err)
-	}
-	kept, stale := FilterBaseline(findings, baseline, "")
-	if len(kept) != 0 {
-		t.Errorf("round-trip kept %d findings, want 0: %v", len(kept), kept)
-	}
-	if len(stale) != 0 {
-		t.Errorf("round-trip produced %d stale entries, want 0: %v", len(stale), stale)
-	}
-	// Regeneration is byte-stable.
-	var buf2 bytes.Buffer
-	if err := WriteBaseline(&buf2, findings, ""); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("baseline output is not byte-stable")
-	}
-	// A changed message no longer matches and its old entry is stale.
-	mutated := make([]Finding, len(findings))
-	copy(mutated, findings)
-	mutated[0].Message += " (changed)"
-	kept, stale = FilterBaseline(mutated, baseline, "")
-	if len(kept) != 1 {
-		t.Errorf("mutated finding: kept %d, want 1", len(kept))
-	}
-	if len(stale) != 1 {
-		t.Errorf("mutated finding: %d stale entries, want 1", len(stale))
 	}
 }

@@ -107,9 +107,9 @@ func (a Assignment) For() func(comp, slot int) bool {
 
 // HitStats counts buffer consultations so buffering experiments can report
 // measured hits next to the eq. (5) expectation. The evaluator consults
-// the Buffered predicate once per distinct bitmap referenced per query (and
-// only when EvalOptions.Stats is set), so hits+misses equals the distinct
-// bitmap references and misses equals the scan count. Safe for concurrent
+// the Buffered predicate once per distinct bitmap referenced per query, so
+// hits+misses equals the distinct bitmap references and misses equals the
+// scan count. Safe for concurrent
 // queries (core.EvalBatch).
 type HitStats struct {
 	hits   atomic.Int64

@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"bitmapindex/internal/bitvec"
 	"bitmapindex/internal/core"
@@ -97,9 +96,6 @@ type Table struct {
 	// nil when rows were not reordered. Stored bitmaps are positioned in
 	// sorted row space; Query maps results back through it.
 	perm []int
-	// wl is the always-on per-attribute access accountant; every
-	// conjunction feeds it one event per predicate.
-	wl *workload.Accumulator
 }
 
 // Attr is one open attribute: its dictionary and its on-disk index.
@@ -364,11 +360,6 @@ func Open(dir string) (*Table, error) {
 		}
 		t.attrs[am.Name] = &Attr{Name: am.Name, dict: dict, store: st}
 	}
-	infos := make([]workload.AttrInfo, len(meta.Attrs))
-	for i, am := range meta.Attrs {
-		infos[i] = workload.AttrInfo{Name: am.Name, Card: t.attrs[am.Name].dict.Card()}
-	}
-	t.wl = workload.New(infos)
 	return t, nil
 }
 
@@ -458,20 +449,15 @@ func (t *Table) Count(preds []engine.Pred, m *storage.Metrics) (int, error) {
 }
 
 // conjunction ANDs the predicates' bitmaps in the stored (sorted) row
-// space, feeding the workload accountant one event per predicate. With
-// keep set it returns the result out, a vector the caller owns; without
-// it, it returns the number of matching rows instead, fusing the last AND
-// with that count. The first predicate is evaluated into out, each later
-// one into a pooled scratch vector, and each event takes its predicate's
-// count from the evaluator.
+// space, accounting physical costs into m when non-nil. With keep set it
+// returns the result out, a vector the caller owns; without it, it
+// returns the number of matching rows instead, fusing the last AND with
+// that count. The first predicate is evaluated into out, each later one
+// into a pooled scratch vector; a lone predicate that is only counted is
+// counted by the evaluator.
 func (t *Table) conjunction(preds []engine.Pred, m *storage.Metrics, keep bool) (out *bitvec.Vector, matches int, err error) {
 	if len(preds) == 0 {
 		return nil, 0, fmt.Errorf("catalog: empty predicate list")
-	}
-	// The workload accountant needs per-predicate scan/byte deltas even
-	// when the caller does not ask for metrics.
-	if m == nil {
-		m = &storage.Metrics{}
 	}
 	rows := t.meta.Rows
 	for i, p := range preds {
@@ -481,8 +467,6 @@ func (t *Table) conjunction(preds []engine.Pred, m *storage.Metrics, keep bool) 
 			return nil, 0, err
 		}
 		rop, rank, all, none := a.dict.Translate(p.Op, p.Val)
-		scans, bytes := m.Stats.Scans, m.BytesRead
-		start := time.Now()
 		// dst receives this predicate's bitmap: out for the first one,
 		// scratch for the rest, nothing for a lone predicate only counted.
 		last := i == len(preds)-1
@@ -495,7 +479,6 @@ func (t *Table) conjunction(preds []engine.Pred, m *storage.Metrics, keep bool) 
 			dst = out
 		}
 		var n int
-		cls := workload.ClassOf(p.Op)
 		switch {
 		case none:
 			if dst != nil {
@@ -507,7 +490,6 @@ func (t *Table) conjunction(preds []engine.Pred, m *storage.Metrics, keep bool) 
 				dst.SetAll()
 			}
 		default:
-			cls = workload.ClassOf(rop)
 			n, err = a.store.Count(rop, rank, dst, m)
 			if err != nil {
 				if dst != out {
@@ -517,16 +499,6 @@ func (t *Table) conjunction(preds []engine.Pred, m *storage.Metrics, keep bool) 
 				return nil, 0, fmt.Errorf("catalog: attribute %q: %w", p.Col, err)
 			}
 		}
-		t.wl.Observe(workload.Event{
-			Attr:    p.Col,
-			Class:   cls,
-			Value:   rank,
-			Matches: n,
-			Rows:    rows,
-			Scans:   m.Stats.Scans - scans,
-			Bytes:   m.BytesRead - bytes,
-			NS:      time.Since(start).Nanoseconds(),
-		})
 		switch {
 		case dst == nil || dst == out:
 			matches = n
@@ -545,10 +517,6 @@ func (t *Table) conjunction(preds []engine.Pred, m *storage.Metrics, keep bool) 
 	return out, matches, nil
 }
 
-// Workload returns the table's access accountant. It is always on; Query
-// and Count feed it one event per predicate.
-func (t *Table) Workload() *workload.Accumulator { return t.wl }
-
 // Designs describes the current physical design of every attribute in
 // creation order — the advisor's "what is on disk" input.
 func (t *Table) Designs() []workload.AttrDesign {
@@ -560,12 +528,6 @@ func (t *Table) Designs() []workload.AttrDesign {
 			ix.Encoding(), a.store.Options().Codec.String(), t.meta.Reorder)
 	}
 	return out
-}
-
-// Advise compares the table's current design against the weighted
-// recommendation under the accumulated workload profile.
-func (t *Table) Advise() (*workload.Report, error) {
-	return workload.Advise(t.meta.Name, t.Designs(), t.wl.Snapshot())
 }
 
 // Exists reports whether dir holds a table descriptor.

@@ -120,7 +120,10 @@ type EvalOptions struct {
 	Stats *Stats
 	// Buffered, when non-nil, reports whether stored bitmap slot j of
 	// component i is resident in the bitmap buffer; reads of buffered
-	// bitmaps do not count as scans (paper Section 10).
+	// bitmaps do not count as scans (paper Section 10). The evaluator
+	// probes it exactly once per distinct stored bitmap the query
+	// references, whether or not Stats is set, so a probe can count the
+	// query's buffer hits and misses.
 	Buffered func(comp, slot int) bool
 	// Fetch, when non-nil, overrides in-memory bitmap access: the
 	// evaluator obtains stored bitmap slot j of component i by calling
@@ -129,8 +132,9 @@ type EvalOptions struct {
 	// returns. Fetch is called at most once per distinct stored bitmap per
 	// query, sequentially on the caller's goroutine, before any combining
 	// starts — so it need not be safe for concurrent use, even under
-	// SegmentedEval. When Buffered is consulted for a bitmap, the probe
-	// directly precedes that bitmap's Fetch.
+	// SegmentedEval. When Buffered is set, its probe directly precedes
+	// that bitmap's Fetch. Under bixdebug, RangeEval's cross-check also
+	// fetches the bitmaps only RangeEval reads, without a probe.
 	Fetch func(comp, slot int) *bitvec.Vector
 	// Trace, when non-nil, accumulates per-phase wall-clock durations
 	// (bitmap fetch, boolean ops, ...) for this evaluation.

@@ -217,7 +217,8 @@ func (ix *Index) run(p *segProgram, opt *EvalOptions, cfg SegConfig, phase telem
 			srcs[i] = ix.nn
 			continue
 		}
-		if o.Stats != nil && (o.Buffered == nil || !o.Buffered(rf.comp, rf.slot)) {
+		buffered := o.Buffered != nil && o.Buffered(rf.comp, rf.slot)
+		if o.Stats != nil && !buffered {
 			o.Stats.Scans++
 		}
 		sp := o.Trace.Start(telemetry.PhaseFetch)

@@ -396,3 +396,26 @@ func TestExplainNamesAutoPlan(t *testing.T) {
 		t.Errorf("Auto picked only %v; the query set should reach all four plans", picked)
 	}
 }
+
+func TestSelectErrors(t *testing.T) {
+	rel := buildRelation(t, 500, 1)
+	if _, _, err := rel.Select(nil, FullScan); err == nil {
+		t.Fatal("empty predicate list: want error")
+	}
+	if _, _, err := rel.Select([]Pred{{Col: "nope", Op: core.Eq, Val: 1}}, FullScan); err == nil {
+		t.Fatal("unknown column: want error")
+	}
+	if _, _, err := rel.Select([]Pred{{Col: "quantity", Op: core.Eq, Val: 1}}, Method(99)); err == nil {
+		t.Fatal("unknown method: want error")
+	}
+	bare := NewRelation("bare")
+	if _, err := bare.AddInt64("v", []int64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := bare.Select([]Pred{{Col: "v", Op: core.Eq, Val: 1}}, BitmapMerge); err == nil {
+		t.Fatal("missing bitmap index: want error")
+	}
+	if _, _, err := bare.Select([]Pred{{Col: "v", Op: core.Eq, Val: 1}}, IndexFilter); err == nil {
+		t.Fatal("missing RID index: want error")
+	}
+}

@@ -166,14 +166,3 @@ func (r *Relation) SelectExpr(e Expr, m Method) (*bitvec.Vector, Cost, error) {
 		return nil, Cost{}, fmt.Errorf("engine: method %v cannot evaluate general expressions", m)
 	}
 }
-
-// CountExpr returns the number of qualifying rows — the aggregation the
-// paper notes Bit-Sliced indexes serve well: only a population count of
-// the result bitmap, no record fetches.
-func (r *Relation) CountExpr(e Expr, m Method) (int, Cost, error) {
-	b, c, err := r.SelectExpr(e, m)
-	if err != nil {
-		return 0, Cost{}, err
-	}
-	return b.Count(), c, nil
-}

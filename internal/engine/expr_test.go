@@ -122,29 +122,4 @@ func TestExprErrors(t *testing.T) {
 	if _, _, err := rel.SelectExpr(Not(bad), BitmapMerge); err == nil {
 		t.Error("error must propagate through negation")
 	}
-	if _, _, err := rel.CountExpr(bad, BitmapMerge); err == nil {
-		t.Error("CountExpr must propagate errors")
-	}
-}
-
-func TestCountExpr(t *testing.T) {
-	rel := buildRelation(t, 3000, 13)
-	e := Any(
-		Leaf(Pred{Col: "quantity", Op: core.Le, Val: 10}),
-		Leaf(Pred{Col: "quantity", Op: core.Gt, Val: 45}),
-	)
-	nScan, _, err := rel.CountExpr(e, FullScan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nBm, cost, err := rel.CountExpr(e, BitmapMerge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nScan != nBm {
-		t.Fatalf("counts differ: %d vs %d", nScan, nBm)
-	}
-	if cost.Rows != nBm {
-		t.Fatalf("cost.Rows %d != count %d", cost.Rows, nBm)
-	}
 }

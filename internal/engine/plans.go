@@ -102,103 +102,48 @@ type predActual struct {
 }
 
 // SelectOpts is Select with execution options (tracing). opt may be nil.
-// Cost.Method reports the concrete plan that ran.
+// Auto resolves to the cheapest estimable plan first, and Cost.Method
+// reports the concrete plan that ran. The plan-level accounting adds the
+// allocation deltas.
 func (r *Relation) SelectOpts(preds []Pred, m Method, opt *SelectOptions) (*bitvec.Vector, Cost, error) {
-	var out sink
-	c, err := r.execute(preds, m, opt, &out)
-	if err != nil {
-		return nil, Cost{}, err
-	}
-	return out.res, c, nil
-}
-
-// SelectCount evaluates the conjunction like SelectOpts but returns only
-// the number of qualifying records. Every plan runs the same code as in
-// SelectOpts against a counting sink: FullScan and IndexFilter count
-// matches without building a result bitmap, and BitmapMerge fuses the
-// final AND with the popcount (bitvec.AndCount) so the conjunction's
-// result vector is never written. Costs report the same bytes and stats
-// as the materializing plans; Cost.Rows is the count. opt may be nil.
-func (r *Relation) SelectCount(preds []Pred, m Method, opt *SelectOptions) (int, Cost, error) {
-	out := sink{count: true}
-	c, err := r.execute(preds, m, opt, &out)
-	if err != nil {
-		return 0, Cost{}, err
-	}
-	return c.Rows, c, nil
-}
-
-// sink receives a plan's qualifying rows: it either materializes them
-// into a result bitmap or only counts them.
-type sink struct {
-	count bool           // count only; res stays nil
-	res   *bitvec.Vector // materialized result
-	n     int            // rows added, count mode
-}
-
-// open prepares the sink for a plan that adds rows one at a time.
-func (s *sink) open(rows int) {
-	if !s.count {
-		s.res = bitvec.New(rows)
-	}
-}
-
-func (s *sink) add(row int) {
-	if s.count {
-		s.n++
-		return
-	}
-	s.res.Set(row)
-}
-
-// rows returns the number of rows added (a popcount when materializing).
-func (s *sink) rows(tr *telemetry.Trace) int {
-	if s.count {
-		return s.n
-	}
-	return popcount(s.res, tr)
-}
-
-// execute runs one plan into out and does the plan-level accounting:
-// allocation deltas. Auto resolves to the cheapest estimable plan first.
-func (r *Relation) execute(preds []Pred, m Method, opt *SelectOptions, out *sink) (Cost, error) {
 	if opt == nil {
 		opt = &SelectOptions{}
 	}
 	if err := r.checkPreds(preds); err != nil {
-		return Cost{}, err
+		return nil, Cost{}, err
 	}
 	tr := opt.Trace
 	if m == Auto {
 		best, err := r.pickPlan(preds, tr)
 		if err != nil {
-			return Cost{}, err
+			return nil, Cost{}, err
 		}
 		m = best
 	}
 	var (
+		res *bitvec.Vector
 		c   Cost
 		err error
 	)
 	aB, aO := telemetry.ReadAllocs()
 	switch m {
 	case FullScan:
-		c, err = r.fullScan(preds, out, tr)
+		res, c = r.fullScan(preds, tr)
 	case IndexFilter:
-		c, err = r.indexFilter(preds, out, tr)
+		res, c, err = r.indexFilter(preds, tr)
 	case RIDMerge:
-		c, err = r.ridMerge(preds, out, tr)
+		res, c, err = r.ridMerge(preds, tr)
 	case BitmapMerge:
-		c, err = r.bitmapMerge(preds, out, opt)
+		res, c, err = r.bitmapMerge(preds, opt)
 	default:
-		return Cost{}, fmt.Errorf("engine: unknown method %v", m)
+		return nil, Cost{}, fmt.Errorf("engine: unknown method %v", m)
 	}
 	if err != nil {
-		return Cost{}, err
+		return nil, Cost{}, err
 	}
 	b, o := telemetry.ReadAllocs()
 	c.AllocBytes, c.AllocObjects = b-aB, o-aO
-	return c, nil
+	return res, c, nil
 }
 
 // predsSummary renders the conjunction compactly ("A <= 7 AND B = 2").
@@ -244,17 +189,17 @@ func matchRow(preds []Pred, cols []*Column, row, skip int) bool {
 	return true
 }
 
-func (r *Relation) fullScan(preds []Pred, out *sink, tr *telemetry.Trace) (Cost, error) {
+func (r *Relation) fullScan(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, Cost) {
 	sp := tr.Start(telemetry.PhaseFilter)
-	out.open(r.Rows())
+	res := bitvec.New(r.Rows())
 	cols := r.columns(preds)
 	for row := 0; row < r.Rows(); row++ {
 		if matchRow(preds, cols, row, -1) {
-			out.add(row)
+			res.Set(row)
 		}
 	}
 	sp.End()
-	return Cost{Method: FullScan, BytesRead: int64(r.Rows()) * int64(r.RowBytes()), Rows: out.rows(tr)}, nil
+	return res, Cost{Method: FullScan, BytesRead: int64(r.Rows()) * int64(r.RowBytes()), Rows: popcount(res, tr)}
 }
 
 // popcount counts the result bits under the popcount trace phase.
@@ -289,7 +234,7 @@ func (r *Relation) ridsFor(p Pred) ([]uint32, int64, error) {
 	return out, bytes, nil
 }
 
-func (r *Relation) indexFilter(preds []Pred, out *sink, tr *telemetry.Trace) (Cost, error) {
+func (r *Relation) indexFilter(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, Cost, error) {
 	// Choose the most selective indexed predicate (smallest RID list) as
 	// the driver; fall back to the first RID-indexed column.
 	probe := tr.Start(telemetry.PhaseFetch)
@@ -304,7 +249,7 @@ func (r *Relation) indexFilter(preds []Pred, out *sink, tr *telemetry.Trace) (Co
 		rids, bytes, err := r.ridsFor(p)
 		if err != nil {
 			probe.End()
-			return Cost{}, err
+			return nil, Cost{}, err
 		}
 		if driver < 0 || len(rids) < len(driverRIDs) {
 			driver, driverRIDs, driverBytes = i, rids, bytes
@@ -312,16 +257,14 @@ func (r *Relation) indexFilter(preds []Pred, out *sink, tr *telemetry.Trace) (Co
 	}
 	probe.End()
 	if driver < 0 {
-		return Cost{}, fmt.Errorf("engine: no RID index available for index-filter plan")
+		return nil, Cost{}, fmt.Errorf("engine: no RID index available for index-filter plan")
 	}
 	sp := tr.Start(telemetry.PhaseFilter)
-	out.open(r.Rows())
+	res := bitvec.New(r.Rows())
 	cols := r.columns(preds)
-	// Per-value RID lists are disjoint, so the driver list has no
-	// duplicates and counting candidates equals counting result bits.
 	for _, rid := range driverRIDs {
 		if matchRow(preds, cols, int(rid), driver) {
-			out.add(int(rid))
+			res.Set(int(rid))
 		}
 	}
 	sp.End()
@@ -329,12 +272,12 @@ func (r *Relation) indexFilter(preds []Pred, out *sink, tr *telemetry.Trace) (Co
 		Method: IndexFilter,
 		// Index probe plus fetching each candidate record.
 		BytesRead: driverBytes + int64(len(driverRIDs))*int64(r.RowBytes()),
-		Rows:      out.rows(tr),
+		Rows:      popcount(res, tr),
 	}
-	return cost, nil
+	return res, cost, nil
 }
 
-func (r *Relation) ridMerge(preds []Pred, out *sink, tr *telemetry.Trace) (Cost, error) {
+func (r *Relation) ridMerge(preds []Pred, tr *telemetry.Trace) (*bitvec.Vector, Cost, error) {
 	var result []uint32
 	var bytes int64
 	for i, p := range preds {
@@ -342,7 +285,7 @@ func (r *Relation) ridMerge(preds []Pred, out *sink, tr *telemetry.Trace) (Cost,
 		rids, b, err := r.ridsFor(p)
 		probe.End()
 		if err != nil {
-			return Cost{}, err
+			return nil, Cost{}, err
 		}
 		bytes += b
 		if i == 0 {
@@ -353,11 +296,11 @@ func (r *Relation) ridMerge(preds []Pred, out *sink, tr *telemetry.Trace) (Cost,
 		result = intersectSorted(result, rids)
 		sp.End()
 	}
-	out.open(r.Rows())
+	res := bitvec.New(r.Rows())
 	for _, rid := range result {
-		out.add(int(rid))
+		res.Set(int(rid))
 	}
-	return Cost{Method: RIDMerge, BytesRead: bytes, Rows: len(result)}, nil
+	return res, Cost{Method: RIDMerge, BytesRead: bytes, Rows: len(result)}, nil
 }
 
 func intersectSorted(a, b []uint32) []uint32 {
@@ -396,35 +339,25 @@ func (r *Relation) evalBitmapPred(p Pred, tr *telemetry.Trace, st *core.Stats) (
 }
 
 // bitmapMerge is plan P3 over bitmap indexes: one bitmap evaluation per
-// predicate, ANDed together. In count mode the final AND is fused with
-// the popcount (bitvec.AndCount), so the conjunction's result vector is
-// never written; a single predicate is counted straight off its result.
-func (r *Relation) bitmapMerge(preds []Pred, out *sink, opt *SelectOptions) (Cost, error) {
+// predicate, ANDed together.
+func (r *Relation) bitmapMerge(preds []Pred, opt *SelectOptions) (*bitvec.Vector, Cost, error) {
 	tr := opt.Trace
 	bitmapBytes := int64((r.Rows() + 7) / 8)
 	var acc *bitvec.Vector
 	var bytes int64
 	var st core.Stats
-	n := -1 // result rows, once known
-	for k, p := range preds {
+	for _, p := range preds {
 		scans0, t0 := st.Scans, time.Now()
 		res, err := r.evalBitmapPred(p, tr, &st)
 		if err != nil {
-			return Cost{}, err
+			return nil, Cost{}, err
 		}
 		ns := time.Since(t0).Nanoseconds()
 		scans := st.Scans - scans0
 		bytes += int64(scans) * bitmapBytes
-		last := k == len(preds)-1
-		switch {
-		case acc == nil:
+		if acc == nil {
 			acc = res
-		case last && out.count:
-			sp := tr.Start(telemetry.PhasePopcount)
-			n = bitvec.AndCount(acc, res)
-			sp.End()
-			st.Ands++
-		default:
+		} else {
 			// The cross-predicate AND is a bitmap operation too; count it
 			// so plan-level Stats cover all CPU work, not just the
 			// per-index evaluations.
@@ -433,17 +366,11 @@ func (r *Relation) bitmapMerge(preds []Pred, out *sink, opt *SelectOptions) (Cos
 			sp.End()
 			st.Ands++
 		}
-		if last && n < 0 {
-			n = popcount(acc, tr)
-		}
 		if opt.perPred != nil {
 			*opt.perPred = append(*opt.perPred, predActual{Scans: scans, NS: ns})
 		}
 	}
-	if !out.count {
-		out.res = acc
-	}
-	return Cost{Method: BitmapMerge, BytesRead: bytes, Rows: n, Stats: st}, nil
+	return acc, Cost{Method: BitmapMerge, BytesRead: bytes, Rows: popcount(acc, tr), Stats: st}, nil
 }
 
 // EstimateBytes predicts the bytes a plan would read, using exact index

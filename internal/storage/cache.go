@@ -92,22 +92,28 @@ func (c *CachedStore) HitRate() float64 {
 func (c *CachedStore) Resident() int { return c.resident }
 
 // options wires the pool into one query: pinned bitmaps are buffered and
-// served from memory, the rest read through q. Fetch counts each read as
-// a hit or a miss, in the pool's counters and m.
+// served from memory, the rest read through q. The Buffered probe, made
+// once per distinct bitmap the query references, counts it as a hit or a
+// miss, in the pool's counters and m.
 func (c *CachedStore) options(q *query, m *Metrics) *core.EvalOptions {
 	return &core.EvalOptions{
-		Buffered: func(comp, slot int) bool { return c.pinned[comp][slot] != nil },
-		Fetch: func(comp, slot int) *bitvec.Vector {
-			if v := c.pinned[comp][slot]; v != nil {
+		Buffered: func(comp, slot int) bool {
+			if c.pinned[comp][slot] != nil {
 				c.hits.Add(1)
 				if m != nil {
 					m.CacheHits++
 				}
-				return v
+				return true
 			}
 			c.misses.Add(1)
 			if m != nil {
 				m.CacheMisses++
+			}
+			return false
+		},
+		Fetch: func(comp, slot int) *bitvec.Vector {
+			if v := c.pinned[comp][slot]; v != nil {
+				return v
 			}
 			return q.fetch(comp, slot)
 		},

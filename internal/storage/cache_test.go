@@ -13,7 +13,6 @@ import (
 	"bitmapindex/internal/buffer"
 	"bitmapindex/internal/core"
 	"bitmapindex/internal/data"
-	"bitmapindex/internal/invariant"
 )
 
 func cachedFixture(t *testing.T, capacity int) (*core.Index, *CachedStore) {
@@ -310,12 +309,10 @@ func TestCachedStoreHitMissCounters(t *testing.T) {
 			if _, err := cs.Eval(op, v, &m); err != nil {
 				t.Fatal(err)
 			}
-			// Under -tags bixdebug, Eval's RangeEval cross-check also
-			// fetches bitmaps RangeEval-Opt does not reference.
-			if got := m.CacheHits + m.CacheMisses; got != int64(refs.Scans) && !invariant.Enabled {
+			if got := m.CacheHits + m.CacheMisses; got != int64(refs.Scans) {
 				t.Fatalf("A %s %d: %d hits + %d misses, want %d references", op, v, m.CacheHits, m.CacheMisses, refs.Scans)
 			}
-			if m.CacheMisses != int64(m.Stats.Scans) && !invariant.Enabled {
+			if m.CacheMisses != int64(m.Stats.Scans) {
 				t.Fatalf("A %s %d: %d misses but %d scans", op, v, m.CacheMisses, m.Stats.Scans)
 			}
 			if cs.Hits()-h0 != m.CacheHits || cs.Misses()-m0 != m.CacheMisses {

@@ -9,28 +9,22 @@ import (
 	"bitmapindex/internal/design"
 )
 
-// ProfileVersion is bumped whenever the snapshot layout changes shape.
+// ProfileVersion is bumped whenever a saved profile's fields change
+// meaning. Dropping a field does not bump it: decoding ignores fields it
+// does not know, so profiles that still carry the per-attribute cost
+// counters and histograms earlier versions of this package wrote load
+// as their class counts.
 const ProfileVersion = 1
 
-// AttrProfile is one attribute's accumulated statistics.
+// AttrProfile is one attribute's query counts by operator class. An
+// interval query counts once here but as two one-sided evaluations in
+// Demands.
 type AttrProfile struct {
-	Name string `json:"name"`
-	Card uint64 `json:"card"`
-	// Query counts by operator class. An interval query counts once here
-	// but as two one-sided evaluations in Demands.
-	Eq       int64 `json:"eq"`
-	Range    int64 `json:"range"`
-	Interval int64 `json:"interval"`
-	// Physical costs attributed to this attribute's predicates.
-	Scans       int64 `json:"scans"`
-	BytesRead   int64 `json:"bytes_read"`
-	LatencyNS   int64 `json:"latency_ns"`
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	// Selectivity (matches/rows) and constant-position (value/card)
-	// histograms: HistBuckets equal-width buckets over [0, 1].
-	Selectivity []int64 `json:"selectivity_hist"`
-	Position    []int64 `json:"position_hist"`
+	Name     string `json:"name"`
+	Card     uint64 `json:"card"`
+	Eq       int64  `json:"eq"`
+	Range    int64  `json:"range"`
+	Interval int64  `json:"interval"`
 }
 
 // Queries returns the attribute's total query count across classes.
@@ -111,8 +105,8 @@ func (p Profile) Weights() []float64 {
 }
 
 // Validate checks the profile against a catalog attribute set: every
-// profile attribute must exist with the same cardinality, every count
-// must be non-negative, and histograms must not exceed the bucket layout.
+// profile attribute must exist with the same cardinality, and every count
+// must be non-negative.
 func (p Profile) Validate(attrs []AttrInfo) error {
 	if p.Version > ProfileVersion {
 		return fmt.Errorf("workload: profile version %d is newer than supported %d", p.Version, ProfileVersion)
@@ -138,27 +132,9 @@ func (p Profile) Validate(attrs []AttrInfo) error {
 		for _, c := range [...]struct {
 			what string
 			v    int64
-		}{
-			{"eq", ap.Eq}, {"range", ap.Range}, {"interval", ap.Interval},
-			{"scans", ap.Scans}, {"bytes_read", ap.BytesRead}, {"latency_ns", ap.LatencyNS},
-			{"cache_hits", ap.CacheHits}, {"cache_misses", ap.CacheMisses},
-		} {
+		}{{"eq", ap.Eq}, {"range", ap.Range}, {"interval", ap.Interval}} {
 			if c.v < 0 {
 				return fmt.Errorf("workload: attribute %q has negative %s count %d", ap.Name, c.what, c.v)
-			}
-		}
-		if len(ap.Selectivity) > HistBuckets || len(ap.Position) > HistBuckets {
-			return fmt.Errorf("workload: attribute %q has oversized histogram (%d/%d buckets, max %d)",
-				ap.Name, len(ap.Selectivity), len(ap.Position), HistBuckets)
-		}
-		for _, b := range ap.Selectivity {
-			if b < 0 {
-				return fmt.Errorf("workload: attribute %q has negative selectivity bucket", ap.Name)
-			}
-		}
-		for _, b := range ap.Position {
-			if b < 0 {
-				return fmt.Errorf("workload: attribute %q has negative position bucket", ap.Name)
 			}
 		}
 	}
@@ -181,23 +157,12 @@ func (p *Profile) Merge(o Profile) error {
 		for _, f := range [...]struct {
 			dst *int64
 			src int64
-		}{
-			{&a.Eq, b.Eq}, {&a.Range, b.Range}, {&a.Interval, b.Interval},
-			{&a.Scans, b.Scans}, {&a.BytesRead, b.BytesRead}, {&a.LatencyNS, b.LatencyNS},
-			{&a.CacheHits, b.CacheHits}, {&a.CacheMisses, b.CacheMisses},
-		} {
+		}{{&a.Eq, b.Eq}, {&a.Range, b.Range}, {&a.Interval, b.Interval}} {
 			s, err := addInt64(*f.dst, f.src, a.Name)
 			if err != nil {
 				return err
 			}
 			*f.dst = s
-		}
-		var err error
-		if a.Selectivity, err = mergeHist(a.Selectivity, b.Selectivity, a.Name); err != nil {
-			return err
-		}
-		if a.Position, err = mergeHist(a.Position, b.Position, a.Name); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -211,20 +176,6 @@ func addInt64(a, b int64, attr string) (int64, error) {
 		return 0, fmt.Errorf("workload: attribute %q: counter overflow in merge", attr)
 	}
 	return a + b, nil
-}
-
-func mergeHist(dst, src []int64, attr string) ([]int64, error) {
-	for len(dst) < len(src) {
-		dst = append(dst, 0)
-	}
-	for i, v := range src {
-		s, err := addInt64(dst[i], v, attr)
-		if err != nil {
-			return nil, err
-		}
-		dst[i] = s
-	}
-	return dst, nil
 }
 
 // Save writes the profile as indented JSON.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -20,52 +21,25 @@ func testAttrs() []AttrInfo {
 
 func TestObserveAndSnapshot(t *testing.T) {
 	a := New(testAttrs())
-	a.Observe(Event{Attr: "region", Class: EqClass, Value: 45, Matches: 10, Rows: 100,
-		Scans: 3, Bytes: 1024, NS: 5000, CacheHits: 2, CacheMisses: 1})
-	a.Observe(Event{Attr: "region", Class: RangeClass, Value: 89, Matches: -1, Scans: 5})
-	a.Observe(Event{Attr: "tier", Class: IntervalClass, Value: 0, Matches: 0, Rows: 10})
+	a.Observe(Event{Attr: "region", Class: EqClass})
+	a.Observe(Event{Attr: "region", Class: RangeClass})
+	a.Observe(Event{Attr: "tier", Class: IntervalClass})
 
 	p := a.Snapshot()
 	if p.Version != ProfileVersion {
 		t.Errorf("version = %d, want %d", p.Version, ProfileVersion)
 	}
-	region := p.Attrs[0]
-	if region.Eq != 1 || region.Range != 1 || region.Interval != 0 {
-		t.Errorf("region counts = %d/%d/%d, want 1/1/0", region.Eq, region.Range, region.Interval)
+	want := []AttrProfile{
+		{Name: "region", Card: 90, Eq: 1, Range: 1},
+		{Name: "status", Card: 25},
+		{Name: "tier", Card: 12, Interval: 1},
 	}
-	if region.Scans != 8 || region.BytesRead != 1024 || region.LatencyNS != 5000 {
-		t.Errorf("region costs = %d/%d/%d", region.Scans, region.BytesRead, region.LatencyNS)
-	}
-	if region.CacheHits != 2 || region.CacheMisses != 1 {
-		t.Errorf("region cache = %d/%d", region.CacheHits, region.CacheMisses)
-	}
-	// Value 45 of card 90 → bucket 5; value 89 of 90 → bucket 9.
-	if region.Position[5] != 1 || region.Position[9] != 1 {
-		t.Errorf("region position hist = %v", region.Position)
-	}
-	// 10/100 → bucket 1; the Matches: -1 event is skipped.
-	if region.Selectivity[1] != 1 || sum(region.Selectivity) != 1 {
-		t.Errorf("region selectivity hist = %v", region.Selectivity)
-	}
-	tier := p.Attrs[2]
-	if tier.Interval != 1 {
-		t.Errorf("tier interval count = %d, want 1", tier.Interval)
-	}
-	// Matches 0 of 10 rows is a real observation (bucket 0).
-	if tier.Selectivity[0] != 1 {
-		t.Errorf("tier selectivity hist = %v", tier.Selectivity)
+	if !reflect.DeepEqual(p.Attrs, want) {
+		t.Errorf("snapshot = %+v, want %+v", p.Attrs, want)
 	}
 	if p.TotalQueries() != 3 {
 		t.Errorf("TotalQueries = %d, want 3", p.TotalQueries())
 	}
-}
-
-func sum(h []int64) int64 {
-	var t int64
-	for _, v := range h {
-		t += v
-	}
-	return t
 }
 
 func TestObserveUnknownAttrDropped(t *testing.T) {
@@ -96,8 +70,7 @@ func TestClassOf(t *testing.T) {
 // set is registered, recording an event allocates nothing.
 func TestObserveAllocFree(t *testing.T) {
 	a := New(testAttrs())
-	e := Event{Attr: "status", Class: RangeClass, Value: 12, Matches: 40, Rows: 100,
-		Scans: 4, Bytes: 512, NS: 900, CacheHits: 1}
+	e := Event{Attr: "status", Class: RangeClass}
 	if allocs := testing.AllocsPerRun(1000, func() { a.Observe(e) }); allocs != 0 {
 		t.Errorf("Observe allocates %v per run, want 0", allocs)
 	}
@@ -113,10 +86,9 @@ func TestDuplicateAttrsCollapsed(t *testing.T) {
 func TestProfileRoundTrip(t *testing.T) {
 	a := New(testAttrs())
 	for i := 0; i < 17; i++ {
-		a.Observe(Event{Attr: "region", Class: RangeClass, Value: uint64(i * 5),
-			Matches: i, Rows: 20, Scans: 2, Bytes: 64, NS: 10})
+		a.Observe(Event{Attr: "region", Class: RangeClass})
 	}
-	a.Observe(Event{Attr: "status", Class: EqClass, Value: 3, Matches: -1})
+	a.Observe(Event{Attr: "status", Class: EqClass})
 	want := a.Snapshot()
 
 	path := filepath.Join(t.TempDir(), "profile.json")
@@ -139,17 +111,17 @@ func TestProfileRoundTrip(t *testing.T) {
 // snapshot makes the accumulator resume where the previous run stopped.
 func TestAddProfileRestart(t *testing.T) {
 	a := New(testAttrs())
-	a.Observe(Event{Attr: "region", Class: EqClass, Value: 1, Matches: -1, Scans: 2})
+	a.Observe(Event{Attr: "region", Class: EqClass})
 	saved := a.Snapshot()
 
 	b := New(testAttrs())
 	if err := b.AddProfile(saved); err != nil {
 		t.Fatal(err)
 	}
-	b.Observe(Event{Attr: "region", Class: EqClass, Value: 1, Matches: -1, Scans: 2})
+	b.Observe(Event{Attr: "region", Class: EqClass})
 	got := b.Snapshot()
-	if got.Attrs[0].Eq != 2 || got.Attrs[0].Scans != 4 {
-		t.Errorf("after restart replay: eq=%d scans=%d, want 2/4", got.Attrs[0].Eq, got.Attrs[0].Scans)
+	if got.Attrs[0].Eq != 2 {
+		t.Errorf("after restart replay: eq=%d, want 2", got.Attrs[0].Eq)
 	}
 
 	bad := saved
@@ -157,6 +129,87 @@ func TestAddProfileRestart(t *testing.T) {
 	bad.Attrs[0].Name = "nope"
 	if err := b.AddProfile(bad); err == nil {
 		t.Error("AddProfile accepted an unknown attribute")
+	}
+}
+
+// legacyProfile is a profile as Save wrote it while the profile also
+// carried per-attribute scans, bytes, latency, cache counts and the
+// selectivity and constant-position histograms.
+const legacyProfile = `{
+  "version": 1,
+  "attributes": [
+    {
+      "name": "region",
+      "card": 90,
+      "eq": 4,
+      "range": 7,
+      "interval": 0,
+      "scans": 61,
+      "bytes_read": 18432,
+      "latency_ns": 905113,
+      "cache_hits": 3,
+      "cache_misses": 12,
+      "selectivity_hist": [2, 1, 0, 0, 3, 0, 0, 0, 1, 4],
+      "position_hist": [0, 1, 1, 2, 0, 3, 0, 0, 4, 0]
+    },
+    {
+      "name": "status",
+      "card": 25,
+      "eq": 2,
+      "range": 0,
+      "interval": 0,
+      "scans": 4,
+      "bytes_read": 1024,
+      "latency_ns": 20011,
+      "cache_hits": 0,
+      "cache_misses": 0,
+      "selectivity_hist": [2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+      "position_hist": [0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
+    },
+    {
+      "name": "tier",
+      "card": 12,
+      "eq": 0,
+      "range": 0,
+      "interval": 1,
+      "scans": 6,
+      "bytes_read": 2048,
+      "latency_ns": 7013,
+      "cache_hits": 0,
+      "cache_misses": 0,
+      "selectivity_hist": [0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+      "position_hist": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+    }
+  ]
+}
+`
+
+// TestLegacyProfileReplays: a profile that still carries the cost fields
+// and histograms loads as its class counts and replays into an
+// accumulator.
+func TestLegacyProfileReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.json")
+	if err := os.WriteFile(path, []byte(legacyProfile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Profile{Version: 1, Attrs: []AttrProfile{
+		{Name: "region", Card: 90, Eq: 4, Range: 7},
+		{Name: "status", Card: 25, Eq: 2},
+		{Name: "tier", Card: 12, Interval: 1},
+	}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %+v, want %+v", got, want)
+	}
+	a := New(testAttrs())
+	if err := a.AddProfile(got); err != nil {
+		t.Fatal(err)
+	}
+	if snap := a.Snapshot(); !reflect.DeepEqual(snap, want) {
+		t.Errorf("replayed snapshot %+v, want %+v", snap, want)
 	}
 }
 
@@ -170,10 +223,8 @@ func TestValidateRejects(t *testing.T) {
 		{"cardinality mismatch", func(p *Profile) { p.Attrs[0].Card = 91 }},
 		{"duplicate attribute", func(p *Profile) { p.Attrs[1] = p.Attrs[0] }},
 		{"negative eq", func(p *Profile) { p.Attrs[0].Eq = -1 }},
-		{"negative scans", func(p *Profile) { p.Attrs[1].Scans = -5 }},
-		{"negative latency", func(p *Profile) { p.Attrs[2].LatencyNS = -1 }},
-		{"oversized hist", func(p *Profile) { p.Attrs[0].Selectivity = make([]int64, HistBuckets+1) }},
-		{"negative hist bucket", func(p *Profile) { p.Attrs[0].Position = []int64{-1} }},
+		{"negative range", func(p *Profile) { p.Attrs[1].Range = -5 }},
+		{"negative interval", func(p *Profile) { p.Attrs[2].Interval = -1 }},
 		{"future version", func(p *Profile) { p.Version = ProfileVersion + 1 }},
 	}
 	for _, c := range cases {
@@ -191,13 +242,14 @@ func TestValidateRejects(t *testing.T) {
 
 func TestMergeAndOverflow(t *testing.T) {
 	a := New(testAttrs())
-	a.Observe(Event{Attr: "region", Class: EqClass, Value: 1, Matches: 1, Rows: 2})
+	a.Observe(Event{Attr: "region", Class: EqClass})
+	a.Observe(Event{Attr: "tier", Class: IntervalClass})
 	p, q := a.Snapshot(), a.Snapshot()
 	if err := p.Merge(q); err != nil {
 		t.Fatal(err)
 	}
-	if p.Attrs[0].Eq != 2 || p.Attrs[0].Selectivity[5] != 2 {
-		t.Errorf("merge: eq=%d sel=%v", p.Attrs[0].Eq, p.Attrs[0].Selectivity)
+	if p.Attrs[0].Eq != 2 || p.Attrs[2].Interval != 2 || p.TotalQueries() != 4 {
+		t.Errorf("merge: %+v, want region eq 2 and tier interval 2", p.Attrs)
 	}
 
 	p.Attrs[0].Eq = 1<<63 - 1
@@ -227,8 +279,7 @@ func TestConcurrentObserveSnapshot(t *testing.T) {
 			attrs := testAttrs()
 			for i := 0; i < perWorker; i++ {
 				ai := attrs[(w+i)%len(attrs)]
-				a.Observe(Event{Attr: ai.Name, Class: OpClass(i % 3),
-					Value: uint64(i) % ai.Card, Matches: i % 50, Rows: 50, Scans: 1})
+				a.Observe(Event{Attr: ai.Name, Class: OpClass(i % 3)})
 			}
 		}(w)
 	}
@@ -249,23 +300,29 @@ func TestConcurrentObserveSnapshot(t *testing.T) {
 	if got := final.TotalQueries(); got != workers*perWorker {
 		t.Errorf("TotalQueries = %d, want %d", got, workers*perWorker)
 	}
-	var scans int64
-	for _, ap := range final.Attrs {
-		scans += ap.Scans
+	var got, want [numClasses]int64
+	for i := 0; i < perWorker; i++ {
+		want[i%3] += workers
 	}
-	if scans != workers*perWorker {
-		t.Errorf("total scans = %d, want %d", scans, workers*perWorker)
+	for _, ap := range final.Attrs {
+		got[EqClass] += ap.Eq
+		got[RangeClass] += ap.Range
+		got[IntervalClass] += ap.Interval
+	}
+	if got != want {
+		t.Errorf("class counts = %v, want %v", got, want)
 	}
 }
 
 func FuzzProfileDecode(f *testing.F) {
 	a := New(testAttrs())
-	a.Observe(Event{Attr: "region", Class: RangeClass, Value: 10, Matches: 5, Rows: 10})
+	a.Observe(Event{Attr: "region", Class: RangeClass})
 	good, err := a.Snapshot().marshal()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good)
+	f.Add([]byte(legacyProfile))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1,"attributes":[{"name":"x","card":4,"eq":-1}]}`))
 	f.Add([]byte(`{"version":99}`))
@@ -290,12 +347,8 @@ func FuzzProfileDecode(f *testing.F) {
 				t.Fatalf("decoded duplicate attribute %q", ap.Name)
 			}
 			seen[ap.Name] = true
-			if ap.Eq < 0 || ap.Range < 0 || ap.Interval < 0 || ap.Scans < 0 ||
-				ap.BytesRead < 0 || ap.LatencyNS < 0 || ap.CacheHits < 0 || ap.CacheMisses < 0 {
+			if ap.Eq < 0 || ap.Range < 0 || ap.Interval < 0 {
 				t.Fatalf("decoded negative count in %+v", ap)
-			}
-			if len(ap.Selectivity) > HistBuckets || len(ap.Position) > HistBuckets {
-				t.Fatalf("decoded oversized histogram in %+v", ap)
 			}
 		}
 		j, err := p.marshal()
