@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"bitmapindex/internal/catalog"
@@ -91,7 +92,11 @@ func (s *tableServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	m := storage.Metrics{Trace: telemetry.NewTrace(q)}
 	matches, res, err := evalConjunction(s.tbl, preds, &m, rids)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		code := http.StatusInternalServerError // a stored file could not be read
+		if errors.Is(err, catalog.ErrNoAttribute) {
+			code = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	rec := flight.Record{Query: q, Plan: "table-query", Rows: int64(matches)}

@@ -245,8 +245,8 @@ func TestTableQueryFeedsWorkload(t *testing.T) {
 	}
 	// The unknown column is the second predicate: the first one's
 	// evaluation ran, but a failed query is not accounted.
-	if code := query("price = 35 AND nope = 1"); code != 500 {
-		t.Fatalf("unknown column: /query = %d, want 500", code)
+	if code := query("price = 35 AND nope = 1"); code != 400 {
+		t.Fatalf("unknown column: /query = %d, want 400", code)
 	}
 	if got := ts.wl.Snapshot().Attrs; !reflect.DeepEqual(got, want) {
 		t.Errorf("failed query changed the profile to %+v", got)

@@ -412,11 +412,16 @@ func (t *Table) Attributes() []string {
 	return out
 }
 
-// Attr returns the named attribute.
+// ErrNoAttribute reports a predicate or lookup naming an attribute the
+// table does not have: a fault of the request, not of the stored table.
+var ErrNoAttribute = errors.New("no such attribute")
+
+// Attr returns the named attribute. An unknown name fails with an error
+// wrapping ErrNoAttribute.
 func (t *Table) Attr(name string) (*Attr, error) {
 	a, ok := t.attrs[name]
 	if !ok {
-		return nil, fmt.Errorf("catalog: table %s has no attribute %q", t.meta.Name, name)
+		return nil, fmt.Errorf("catalog: table %s: %w: %q", t.meta.Name, ErrNoAttribute, name)
 	}
 	return a, nil
 }

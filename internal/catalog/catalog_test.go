@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -93,8 +94,8 @@ func TestAttrAccessors(t *testing.T) {
 	if a.Dict().Card() == 0 || a.Store() == nil {
 		t.Fatal("attribute accessors broken")
 	}
-	if _, err := tbl.Attr("nope"); err == nil {
-		t.Fatal("missing attribute must fail")
+	if _, err := tbl.Attr("nope"); !errors.Is(err, ErrNoAttribute) {
+		t.Fatalf("missing attribute: %v, want ErrNoAttribute", err)
 	}
 	if !Exists(dir) || Exists(t.TempDir()) {
 		t.Fatal("Exists wrong")

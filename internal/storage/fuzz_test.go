@@ -46,7 +46,7 @@ func FuzzOpenMeta(f *testing.F) {
 // zlib.NewReader and io.ReadAll, accepting only a stream that reaches
 // io.EOF after exactly ceil(nbits/8) bytes. Reading stops one byte past
 // that, so a small input that inflates to gigabytes stays cheap.
-func referenceInflate(t *testing.T, stream []byte, nbits int) (*bitvec.Vector, bool) {
+func referenceInflate(t testing.TB, stream []byte, nbits int) (*bitvec.Vector, bool) {
 	zr, err := zlib.NewReader(bytes.NewReader(stream))
 	if err != nil {
 		return nil, false
@@ -63,15 +63,15 @@ func referenceInflate(t *testing.T, stream []byte, nbits int) (*bitvec.Vector, b
 	return v, true
 }
 
-// FuzzInflateVector: the pooled zlib decoder accepts exactly the streams
-// the reference accepts, and then its words equal the reference's. Each
-// input is decoded twice, around a stream rejected at its adler32
-// trailer, so the second decode runs on a pooled reader left in an error
-// state. Both decodes write into one reused buffer that still holds stale
+// FuzzInflateVector: the package's zlib decoder accepts exactly the
+// streams the reference accepts, and then its words equal the reference's.
+// Each input is decoded twice, around a stream rejected at its adler32
+// trailer, so the second decode runs on a pooled decoder whose last stream
+// failed. Both decodes write into one reused buffer that still holds stale
 // bits, as a pooled buffer does, so a word the decoder fails to write
 // shows.
 func FuzzInflateVector(f *testing.F) {
-	payload := make([]byte, inflateChunk+4) // the last chunk holds half a word
+	payload := make([]byte, 4100) // not a multiple of 8: the last word is half full
 	for i := range payload {
 		payload[i] = byte(i % 13 * 19) // a short stream keeps minimizing cheap
 	}
@@ -98,6 +98,50 @@ func FuzzInflateVector(f *testing.F) {
 	f.Add(withDict, seedBits)
 	f.Add(zlibBytes(f, nil), uint32(0))
 	f.Add([]byte{}, uint32(0))
+	f.Add(zlibLevel(f, payload[:300], zlib.HuffmanOnly), uint32(8*300))
+	// Two stored blocks with data, each closed by the empty stored block
+	// of a flush.
+	var stored bytes.Buffer
+	zw, err := zlib.NewWriterLevel(&stored, zlib.NoCompression)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, part := range [][]byte{payload[:40], payload[40:100]} {
+		if _, err := zw.Write(part); err != nil {
+			f.Fatal(err)
+		}
+		if err := zw.Flush(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stored.Bytes(), uint32(8*100))
+	for _, s := range []struct {
+		decoded string
+		body    func(w *bitWriter)
+	}{
+		{"fixed Huffman", func(w *bitWriter) { w.fixedLits("fixed Huffman") }},
+		// A run of one byte that ends 3 bytes before the output does.
+		{"xyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyz!?", func(w *bitWriter) {
+			w.fixedLits("xy")
+			w.fixedCopy(66, 1)
+			w.fixedLits("z!?")
+		}},
+		// An overlapping copy at distance 3.
+		{"abcabcabcabcabcabcabcab.", func(w *bitWriter) {
+			w.fixedLits("abc")
+			w.fixedCopy(20, 3)
+			w.fixedLits(".")
+		}},
+	} {
+		var w bitWriter
+		w.header(true, 1)
+		s.body(&w)
+		w.fixedSym(256)
+		f.Add(zlibWrap(w.deflate(), []byte(s.decoded)), uint32(8*len(s.decoded)))
+	}
 	f.Fuzz(func(t *testing.T, stream []byte, n uint32) {
 		nbits := int(n % (1<<16 + 1))
 		want, ok := referenceInflate(t, stream, nbits)

@@ -9,12 +9,15 @@
 //   - IS (index-level storage): the entire index bit-matrix in one
 //     row-major file; every query reads everything.
 //
-// Compression (the "c" prefix in the paper: cBS, cCS, cIS) uses the Go
-// standard library's DEFLATE zlib, the same algorithm family as the zlib C
-// library the paper used. Range- and equality-encoded component rows are
-// far more regular in row-major order than value-distribution-dependent
-// bitmap files, which is why cCS compresses best (Table 4) while cBS keeps
-// the per-query I/O advantage (Figure 16).
+// Compression (the "c" prefix in the paper: cBS, cCS, cIS) is zlib
+// DEFLATE, the same algorithm family as the zlib C library the paper
+// used: files are written by the standard library's compress/zlib and
+// read by the package's own decoder for the same format (inflate.go),
+// which inflates a file of known length into one flat buffer. Range- and
+// equality-encoded component rows are far more regular in row-major order
+// than value-distribution-dependent bitmap files, which is why cCS
+// compresses best (Table 4) while cBS keeps the per-query I/O advantage
+// (Figure 16).
 package storage
 
 import (
@@ -537,8 +540,17 @@ func (s *Store) decode(raw []byte, nbits int, pooled bool) (*bitvec.Vector, int6
 // remaining bytes and zeros above them, whatever w held before.
 func putBytes(w []uint64, p []byte) {
 	full := len(p) / 8
-	for i := range full {
-		w[i] = binary.LittleEndian.Uint64(p[8*i:])
+	// Four words a step: per word, the bounds checks and slice steps
+	// cost more than the load and store.
+	ws, q := w[:full], p[:8*full]
+	for ; len(ws) >= 4 && len(q) >= 32; ws, q = ws[4:], q[32:] {
+		ws[0] = binary.LittleEndian.Uint64(q[0:8])
+		ws[1] = binary.LittleEndian.Uint64(q[8:16])
+		ws[2] = binary.LittleEndian.Uint64(q[16:24])
+		ws[3] = binary.LittleEndian.Uint64(q[24:32])
+	}
+	for i := range ws {
+		ws[i] = binary.LittleEndian.Uint64(q[8*i:])
 	}
 	if rest := p[8*full:]; len(rest) > 0 {
 		var t uint64
@@ -547,59 +559,6 @@ func putBytes(w []uint64, p []byte) {
 		}
 		w[full] = t
 	}
-}
-
-// inflateChunk is the size of the buffer a zlib stream is inflated
-// through on its way into the words; a multiple of 8, so every chunk but
-// the last fills whole words.
-const inflateChunk = 4096
-
-// inflater is one reusable zlib decoding state. The reader's inflate
-// window and Huffman tables (about 40 KB) survive from file to file
-// through zlib.Resetter; src and buf are reset per file.
-type inflater struct {
-	src bytes.Reader
-	zr  io.Reader // nil until a stream with a valid header has been opened
-	buf [inflateChunk]byte
-}
-
-var inflaters = sync.Pool{New: func() any { return new(inflater) }}
-
-// inflateWords decodes a zlib stream that must inflate to exactly
-// ceil(nbits/8) bytes straight into words, which must hold ceil(nbits/64)
-// words; every one is overwritten. The read past the last byte must report
-// io.EOF, which is where the reader verifies the adler32 trailer, so
-// short, long and checksum-damaged streams all fail. A reader left in an
-// error state is safe to reuse: Reset rebuilds everything but its buffers.
-func inflateWords(raw []byte, nbits int, words []uint64) error {
-	f := inflaters.Get().(*inflater)
-	defer inflaters.Put(f)
-	f.src.Reset(raw)
-	defer f.src.Reset(nil) // the pool must not pin the file's bytes
-	var err error
-	if f.zr == nil {
-		f.zr, err = zlib.NewReader(&f.src) // still nil after a bad header
-	} else {
-		err = f.zr.(zlib.Resetter).Reset(&f.src, nil)
-	}
-	if err != nil {
-		return err
-	}
-	n := (nbits + 7) / 8
-	for off := 0; off < n; off += inflateChunk {
-		chunk := f.buf[:min(inflateChunk, n-off)]
-		if _, err := io.ReadFull(f.zr, chunk); err != nil {
-			return fmt.Errorf("want %d bytes: %w", n, err)
-		}
-		putBytes(words[off/8:], chunk)
-	}
-	if _, err := io.ReadFull(f.zr, f.buf[:1]); err != io.EOF {
-		if err == nil {
-			err = fmt.Errorf("stream inflates past %d bytes", n)
-		}
-		return err
-	}
-	return nil
 }
 
 // query is the per-query fetch context: every file is read and decoded at
